@@ -12,8 +12,9 @@ On the torus the background u0 is the mean-zero solution of
     Δu0 = -8πn/|Ω| + 8π Σ_j δ_{p_j},
 
 with each δ realized as a one-node Kronecker load of weight 1/cell_area at the
-node nearest the point; the discrete system is then self-consistent to
-round-off under the spectral Laplacian.
+node nearest the point, smoothed by a spectral Gaussian a few cells wide that
+keeps the total weight (see ``torus_background``); the discrete system is
+then self-consistent to round-off under the spectral Laplacian.
 """
 
 from __future__ import annotations

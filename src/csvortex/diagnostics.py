@@ -15,14 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DiagnosticFailure
-from .fields import GridDomain, integrate_values
+from .fields import GridDomain, exp_clip, integrate_values
 from .model import ModelParams
-
-EXP_CLAMP = 50.0
-
-
-def _exp_clip(x: np.ndarray) -> np.ndarray:
-    return np.exp(np.minimum(x, EXP_CLAMP))
 
 
 @dataclass(frozen=True)
@@ -49,8 +43,8 @@ def quantized_integrals_plane(u: np.ndarray, u_list: Sequence[np.ndarray],
     m = params.species
     a = params.alpha
     b = params.beta
-    A = [_exp_clip(u + ui) for ui in u_list]
-    B = [_exp_clip(u - ui) for ui in u_list]
+    A = [exp_clip(u + ui) for ui in u_list]
+    B = [exp_clip(u - ui) for ui in u_list]
     sum_a = np.sum([ai + bi for ai, bi in zip(A, B)], axis=0) - 2.0 * m
     sum_b = sum_a + 2.0 * m
     total = (a**2 / m**2) * integrate_values(sum_a * sum_b, domain)
@@ -69,8 +63,8 @@ def quantized_integrals_torus(big_u: np.ndarray, big_v: np.ndarray,
                               n: int) -> List[QuantizedIntegral]:
     """The two flux integrals of the doubly periodic system (targets -4*pi*n)."""
     a, b = params.alpha, params.beta
-    ep = _exp_clip(big_u + big_v)
-    em = _exp_clip(big_u - big_v)
+    ep = exp_clip(big_u + big_v)
+    em = exp_clip(big_u - big_v)
     first = a**2 * integrate_values((ep + em) * (ep + em - 2.0), domain)
     first += a * b * integrate_values((ep - em) ** 2, domain)
     second = a * b * integrate_values((ep - em) * (ep + em - 2.0), domain)

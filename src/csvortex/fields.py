@@ -29,6 +29,15 @@ from .errors import DomainError, NonFiniteFieldError
 _KIND_TORUS = 0
 _KIND_BOX = 1
 
+# Exponents are capped here before exponentiation, so a wild iterate yields a
+# large finite value instead of overflowing; solvers flag when the cap bites.
+EXP_CLAMP = 50.0
+
+
+def exp_clip(x: np.ndarray) -> np.ndarray:
+    """e^x with the exponent capped at EXP_CLAMP."""
+    return np.exp(np.minimum(x, EXP_CLAMP))
+
 
 @dataclass(frozen=True)
 class GridDomain:

@@ -10,7 +10,9 @@ boundary of the constrained torus problem.
 ``newton_polish`` drives the gradient to a tight max-norm tolerance with a
 damped Newton iteration whose linear systems are solved by preconditioned
 MINRES; the Hessian may be indefinite, so the same routine refines both
-minima and mountain-pass saddle points.
+minima and mountain-pass saddle points.  Inner solves that stop short of their
+tolerance are still tried as steps, and are counted in
+``OptResult.minres_unconverged``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ class OptResult:
     energies: List[float] = field(default_factory=list)
     message: str = ""
     boundary_trapped: bool = False
+    minres_unconverged: int = 0  # newton_polish inner solves that missed rtol
 
 
 class _Wolfe:
@@ -203,18 +206,18 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
     g = grad(x)
     n = x.size
     merits = [float(np.linalg.norm(g))]
+    unconverged = 0
     for it in range(1, max_iter + 1):
         ginf = float(np.max(np.abs(g)))
         if ginf <= tol_inf:
             return OptResult(x, np.nan, g, it - 1, True, merits,
-                             "residual tolerance met")
+                             "residual tolerance met", minres_unconverged=unconverged)
         H = LinearOperator((n, n), matvec=lambda v: hess_vec(x, v))
         M = LinearOperator((n, n), matvec=precond) if precond is not None else None
         rtol = float(np.clip(merits[-1] * 1e-2, 1e-12, 1e-4))
-        try:
-            delta, _ = minres(H, -g, rtol=rtol, maxiter=minres_maxiter, M=M)
-        except TypeError:  # scipy < 1.12 spells the tolerance 'tol'
-            delta, _ = minres(H, -g, tol=rtol, maxiter=minres_maxiter, M=M)
+        delta, status = minres(H, -g, rtol=rtol, maxiter=minres_maxiter, M=M)
+        if status != 0:
+            unconverged += 1
         m0 = merits[-1]
         t = 1.0
         accepted = False
@@ -242,7 +245,8 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
                 t *= 0.25
             if not accepted:
                 return OptResult(x, np.nan, g, it, False, merits,
-                                 "newton polish stalled")
+                                 "newton polish stalled", minres_unconverged=unconverged)
     ginf = float(np.max(np.abs(g)))
     return OptResult(x, np.nan, g, max_iter, ginf <= tol_inf, merits,
-                     "" if ginf <= tol_inf else "newton iteration budget exhausted")
+                     "" if ginf <= tol_inf else "newton iteration budget exhausted",
+                     minres_unconverged=unconverged)

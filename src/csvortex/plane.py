@@ -25,18 +25,18 @@ import numpy as np
 from .background import BackgroundPlane, VortexSet, plane_background, vortex_node_mask
 from .errors import DomainError, NonConvergenceError, NonFiniteFieldError
 from .fields import (
+    EXP_CLAMP,
     GridDomain,
     box_dirichlet_ring,
     box_laplacian_ring,
     box_shifted_inverse,
+    exp_clip,
     integrate_values,
     laplacian4_values,
     laplacian_values,
 )
 from .minimize import minimize_lbfgs, newton_polish
 from .model import ModelParams
-
-EXP_CLAMP = 50.0
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,8 @@ class PlaneOperator:
             em = bg.u0_grid_sum - bg.u0_grid[i] + st.f - st.f_i[i]
             if np.max(ep) > EXP_CLAMP or np.max(em) > EXP_CLAMP:
                 self.clamp_hit = True
-            a = np.exp(np.minimum(ep, EXP_CLAMP))
-            b = np.exp(np.minimum(em, EXP_CLAMP))
+            a = exp_clip(ep)
+            b = exp_clip(em)
             A.append(a)
             B.append(b)
             tot = tot + a + b
@@ -309,10 +309,12 @@ def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
                          history=opts.history)
     energies = list(res.energies)
     iterations = res.iterations
+    minres_unconverged = 0
     if opts.use_newton_polish and float(np.max(np.abs(res.g))) > tol_flat:
         pol = newton_polish(op.grad_flat, op.hess_vec_flat, res.x,
                             precond=op.precond_flat, tol_inf=tol_flat)
         iterations += pol.iterations
+        minres_unconverged = pol.minres_unconverged
         if pol.converged:
             e_pol = op.fun_grad_flat(pol.x)[0]
             if e_pol <= energies[-1] + 1e-12 * max(1.0, abs(energies[-1])):
@@ -330,6 +332,7 @@ def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
         "energy": op.energy(state),
         "grad_inf": grad_inf,
         "iterations": iterations,
+        "minres_unconverged": minres_unconverged,
         "energies": energies,
         "wall_time": time.perf_counter() - t0,
         "u": u,

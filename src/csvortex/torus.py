@@ -5,8 +5,8 @@ Working variables: the substitution U = u0/2 + (u+v)/2, V = u0/2 + (u-v)/2
 turns the original pair (U, V) into smooth unknowns (u, v), decomposed into
 mean-zero parts and constants, u = u' + c1, v = v' + c2.  On the admissible
 set (two integral inequalities) the constants solve a pair of quadratic
-constraint equations with a unique consistent root, found here by bracketed
-bisection refined with safeguarded Newton.  The first solution minimizes the
+constraint equations with a unique consistent root, found here by safeguarded
+Newton inside a sign-change bracket.  The first solution minimizes the
 reduced functional J over the admissible set; the second is a mountain-pass
 saddle of the full functional I, located by relaxing the maximal-energy node
 of a discretized path and then descending the saddle-branch reduced energy,
@@ -34,9 +34,11 @@ from .errors import (
     NonConvergenceError,
 )
 from .fields import (
+    EXP_CLAMP,
     GridDomain,
     _k2,
     dirichlet_inner_values,
+    exp_clip,
     integrate_values,
     laplacian_values,
     torus_shifted_inverse,
@@ -44,7 +46,7 @@ from .fields import (
 from .minimize import minimize_lbfgs, newton_polish
 from .model import ModelParams
 
-EXP_CLAMP = 50.0
+_EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +82,6 @@ class ConstraintCoeffs:
     gamma: float
 
 
-def _exp_clip(x: np.ndarray) -> np.ndarray:
-    return np.exp(np.minimum(x, EXP_CLAMP))
-
-
 @dataclass(frozen=True)
 class StateIntegrals:
     """The five quadratures the constraint algebra is built from."""
@@ -98,8 +96,8 @@ class StateIntegrals:
 def state_integrals(u_prime: np.ndarray, v_prime: np.ndarray,
                     bg: BackgroundTorus) -> StateIntegrals:
     dom = bg.domain
-    eu = _exp_clip(bg.u0 + u_prime)
-    ev = _exp_clip(v_prime)
+    eu = exp_clip(bg.u0 + u_prime)
+    ev = exp_clip(v_prime)
     return StateIntegrals(
         e1=integrate_values(eu * eu, dom),
         e2=integrate_values(ev * ev, dom),
@@ -120,14 +118,17 @@ def constraint_coeffs(u_prime: np.ndarray, v_prime: np.ndarray,
     return ConstraintCoeffs(q1, q2, gam)
 
 
+def _margins(s: StateIntegrals, n: int, params: ModelParams) -> Tuple[float, float]:
+    gam = gamma(params)
+    ab = params.alpha * params.beta
+    thr = 8.0 * math.pi * n / ((1.0 - gam) ** 2 * ab)
+    return (s.j1**2 - thr * s.e1, s.j2**2 - gam * thr * s.e2)
+
+
 def admissibility_margins(u_prime: np.ndarray, v_prime: np.ndarray,
                           bg: BackgroundTorus, params: ModelParams) -> Tuple[float, float]:
     """Left-minus-right of the two admissibility inequalities (>= 0 inside)."""
-    gam = gamma(params)
-    s = state_integrals(u_prime, v_prime, bg)
-    ab = params.alpha * params.beta
-    thr = 8.0 * math.pi * bg.n / ((1.0 - gam) ** 2 * ab)
-    return (s.j1**2 - thr * s.e1, s.j2**2 - gam * thr * s.e2)
+    return _margins(state_integrals(u_prime, v_prime, bg), bg.n, params)
 
 
 def admissible(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTorus,
@@ -152,7 +153,11 @@ class CSolve:
 
 
 class _CMaps:
-    """g1, g2 and F(X) = X - g1(g2(X)) for a fixed admissible state."""
+    """g1, g2 and F(X) = X - g1(g2(X)) for a fixed admissible state.
+
+    g2 is always the upper root of the second quadratic; g1 takes the upper
+    (sign +1) or lower (sign -1) root of the first.
+    """
 
     def __init__(self, s: StateIntegrals, gam: float, n: int, alphabeta: float):
         self.s = s
@@ -162,7 +167,8 @@ class _CMaps:
         self.n = n
         self.ab = alphabeta
 
-    def _branch(self, q: float, d: float, e: float, sign: float) -> float:
+    @staticmethod
+    def _sqrt_disc(q: float, d: float) -> float:
         disc = q * q - d
         if disc < 0.0:
             if disc < -1e-10 * q * q:
@@ -170,7 +176,10 @@ class _CMaps:
                     "constraint discriminant went negative mid-iteration",
                     constraint="discriminant")
             disc = 0.0
-        return (q + sign * math.sqrt(disc)) / (2.0 * e)
+        return math.sqrt(disc)
+
+    def _branch(self, q: float, d: float, e: float, sign: float) -> float:
+        return (q + sign * self._sqrt_disc(q, d)) / (2.0 * e)
 
     def q1(self, x2: float) -> float:
         return (1.0 - self.gam) * self.s.j1 + self.gam * x2 * self.s.g
@@ -184,124 +193,119 @@ class _CMaps:
     def g2(self, x1: float, sign: float = 1.0) -> float:
         return self._branch(self.q2(x1), self.d2, self.s.e2, sign)
 
-    def f(self, x: float) -> float:
-        return x - self.g1(self.g2(x))
+    def f(self, x: float, sign: float = 1.0) -> float:
+        return x - self.g1(self.g2(x), sign)
 
-    def f_prime(self, x: float) -> float:
-        x2 = self.g2(x)
+    def f_df(self, x: float, sign: float = 1.0) -> Tuple[float, float]:
+        """F(X) = X - g1(g2(X)) on the given g1 branch, and F'(X).
+
+        F' = 1 - sign * (γ g X2 / √(q2² - d2)) * (γ g g1 / √(q1² - d1)),
+        positive on both branches; 0 is returned where a discriminant
+        vanishes and the derivative is unbounded.
+        """
         q2 = self.q2(x)
+        r2 = self._sqrt_disc(q2, self.d2)
+        x2 = (q2 + r2) / (2.0 * self.s.e2)
         q1 = self.q1(x2)
-        dg2 = self.gam * self.s.g * x2 / math.sqrt(max(q2 * q2 - self.d2, 1e-300))
-        dg1 = self.gam * self.s.g * self.g1(x2) / math.sqrt(max(q1 * q1 - self.d1, 1e-300))
-        return 1.0 - dg1 * dg2
+        r1 = self._sqrt_disc(q1, self.d1)
+        x1 = (q1 + sign * r1) / (2.0 * self.s.e1)
+        if r1 > 0.0 and r2 > 0.0:
+            gg = self.gam * self.s.g
+            dfx = 1.0 - sign * (gg * x2 / r2) * (gg * x1 / r1)
+        else:
+            dfx = 0.0
+        return x - x1, dfx
 
 
 def _cmaps(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTorus,
            params: ModelParams) -> _CMaps:
-    if not admissible(u_prime, v_prime, bg, params):
-        m1, m2 = admissibility_margins(u_prime, v_prime, bg, params)
+    s = state_integrals(u_prime, v_prime, bg)
+    m1, m2 = _margins(s, bg.n, params)
+    if not (m1 >= 0.0 and m2 >= 0.0):
         which = "first" if m1 < 0 else "second"
         raise AdmissibilityError(
             f"state violates the {which} admissibility inequality "
             f"(margins {m1:.3e}, {m2:.3e})", constraint=which)
-    return _CMaps(state_integrals(u_prime, v_prime, bg), gamma(params), bg.n,
-                  params.alpha * params.beta)
+    return _CMaps(s, gamma(params), bg.n, params.alpha * params.beta)
 
 
-def _solve_c_branch(maps: _CMaps, saddle: bool) -> Tuple[float, float, float, int]:
+def _solve_c_branch(maps: _CMaps, saddle: bool,
+                    newton: bool = True) -> Tuple[float, float, float, int]:
     """Root of the branch fixed-point equation; returns (c1, c2, X0, iters).
 
     saddle=False: X = g1(g2(X)) with both upper roots (the constrained
     minimizer's constants; F(X)/X strictly increasing makes the root unique).
     saddle=True: lower root for the first constraint, upper for the second --
     the index-1 combination whose c1-curvature is negative.
+
+    Once F changes sign on [lo, hi], safeguarded Newton runs inside the
+    bracket: every evaluation shrinks it, and a step that leaves it is
+    replaced by the bisection midpoint.  The loop stops when the step or the
+    bracket is within 4 ulp of X.  newton=False bisects only (the
+    cross-check of the Newton root).
     """
     sign1 = -1.0 if saddle else 1.0
 
     def f(x: float) -> float:
-        return x - maps.g1(maps.g2(x), sign=sign1)
+        return maps.f(x, sign1)
 
+    it = 0
     if saddle:
         if maps.n == 0 or maps.d1 <= 0.0:
             raise AdmissibilityError(
                 "the saddle branch needs a positive vortex number")
-        x_hi = _solve_c_branch(maps, saddle=False)[2]
-        x_lo = 1e-300
-        if f(x_hi) < 0.0:
+        lo, hi = 1e-300, _solve_c_branch(maps, saddle=False, newton=newton)[2]
+        if f(hi) < 0.0:
             raise AdmissibilityError("saddle branch root not bracketed")
-        lo, hi = x_lo, x_hi
-        it = 0
     else:
-        x_lo = 0.5 * (1.0 - maps.gam) * maps.s.j1 / maps.s.e1
-        it = 0
-        while f(x_lo) > 0.0 and x_lo > 1e-300:
-            x_lo *= 0.5
+        lo = 0.5 * (1.0 - maps.gam) * maps.s.j1 / maps.s.e1
+        while f(lo) > 0.0 and lo > 1e-300:
+            lo *= 0.5
             it += 1
             if it > 600:
                 raise AdmissibilityError(
                     "failed to bracket the constraint root from below")
-        x_hi = max(2.0 * x_lo, 1.0)
-        while f(x_hi) < 0.0:
-            x_hi *= 2.0
+        hi = max(2.0 * lo, 1.0)
+        while f(hi) < 0.0:
+            hi *= 2.0
             it += 1
             if it > 700:
                 raise AdmissibilityError(
                     "failed to bracket the constraint root from above")
-        lo, hi = x_lo, x_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        it += 1
-        if hi - lo <= 1e-16 * hi:
-            break
     x = 0.5 * (lo + hi)
-    x2 = maps.g2(x)
-    return math.log(x), math.log(x2), x, it
+    for _ in range(200):
+        fx, dfx = maps.f_df(x, sign1)
+        it += 1
+        if fx == 0.0:
+            break
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+        x_new = 0.5 * (lo + hi)
+        if newton and dfx > 0.0 and lo < x - fx / dfx < hi:
+            x_new = x - fx / dfx
+        done = abs(x_new - x) <= 4.0 * _EPS * x_new or hi - lo <= 4.0 * _EPS * hi
+        x = x_new
+        if done:
+            break
+    return math.log(x), math.log(maps.g2(x)), x, it
 
 
 def solve_c(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTorus,
             params: ModelParams, method: str = "newton") -> CSolve:
     """Solve the two constraint quadratics for (c1, c2).
 
-    Bracketed bisection on F(X) = X - g1(g2(X)) (X = e^{c1}), optionally
-    refined by safeguarded Newton using the closed-form branch derivatives.
-    F(X)/X is strictly increasing, so the bracket is certain once F changes
-    sign.
+    Safeguarded Newton on F(X) = X - g1(g2(X)) (X = e^{c1}) inside a
+    sign-change bracket, using the closed-form branch derivatives;
+    method="bisection" bisects the same bracket instead.  F(X)/X is strictly
+    increasing, so the bracket is certain once F changes sign.
     """
     if method not in ("newton", "bisection"):
         raise ConfigError(f"unknown root method {method!r}")
     maps = _cmaps(u_prime, v_prime, bg, params)
-    c1, c2, x, it = _solve_c_branch(maps, saddle=False)
-    if method == "newton":
-        lo, hi = x * (1.0 - 1e-12), x * (1.0 + 1e-12)
-        while maps.f(lo) > 0.0:
-            lo *= 1.0 - 1e-9
-        while maps.f(hi) < 0.0:
-            hi *= 1.0 + 1e-9
-        for _ in range(60):
-            fx = maps.f(x)
-            dfx = maps.f_prime(x)
-            if dfx <= 0.0:
-                break
-            x_new = x - fx / dfx
-            if not (lo <= x_new <= hi):
-                x_new = 0.5 * (lo + hi)
-            if maps.f(x_new) < 0.0:
-                lo = x_new
-            else:
-                hi = x_new
-            it += 1
-            if abs(x_new - x) <= 1e-16 * x:
-                x = x_new
-                break
-            x = x_new
-        c1 = math.log(x)
-        c2 = math.log(maps.g2(x))
-    x2 = math.exp(c2)
-    r1, r2 = constraint_residuals(maps, x, x2)
+    c1, c2, x, it = _solve_c_branch(maps, saddle=False, newton=method == "newton")
+    r1, r2 = constraint_residuals(maps, x, math.exp(c2))
     return CSolve(c1, c2, x, r1, r2, it)
 
 
@@ -323,7 +327,12 @@ def constraint_residuals(maps: _CMaps, x1: float, x2: float) -> Tuple[float, flo
 
 
 class TorusOperator:
-    """Discrete functional I on full fields (u, v) = (u'+c1, v'+c2)."""
+    """Discrete functional I on full fields (u, v) = (u'+c1, v'+c2).
+
+    Every evaluation transforms the pair (u, v) once, in one batched FFT: the
+    Dirichlet energy and the stiffness terms -aΔu - bΔv, -bΔu - aΔv are both
+    read off (û, v̂), and the stiffness terms come back in one inverse FFT.
+    """
 
     def __init__(self, bg: BackgroundTorus, params: ModelParams):
         params.require_torus_mode()
@@ -335,50 +344,95 @@ class TorusOperator:
         self.b = 0.5 * (1.0 / p.alpha - 1.0 / p.beta)
         self.source = 4.0 * math.pi * bg.n / self.domain.area
         self.clamp_hit = False
+        # Fourier symbols [[s, t], [t, s]] acting on (û, v̂): the stiffness
+        # terms, and the inverse of the vacuum Hessian [[aa, bb], [bb, aa]]
+        k2 = _k2(self.domain)
+        self.k2 = k2
+        self._stiff = (self.a * k2, self.b * k2)
+        aa = self.a * k2 + 2.0 * (p.alpha + p.beta)
+        bb = self.b * k2 + 2.0 * (p.alpha - p.beta)
+        det = aa * aa - bb * bb
+        self._vacuum_inv = (aa / det, -bb / det)
 
     def _pr(self, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         eu = self.bg.u0 + u
         if np.max(eu) > EXP_CLAMP or np.max(v) > EXP_CLAMP:
             self.clamp_hit = True
-        return _exp_clip(eu), _exp_clip(v)
+        return exp_clip(eu), exp_clip(v)
 
-    def energy(self, u: np.ndarray, v: np.ndarray) -> float:
+    @staticmethod
+    def _spectra(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """(û, v̂) stacked on a leading axis, from one batched FFT."""
+        return fftn(np.stack((u, v)), axes=(1, 2))
+
+    @staticmethod
+    def _apply_symbol(wh: np.ndarray, symbol) -> np.ndarray:
+        """Inverse FFT of [[s, t], [t, s]] (û, v̂), both rows in one batch."""
+        s, t = symbol
+        out = np.empty_like(wh)
+        out[0] = s * wh[0] + t * wh[1]
+        out[1] = t * wh[0] + s * wh[1]
+        return np.real(ifftn(out, axes=(1, 2)))
+
+    def _dirichlet(self, wh: np.ndarray) -> float:
+        """a/2 (∫|∇u|² + ∫|∇v|²) + b ∫∇u·∇v from (û, v̂)."""
+        uh, vh = wh
+        dens = self.a * 0.5 * (np.real(uh * np.conj(uh)) + np.real(vh * np.conj(vh))) \
+            + self.b * np.real(uh * np.conj(vh))
+        dom = self.domain
+        return float(np.sum(self.k2 * dens)) * dom.cell_area / (dom.n1 * dom.n2)
+
+    def _potential(self, u: np.ndarray, v: np.ndarray, P: np.ndarray,
+                   R: np.ndarray) -> float:
         p, dom = self.params, self.domain
-        P, R = self._pr(u, v)
-        val = self.a * 0.5 * (dirichlet_inner_values(u, u, dom)
-                              + dirichlet_inner_values(v, v, dom))
-        val += self.b * dirichlet_inner_values(u, v, dom)
-        val += p.alpha * integrate_values((P + R - 2.0) ** 2, dom)
+        val = p.alpha * integrate_values((P + R - 2.0) ** 2, dom)
         val += p.beta * integrate_values((P - R) ** 2, dom)
         val += self.source * (2.0 * self.a) * integrate_values(u, dom)
         val += self.source * (2.0 * self.b) * integrate_values(v, dom)
-        return float(val)
+        return val
 
-    def gradient(self, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        p, dom = self.params, self.domain
-        P, R = self._pr(u, v)
-        lap_u = laplacian_values(u, dom)
-        lap_v = laplacian_values(v, dom)
+    def _gradient(self, wh: np.ndarray, P: np.ndarray,
+                  R: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        p = self.params
+        su, sv = self._apply_symbol(wh, self._stiff)
         common = 2.0 * p.alpha * (P + R - 2.0)
         diff = 2.0 * p.beta * (P - R)
-        gu = -self.a * lap_u - self.b * lap_v + (common + diff) * P \
-            + self.source * 2.0 * self.a
-        gv = -self.b * lap_u - self.a * lap_v + (common - diff) * R \
-            + self.source * 2.0 * self.b
+        gu = su + (common + diff) * P + self.source * 2.0 * self.a
+        gv = sv + (common - diff) * R + self.source * 2.0 * self.b
         return gu, gv
 
-    def hess_vec(self, u: np.ndarray, v: np.ndarray, du: np.ndarray,
-                 dv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        p, dom = self.params, self.domain
+    def energy(self, u: np.ndarray, v: np.ndarray) -> float:
+        P, R = self._pr(u, v)
+        return float(self._dirichlet(self._spectra(u, v)) + self._potential(u, v, P, R))
+
+    def gradient(self, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        P, R = self._pr(u, v)
+        return self._gradient(self._spectra(u, v), P, R)
+
+    def fun_grad(self, u: np.ndarray,
+                 v: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
+        """(energy, gu, gv) from one forward transform of the pair."""
+        P, R = self._pr(u, v)
+        wh = self._spectra(u, v)
+        val = float(self._dirichlet(wh) + self._potential(u, v, P, R))
+        gu, gv = self._gradient(wh, P, R)
+        return val, gu, gv
+
+    def hess_coeffs(self, u: np.ndarray,
+                    v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pointwise second derivatives (h_uu, h_uv, h_vv) of the potential."""
+        p = self.params
         P, R = self._pr(u, v)
         huu = (2.0 * p.alpha * (2.0 * P + R - 2.0) + 2.0 * p.beta * (2.0 * P - R)) * P
         hvv = (2.0 * p.alpha * (P + 2.0 * R - 2.0) - 2.0 * p.beta * (P - 2.0 * R)) * R
         huv = 2.0 * (p.alpha - p.beta) * P * R
-        hu = -self.a * laplacian_values(du, dom) - self.b * laplacian_values(dv, dom) \
-            + huu * du + huv * dv
-        hv = -self.b * laplacian_values(du, dom) - self.a * laplacian_values(dv, dom) \
-            + huv * du + hvv * dv
-        return hu, hv
+        return huu, huv, hvv
+
+    def hess_vec(self, u: np.ndarray, v: np.ndarray, du: np.ndarray,
+                 dv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        huu, huv, hvv = self.hess_coeffs(u, v)
+        su, sv = self._apply_symbol(self._spectra(du, dv), self._stiff)
+        return su + huu * du + huv * dv, sv + huv * du + hvv * dv
 
     # -- flat interface ---------------------------------------------------
     def pack(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -390,8 +444,8 @@ class TorusOperator:
 
     def fun_grad_flat(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
         u, v = self.unpack(x)
-        gu, gv = self.gradient(u, v)
-        return self.energy(u, v), self.pack(gu, gv) * self.domain.cell_area
+        val, gu, gv = self.fun_grad(u, v)
+        return val, self.pack(gu, gv) * self.domain.cell_area
 
     def grad_flat(self, x: np.ndarray) -> np.ndarray:
         u, v = self.unpack(x)
@@ -406,17 +460,8 @@ class TorusOperator:
 
     def precond_flat(self, w: np.ndarray) -> np.ndarray:
         """Exact inverse of the vacuum Hessian, 2x2 per Fourier mode."""
-        p = self.params
-        du, dv = self.unpack(w)
-        k2 = _k2(self.domain)
-        aa = self.a * k2 + 2.0 * (p.alpha + p.beta)
-        bb = self.b * k2 + 2.0 * (p.alpha - p.beta)
-        det = aa * aa - bb * bb
-        uh = fftn(du)
-        vh = fftn(dv)
-        ou = np.real(ifftn((aa * uh - bb * vh) / det))
-        ov = np.real(ifftn((aa * vh - bb * uh) / det))
-        return self.pack(ou, ov) / self.domain.cell_area
+        wh = fftn(w.reshape((2,) + self.domain.shape), axes=(1, 2))
+        return self._apply_symbol(wh, self._vacuum_inv).ravel() / self.domain.cell_area
 
 
 def torus_energy_I(u: np.ndarray, v: np.ndarray, bg: BackgroundTorus,
@@ -524,25 +569,33 @@ class _BranchReduced:
         self.params = op.params
         self.saddle = saddle
         self.last_c: Optional[Tuple[float, float]] = None
+        # (u', v', maps, c1, c2) of the last state whose constants were solved:
+        # the line search asks feasible() and then fun_grad() at one trial
+        # point, and MINRES asks hess_vec() many times at one Newton iterate
+        self._memo: Optional[tuple] = None
 
     def split(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         u, v = self.op.unpack(x)
         return _project0(u), _project0(v)
 
-    def constants(self, up: np.ndarray, vp: np.ndarray) -> Tuple[float, float]:
+    def _solve(self, up: np.ndarray, vp: np.ndarray) -> Tuple[_CMaps, float, float]:
+        memo = self._memo
+        if memo is not None and np.array_equal(memo[0], up) and np.array_equal(memo[1], vp):
+            return memo[2:]
         maps = _cmaps(up, vp, self.bg, self.params)
         c1, c2, _, _ = _solve_c_branch(maps, saddle=self.saddle)
-        return c1, c2
+        self._memo = (up.copy(), vp.copy(), maps, c1, c2)
+        return maps, c1, c2
+
+    def constants(self, up: np.ndarray, vp: np.ndarray) -> Tuple[float, float]:
+        return self._solve(up, vp)[1:]
 
     def feasible(self, x: np.ndarray) -> bool:
-        up, vp = self.split(x)
-        if not admissible(up, vp, self.bg, self.params):
+        """Admissible, with constants on this branch (solved once, remembered)."""
+        try:
+            self.constants(*self.split(x))
+        except AdmissibilityError:
             return False
-        if self.saddle:
-            try:
-                self.constants(up, vp)
-            except AdmissibilityError:
-                return False
         return True
 
     def lift(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -553,45 +606,43 @@ class _BranchReduced:
 
     def fun_grad(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
         u, v = self.lift(x)
-        val = self.op.energy(u, v)
-        gu, gv = self.op.gradient(u, v)
+        val, gu, gv = self.op.fun_grad(u, v)
         g = self.op.pack(_project0(gu), _project0(gv)) * self.op.domain.cell_area
         return val, g
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self.fun_grad(x)[1]
 
-    def _c_hessian(self, up: np.ndarray, vp: np.ndarray, c1: float,
-                   c2: float) -> np.ndarray:
-        p = self.params
-        gam = gamma(p)
-        s = state_integrals(up, vp, self.bg)
+    def _c_hessian(self, maps: _CMaps, c1: float, c2: float) -> np.ndarray:
+        s, gam = maps.s, maps.gam
         x1, x2 = math.exp(c1), math.exp(c2)
-        q1 = (1.0 - gam) * s.j1 + gam * x2 * s.g
-        q2 = (1.0 - gam) * s.j2 + gam * x1 * s.g
-        scale = 2.0 * (p.alpha + p.beta)
-        h11 = scale * (2.0 * x1 * x1 * s.e1 - x1 * q1)
-        h22 = scale * (2.0 * x2 * x2 * s.e2 - x2 * q2)
+        scale = 2.0 * (self.params.alpha + self.params.beta)
+        h11 = scale * (2.0 * x1 * x1 * s.e1 - x1 * maps.q1(x2))
+        h22 = scale * (2.0 * x2 * x2 * s.e2 - x2 * maps.q2(x1))
         h12 = scale * gam * x1 * x2 * s.g
         return np.array([[h11, h12], [h12, h22]])
 
     def hess_vec(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Schur-reduced second variation via implicit differentiation."""
         up, vp = self.split(x)
-        c1, c2 = self.constants(up, vp)
+        maps, c1, c2 = self._solve(up, vp)
         u, v = up + c1, vp + c2
         du, dv = self.op.unpack(w)
         hu, hv = self.op.hess_vec(u, v, du, dv)
         rhs = -np.array([integrate_values(hu, self.op.domain),
                          integrate_values(hv, self.op.domain)])
-        hc = self._c_hessian(up, vp, c1, c2)
+        hc = self._c_hessian(maps, c1, c2)
         det = hc[0, 0] * hc[1, 1] - hc[0, 1] * hc[1, 0]
         if abs(det) < 1e-14 * (abs(hc[0, 0] * hc[1, 1]) + 1.0):
             dc = np.zeros(2)
         else:
             dc = np.linalg.solve(hc, rhs)
-        hu2, hv2 = self.op.hess_vec(u, v, du + dc[0], dv + dc[1])
-        return self.op.pack(_project0(hu2), _project0(hv2)) * self.op.domain.cell_area
+        # H(du + dc1, dv + dc2) = H(du, dv) + H(dc1, dc2), and the Laplacian
+        # annihilates the constant shift: only the pointwise terms act on it
+        huu, huv, hvv = self.op.hess_coeffs(u, v)
+        hu = hu + huu * dc[0] + huv * dc[1]
+        hv = hv + huv * dc[0] + hvv * dc[1]
+        return self.op.pack(_project0(hu), _project0(hv)) * self.op.domain.cell_area
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +669,7 @@ def tarantello_init(params: ModelParams, bg: BackgroundTorus,
     size = dom.n1 * dom.n2
 
     def resid(wv: np.ndarray) -> np.ndarray:
-        e = _exp_clip(bg.u0 + wv)
+        e = exp_clip(bg.u0 + wv)
         return laplacian_values(wv, dom) - lam_t * e * (e - 1.0) \
             - 8.0 * math.pi * bg.n / dom.area
 
@@ -630,7 +681,7 @@ def tarantello_init(params: ModelParams, bg: BackgroundTorus,
         rnorm = float(np.max(np.abs(r)))
         if rnorm <= tol:
             return w
-        e = _exp_clip(bg.u0 + w)
+        e = exp_clip(bg.u0 + w)
         q = lam_t * e * (2.0 * e - 1.0)
 
         def matvec(vec: np.ndarray) -> np.ndarray:
@@ -639,10 +690,7 @@ def tarantello_init(params: ModelParams, bg: BackgroundTorus,
 
         op = LinearOperator((size, size), matvec=matvec)
         pre = LinearOperator((size, size), matvec=precond)
-        try:
-            delta, _ = minres(op, -r.ravel(), rtol=1e-10, maxiter=600, M=pre)
-        except TypeError:
-            delta, _ = minres(op, -r.ravel(), tol=1e-10, maxiter=600, M=pre)
+        delta, _ = minres(op, -r.ravel(), rtol=1e-10, maxiter=600, M=pre)
         delta = delta.reshape(dom.shape)
         t = 1.0
         base = float(np.linalg.norm(r))
@@ -713,7 +761,7 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
     Descends the reduced energy over mean-zero pairs (steps leaving the
     admissible set are rejected with halved length), then polishes the full
     pair (constants included) with Newton/MINRES until the gradient max-norm
-    meets opts.tol.
+    meets opts.tol.  info["iterations"] counts L-BFGS and Newton steps.
     """
     params.require_torus_mode()
     if domain.kind != "torus":
@@ -778,7 +826,8 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
         "energy_I": op.energy(u, v),
         "energy_J": reduced_energy_J(state.u_prime, state.v_prime, bg, params),
         "grad_inf": grad_inf,
-        "iterations": res.iterations,
+        "iterations": res.iterations + pol.iterations,
+        "minres_unconverged": pol.minres_unconverged,
         "energies": energies,
         "c_solve": cs_final,
         "c1": state.c1,
@@ -929,6 +978,8 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
         "energy_I": e_second,
         "energy_first": e_first,
         "grad_inf": grad_inf,
+        "iterations": res.iterations + pol.iterations,
+        "minres_unconverged": pol.minres_unconverged,
         "separation": sep,
         "probe_margin": probe_margin,
         "c_tilde": c_tilde,

@@ -189,3 +189,5 @@ class TestTorusPipeline:
         text = (out / "report_second.txt").read_text()
         assert "separation" in text
         assert "mode = torus-second" in text
+        iterations = [line for line in text.splitlines() if line.startswith("iterations = ")]
+        assert len(iterations) == 1 and int(iterations[0].split(" = ")[1]) > 0

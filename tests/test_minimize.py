@@ -89,3 +89,19 @@ class TestNewtonPolish:
         res = newton_polish(grad, hess_vec, np.array([0.7, -0.4]), tol_inf=1e-12)
         assert res.converged
         assert np.max(np.abs(res.x)) < 1e-10
+
+    def test_counts_unconverged_inner_solves(self, rng):
+        d = rng.uniform(0.5, 50.0, size=40)
+        b = rng.standard_normal(40)
+
+        def grad(x):
+            return d * x - b
+
+        def hess_vec(x, v):
+            return d * v
+
+        full = newton_polish(grad, hess_vec, np.zeros(40), tol_inf=1e-12)
+        assert full.converged and full.minres_unconverged == 0
+        capped = newton_polish(grad, hess_vec, np.zeros(40), tol_inf=1e-12,
+                               max_iter=3, minres_maxiter=2)
+        assert capped.minres_unconverged == capped.iterations == 3

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from csvortex.background import VortexSet, torus_background
 from csvortex.errors import AdmissibilityError, ConfigError
@@ -10,6 +12,7 @@ from csvortex.model import ModelParams
 from csvortex.torus import (
     TorusOperator,
     _cmaps,
+    _solve_c_branch,
     admissibility_margins,
     admissible,
     constraint_coeffs,
@@ -217,6 +220,36 @@ class TestSolveC:
         assert not admissible(z, z, bg, tight)
         with pytest.raises(AdmissibilityError):
             solve_c(z, z, bg, tight)
+
+
+class TestRootProperties:
+    """Both constraint branches on random smooth admissible states."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), amp=st.floats(0.0, 2.0),
+           alpha=st.floats(2.0, 120.0), ratio=st.floats(1.05, 4.0))
+    def test_branch_roots(self, setup, seed, amp, alpha, ratio):
+        dom, bg, _ = setup
+        params = ModelParams(alpha=alpha, beta=alpha * ratio, sigma=5.0)
+        rng = np.random.default_rng(seed)
+        up, vp = smooth_random(dom, rng, amp), smooth_random(dom, rng, amp)
+        assume(admissible(up, vp, bg, params))
+        maps = _cmaps(up, vp, bg, params)
+        roots = {}
+        for saddle, sign in ((False, 1.0), (True, -1.0)):
+            c1, c2, x, it = _solve_c_branch(maps, saddle=saddle)
+            assert it <= 60
+            # F's round-off scale is the sum of the first quadratic's roots,
+            # q1/e1: the lower root loses digits to cancellation
+            scale = maps.q1(maps.g2(x)) / maps.s.e1
+            assert abs(maps.f(x, sign)) <= 8.0 * np.finfo(float).eps * scale
+            assert c1 == math.log(x)
+            roots[saddle] = x
+        assert roots[True] < roots[False]
+        a = solve_c(up, vp, bg, params, method="newton")
+        b = solve_c(up, vp, bg, params, method="bisection")
+        assert a.root == roots[False]
+        assert abs(a.root - b.root) <= 1e-12 * a.root
 
 
 class TestQuantizedConstraintIdentity:
