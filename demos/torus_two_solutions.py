@@ -1,7 +1,7 @@
 """The doubly periodic story: one vortex, two distinct solutions.
 
 On the torus the constrained minimization produces the first solution; a
-discretized mountain-pass search then finds a second critical point with the
+mountain-pass saddle search then finds a second critical point with the
 same prescribed vortex, the same quantized flux integrals, and strictly
 higher energy.  Also demonstrates the feasibility gate and the
 maximum-principle bounds both solutions obey.

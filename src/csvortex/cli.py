@@ -122,6 +122,7 @@ def _torus_report(cfg: RunConfig, state: TorusState, info: dict,
     if "separation" in info:
         rep.extra["separation"] = info["separation"]
         rep.extra["energy_first"] = info["energy_first"]
+        rep.extra["path_max_energy"] = info["path_max_energy"]
     return rep
 
 
@@ -158,7 +159,6 @@ def cmd_solve_torus(cfg: RunConfig) -> int:
     out = resolve_out_dir(cfg.opts)
     opts = TorusSolveOpts(tol=cfg.opts.tol, max_iter=cfg.opts.max_iter,
                           seed=cfg.opts.seed, lam_t=cfg.opts.lam_t,
-                          path_nodes=cfg.opts.path_nodes,
                           separation=cfg.opts.separation)
     state, info = minimize_torus(cfg.params, cfg.vortices, cfg.domain, opts)
     big_u, big_v = reconstruct_original(state, info["bg"])

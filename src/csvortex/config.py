@@ -29,7 +29,6 @@ DEFAULTS = {
     "torus_grid": 256,
     "box_target_decay": 25.0,   # auto half-width: m*L >= 25
     "lam_t": None,              # solver default 4*alpha*beta
-    "path_nodes": 17,
     "separation": 1e-3,
     "seed": "zero",
     "quantized_tol_plane": 0.02,
@@ -45,7 +44,6 @@ class RunOpts:
     seed: str = DEFAULTS["seed"]
     second_solution: bool = False
     lam_t: Optional[float] = None
-    path_nodes: int = DEFAULTS["path_nodes"]
     separation: float = DEFAULTS["separation"]
     quantized_tol: Optional[float] = None
     residual_tol: float = DEFAULTS["residual_tol"]
@@ -167,7 +165,6 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
         second_solution=bool(overrides.get("second_solution",
                                            o.get("second_solution", False))),
         lam_t=(None if o.get("lam_t") is None else float(o["lam_t"])),
-        path_nodes=int(o.get("path_nodes", DEFAULTS["path_nodes"])),
         separation=float(o.get("separation", DEFAULTS["separation"])),
         quantized_tol=(None if o.get("quantized_tol") is None
                        else float(o["quantized_tol"])),

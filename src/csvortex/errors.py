@@ -63,7 +63,7 @@ class NonConvergenceError(CsvortexError):
 
 
 class MountainPassCollapseError(CsvortexError):
-    """The relaxed path fell back onto the first solution: no second solution found."""
+    """No second solution: no vortices, or the saddle descent reached the first solution."""
 
 
 class DiagnosticFailure(CsvortexError):

@@ -170,14 +170,15 @@ def laplacian_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
     """Discrete Laplacian on raw node values (zero ghosts for the box)."""
     if domain.kind == "torus":
         return np.real(ifftn(-_k2(domain) * fftn(values)))
-    return _box_laplacian(values, domain.h1, domain.h2)
+    return _box_laplacian_padded(np.pad(values, 1), domain)
 
 
-def _box_laplacian(values: np.ndarray, h1: float, h2: float) -> np.ndarray:
-    p = np.pad(values, 1)
+def _box_laplacian_padded(p: np.ndarray, domain: GridDomain) -> np.ndarray:
+    """5-point Laplacian of the interior of p, whose outer ring holds the ghosts."""
+    c = p[1:-1, 1:-1]
     return (
-        (p[2:, 1:-1] - 2.0 * values + p[:-2, 1:-1]) / h1**2
-        + (p[1:-1, 2:] - 2.0 * values + p[1:-1, :-2]) / h2**2
+        (p[2:, 1:-1] - 2.0 * c + p[:-2, 1:-1]) / domain.h1**2
+        + (p[1:-1, 2:] - 2.0 * c + p[1:-1, :-2]) / domain.h2**2
     )
 
 
@@ -230,12 +231,12 @@ def dirichlet_inner_values(f: np.ndarray, g: np.ndarray, domain: GridDomain) -> 
         gh = fftn(g)
         s = np.sum(_k2(domain) * np.real(fh * np.conj(gh)))
         return float(s) * domain.cell_area / (domain.n1 * domain.n2)
-    return _box_dirichlet(f, g, domain.h1, domain.h2)
+    return _box_dirichlet_padded(np.pad(f, 1), np.pad(g, 1), domain)
 
 
-def _box_dirichlet(f: np.ndarray, g: np.ndarray, h1: float, h2: float) -> float:
-    pf = np.pad(f, 1)
-    pg = np.pad(g, 1)
+def _box_dirichlet_padded(pf: np.ndarray, pg: np.ndarray, domain: GridDomain) -> float:
+    """Forward-difference ∫ ∇f·∇g over arrays whose outer ring holds the ghosts."""
+    h1, h2 = domain.h1, domain.h2
     dxf = np.diff(pf[:, 1:-1], axis=0) / h1
     dxg = np.diff(pg[:, 1:-1], axis=0) / h1
     dyf = np.diff(pf[1:-1, :], axis=1) / h2
@@ -291,24 +292,13 @@ def box_pad_with_ring(values: np.ndarray, ring: np.ndarray) -> np.ndarray:
 
 def box_laplacian_ring(values: np.ndarray, ring: np.ndarray, domain: GridDomain) -> np.ndarray:
     """5-point Laplacian where the ghost ring carries prescribed boundary data."""
-    p = box_pad_with_ring(values, ring)
-    return (
-        (p[2:, 1:-1] - 2.0 * values + p[:-2, 1:-1]) / domain.h1**2
-        + (p[1:-1, 2:] - 2.0 * values + p[1:-1, :-2]) / domain.h2**2
-    )
+    return _box_laplacian_padded(box_pad_with_ring(values, ring), domain)
 
 
 def box_dirichlet_ring(f: np.ndarray, rf: np.ndarray, g: np.ndarray, rg: np.ndarray,
                        domain: GridDomain) -> float:
     """∫ ∇f·∇g with prescribed ghost-ring data on both arguments."""
-    pf = box_pad_with_ring(f, rf)
-    pg = box_pad_with_ring(g, rg)
-    h1, h2 = domain.h1, domain.h2
-    dxf = np.diff(pf[:, 1:-1], axis=0) / h1
-    dxg = np.diff(pg[:, 1:-1], axis=0) / h1
-    dyf = np.diff(pf[1:-1, :], axis=1) / h2
-    dyg = np.diff(pg[1:-1, :], axis=1) / h2
-    return float(np.sum(dxf * dxg) + np.sum(dyf * dyg)) * h1 * h2
+    return _box_dirichlet_padded(box_pad_with_ring(f, rf), box_pad_with_ring(g, rg), domain)
 
 
 @lru_cache(maxsize=32)

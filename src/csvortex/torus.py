@@ -1,5 +1,5 @@
 """Doubly periodic single-species solver: constrained minimization plus a
-numerical mountain pass for the second solution.
+mountain-pass second solution.
 
 Working variables: the substitution U = u0/2 + (u+v)/2, V = u0/2 + (u-v)/2
 turns the original pair (U, V) into smooth unknowns (u, v), decomposed into
@@ -7,10 +7,11 @@ mean-zero parts and constants, u = u' + c1, v = v' + c2.  On the admissible
 set (two integral inequalities) the constants solve a pair of quadratic
 constraint equations with a unique consistent root, found here by safeguarded
 Newton inside a sign-change bracket.  The first solution minimizes the
-reduced functional J over the admissible set; the second is a mountain-pass
-saddle of the full functional I, located by relaxing the maximal-energy node
-of a discretized path and then descending the saddle-branch reduced energy,
-whose plain minimum is that saddle.
+reduced functional J over the admissible set.  The second is a mountain-pass
+saddle of the full functional I: eliminating the constants through the
+saddle branch of the constraints (lower root of the first quadratic) turns
+it into a plain minimum, reached by descent from the barrier point -- the
+first solution's mean-zero part with the saddle-branch constants.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.fft import fftn, ifftn
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .background import BackgroundTorus, VortexSet, torus_background, vortex_node_mask
 from .errors import (
@@ -111,11 +111,9 @@ def constraint_coeffs(u_prime: np.ndarray, v_prime: np.ndarray,
                       c1: float, c2: float, bg: BackgroundTorus,
                       params: ModelParams) -> ConstraintCoeffs:
     """Q1 (needs e^{c2}) and Q2 (needs e^{c1}) of the constraint quadratics."""
-    gam = gamma(params)
-    s = state_integrals(u_prime, v_prime, bg)
-    q1 = (1.0 - gam) * s.j1 + gam * math.exp(c2) * s.g
-    q2 = (1.0 - gam) * s.j2 + gam * math.exp(c1) * s.g
-    return ConstraintCoeffs(q1, q2, gam)
+    maps = _CMaps(state_integrals(u_prime, v_prime, bg), gamma(params), bg.n,
+                  params.alpha * params.beta)
+    return ConstraintCoeffs(maps.q1(math.exp(c2)), maps.q2(math.exp(c1)), maps.gam)
 
 
 def _margins(s: StateIntegrals, n: int, params: ModelParams) -> Tuple[float, float]:
@@ -156,7 +154,9 @@ class _CMaps:
     """g1, g2 and F(X) = X - g1(g2(X)) for a fixed admissible state.
 
     g2 is always the upper root of the second quadratic; g1 takes the upper
-    (sign +1) or lower (sign -1) root of the first.
+    (sign +1) or lower (sign -1) root of the first.  The lower root is formed
+    as d/(2e(q + √(q² - d))), the product of the roots over the upper one,
+    so it does not cancel.
     """
 
     def __init__(self, s: StateIntegrals, gam: float, n: int, alphabeta: float):
@@ -178,8 +178,15 @@ class _CMaps:
             disc = 0.0
         return math.sqrt(disc)
 
+    @staticmethod
+    def _root(q: float, r: float, d: float, e: float, sign: float) -> float:
+        """Root of e X² - q X + d/4 with r = √(q² - d): upper or lower."""
+        if sign > 0.0:
+            return (q + r) / (2.0 * e)
+        return d / (2.0 * e * (q + r))
+
     def _branch(self, q: float, d: float, e: float, sign: float) -> float:
-        return (q + sign * self._sqrt_disc(q, d)) / (2.0 * e)
+        return self._root(q, self._sqrt_disc(q, d), d, e, sign)
 
     def q1(self, x2: float) -> float:
         return (1.0 - self.gam) * self.s.j1 + self.gam * x2 * self.s.g
@@ -205,10 +212,10 @@ class _CMaps:
         """
         q2 = self.q2(x)
         r2 = self._sqrt_disc(q2, self.d2)
-        x2 = (q2 + r2) / (2.0 * self.s.e2)
+        x2 = self._root(q2, r2, self.d2, self.s.e2, 1.0)
         q1 = self.q1(x2)
         r1 = self._sqrt_disc(q1, self.d1)
-        x1 = (q1 + sign * r1) / (2.0 * self.s.e1)
+        x1 = self._root(q1, r1, self.d1, self.s.e1, sign)
         if r1 > 0.0 and r2 > 0.0:
             gg = self.gam * self.s.g
             dfx = 1.0 - sign * (gg * x2 / r2) * (gg * x1 / r1)
@@ -568,7 +575,6 @@ class _BranchReduced:
         self.bg = op.bg
         self.params = op.params
         self.saddle = saddle
-        self.last_c: Optional[Tuple[float, float]] = None
         # (u', v', maps, c1, c2) of the last state whose constants were solved:
         # the line search asks feasible() and then fun_grad() at one trial
         # point, and MINRES asks hess_vec() many times at one Newton iterate
@@ -601,7 +607,6 @@ class _BranchReduced:
     def lift(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         up, vp = self.split(x)
         c1, c2 = self.constants(up, vp)
-        self.last_c = (c1, c2)
         return up + c1, vp + c2
 
     def fun_grad(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -656,7 +661,9 @@ def tarantello_init(params: ModelParams, bg: BackgroundTorus,
     """Solve Δw = lam_t e^{u0+w}(e^{u0+w}-1) + 8πn/|Ω| by damped Newton.
 
     Starts from w = -u0 and converges to the screened ('large') solution with
-    u0 + w < 0; its mean-zero part seeds the constrained minimization.
+    u0 + w < 0; its mean-zero part seeds the constrained minimization.  The
+    residual plays the gradient in newton_polish: its Jacobian
+    Δ - lam_t e(2e-1) is symmetric, and (-Δ + lam_t)^{-1} preconditions it.
     """
     if lam_t is None:
         lam_t = 4.0 * params.alpha * params.beta
@@ -665,49 +672,28 @@ def tarantello_init(params: ModelParams, bg: BackgroundTorus,
     dom = bg.domain
     if bg.n == 0:
         return np.zeros(dom.shape)
-    w = -bg.u0.copy()
-    size = dom.n1 * dom.n2
 
     def resid(wv: np.ndarray) -> np.ndarray:
-        e = exp_clip(bg.u0 + wv)
-        return laplacian_values(wv, dom) - lam_t * e * (e - 1.0) \
-            - 8.0 * math.pi * bg.n / dom.area
+        w = wv.reshape(dom.shape)
+        e = exp_clip(bg.u0 + w)
+        return (laplacian_values(w, dom) - lam_t * e * (e - 1.0)
+                - 8.0 * math.pi * bg.n / dom.area).ravel()
+
+    def jac_vec(wv: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        e = exp_clip(bg.u0 + wv.reshape(dom.shape))
+        f = vec.reshape(dom.shape)
+        return (laplacian_values(f, dom) - lam_t * e * (2.0 * e - 1.0) * f).ravel()
 
     def precond(vec: np.ndarray) -> np.ndarray:
         return torus_shifted_inverse(vec.reshape(dom.shape), dom, 1.0, lam_t).ravel()
 
-    r = resid(w)
-    for _ in range(max_iter):
-        rnorm = float(np.max(np.abs(r)))
-        if rnorm <= tol:
-            return w
-        e = exp_clip(bg.u0 + w)
-        q = lam_t * e * (2.0 * e - 1.0)
-
-        def matvec(vec: np.ndarray) -> np.ndarray:
-            f = vec.reshape(dom.shape)
-            return (laplacian_values(f, dom) - q * f).ravel()
-
-        op = LinearOperator((size, size), matvec=matvec)
-        pre = LinearOperator((size, size), matvec=precond)
-        delta, _ = minres(op, -r.ravel(), rtol=1e-10, maxiter=600, M=pre)
-        delta = delta.reshape(dom.shape)
-        t = 1.0
-        base = float(np.linalg.norm(r))
-        while t >= 1e-10:
-            w_try = w + t * delta
-            r_try = resid(w_try)
-            if float(np.linalg.norm(r_try)) < (1.0 - 1e-4 * t) * base:
-                w, r = w_try, r_try
-                break
-            t *= 0.5
-        else:
-            raise NonConvergenceError(
-                "screened seed Newton stalled; try a larger lam_t",
-                grad_norm=rnorm)
-    raise NonConvergenceError(
-        f"screened seed did not reach residual {tol:g}; try a larger lam_t",
-        grad_norm=float(np.max(np.abs(r))))
+    pol = newton_polish(resid, jac_vec, -bg.u0.ravel(), precond=precond,
+                        tol_inf=tol, max_iter=max_iter, minres_maxiter=600)
+    if not pol.converged:
+        raise NonConvergenceError(
+            f"screened seed did not reach residual {tol:g} ({pol.message}); "
+            "try a larger lam_t", grad_norm=float(np.max(np.abs(pol.g))))
+    return pol.x.reshape(dom.shape)
 
 
 def reduced_energy_J(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTorus,
@@ -746,9 +732,7 @@ class TorusSolveOpts:
     seed: str = "zero"            # or "tarantello"
     lam_t: Optional[float] = None
     lbfgs_tol_factor: float = 1e4
-    path_nodes: int = 17
     separation: float = 1e-3
-    mp_max_relax: int = 60
     endpoint_margin: float = 1.0
     probe_radius: float = 1e-2
     probe_seed: int = 0
@@ -841,23 +825,30 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
 
 
 # ---------------------------------------------------------------------------
-# second solution: discretized mountain pass
+# second solution: saddle-branch descent from the barrier point
 # ---------------------------------------------------------------------------
+
+# Constant shifts u1 + s, geometric in |s| from 0.25 to |c_tilde|, at which the
+# energy profile of the straight path to the endpoint is sampled; its maximum
+# bounds the mountain-pass level from above.
+_PROFILE_SHIFTS = 16
 
 
 def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
                   bg: Optional[BackgroundTorus] = None,
                   vortices: Optional[VortexSet] = None):
-    """Second critical point via a discretized mountain-pass search.
+    """Second critical point: the mountain-pass saddle of the full functional.
 
-    A path of opts.path_nodes states joins the first solution to a far
-    endpoint (u1 + c_tilde, v1), with c_tilde fixed by the affine upper bound
-    for constant shifts so the endpoint sits more than one unit below the
-    first solution's energy.  The maximal-energy node is relaxed by
-    preconditioned descent steps kept above its neighbors; the near-saddle
-    node is then driven to the critical point by descending the saddle-branch
-    reduced energy (whose plain minimum is the mountain-pass saddle of the
-    full functional) with a final curvature-aware Newton polish.
+    The endpoint (u1 + c_tilde, v1) is fixed by the affine upper bound for
+    constant shifts, so that it sits more than one unit below the first
+    solution's energy.  The saddle is the plain minimum of the saddle-branch
+    reduced energy (see _BranchReduced); L-BFGS descends it from the barrier
+    point, the first solution's mean-zero part lifted by the saddle-branch
+    constants, and a Newton/MINRES polish closes the gradient.  Certificates
+    in info: probe_margin (> 0 when the first solution is a local minimum),
+    endpoint_energy, and path_max_energy, the highest sampled energy on the
+    straight path of constant shifts to the endpoint, which bounds the
+    mountain-pass level from above.
     """
     if bg is None:
         if vortices is None:
@@ -872,7 +863,6 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
     dom = op.domain
     p = params
     u1, v1 = first.u, first.v
-    x1 = op.pack(u1, v1)
     e_first = op.energy(u1, v1)
 
     # local-minimality probe on a sphere around the first solution
@@ -892,65 +882,14 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
     while e_end > e_first - 1.0:
         c_tilde *= 2.0
         e_end = op.energy(u1 + c_tilde, v1)
+    path_max = max(op.energy(u1 - s, v1)
+                   for s in np.geomspace(0.25, -c_tilde, _PROFILE_SHIFTS))
 
-    # initial path: geometric spacing in the shift, threaded through the
-    # saddle-branch constants so the barrier region is resolved
+    # descend the saddle-branch reduced energy from the barrier point
     saddle = _BranchReduced(op, saddle=True)
-    maps1 = _cmaps(first.u_prime, first.v_prime, bg, params)
-    c1s, c2s, _, _ = _solve_c_branch(maps1, saddle=True)
+    c1s, c2s = saddle.constants(first.u_prime, first.v_prime)
     x_barrier = op.pack(first.u_prime + c1s, first.v_prime + c2s)
-    shift_saddle = c1s - first.c1
-    nodes: List[np.ndarray] = [x1.copy()]
-    n_nodes = max(opts.path_nodes, 5)
-    start = 0.25
-    ratio = (abs(c_tilde) / start) ** (1.0 / (n_nodes - 2))
-    inserted = False
-    for j in range(n_nodes - 1):
-        s = -start * ratio**j
-        if not inserted and s <= shift_saddle:
-            nodes.append(x_barrier.copy())
-            inserted = True
-        nodes.append(op.pack(u1 + s, v1))
-    if not inserted:
-        nodes.insert(len(nodes) // 2, x_barrier.copy())
-    nodes[-1] = op.pack(u1 + c_tilde, v1)
-
-    def node_energy(x: np.ndarray) -> float:
-        uu, vv = op.unpack(x)
-        return op.energy(uu, vv)
-
-    energies = [node_energy(x) for x in nodes]
-    relax_trace: List[float] = []
-    mp_tol_flat = 1e-3 * dom.cell_area * max(1.0, p.alpha)
-    for _ in range(opts.mp_max_relax):
-        j_max = 1 + int(np.argmax(energies[1:-1]))
-        x_max = nodes[j_max]
-        g = op.grad_flat(x_max)
-        relax_trace.append(energies[j_max])
-        if float(np.max(np.abs(g))) <= mp_tol_flat:
-            break
-        d = -op.precond_flat(g)
-        floor = max(energies[j_max - 1], energies[j_max + 1])
-        t = 1.0
-        accepted = False
-        while t >= 1e-10:
-            x_try = x_max + t * d
-            e_try = node_energy(x_try)
-            if np.isfinite(e_try) and e_try < energies[j_max] and e_try >= floor:
-                nodes[j_max] = x_try
-                energies[j_max] = e_try
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-
-    # descend the saddle-branch reduced energy from the path's max node
-    j_max = 1 + int(np.argmax(energies[1:-1]))
-    x_seed = nodes[j_max]
-    if not saddle.feasible(x_seed):
-        x_seed = x_barrier
-    res = minimize_lbfgs(saddle.fun_grad, x_seed, precond=op.precond_flat,
+    res = minimize_lbfgs(saddle.fun_grad, x_barrier, precond=op.precond_flat,
                          feasible=saddle.feasible,
                          tol_inf=max(opts.tol, 1e-6) * dom.cell_area * 100.0,
                          max_iter=opts.max_iter, history=opts.history)
@@ -968,7 +907,7 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
     sep = w12_norm(u2 - u1, v2 - v1, dom)
     if sep < opts.separation:
         raise MountainPassCollapseError(
-            f"path collapsed onto the first solution (separation {sep:.3e} < "
+            f"saddle descent collapsed onto the first solution (separation {sep:.3e} < "
             f"{opts.separation:g}): no second solution found at these parameters")
     e_second = op.energy(u2, v2)
     cs = solve_c(second.u_prime, second.v_prime, bg, params)
@@ -984,8 +923,9 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
         "probe_margin": probe_margin,
         "c_tilde": c_tilde,
         "endpoint_energy": e_end,
-        "relax_trace": relax_trace,
-        "path_len": len(nodes),
+        "path_max_energy": path_max,
+        # always empty; bench/workloads.py reads its length
+        "relax_trace": [],
         "c_solve": cs,
         "c1": second.c1,
         "c2": second.c2,

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from csvortex.cli import main
+from csvortex.config import RunOpts, load_config
 from csvortex.fields import read_field, write_field
 
 
@@ -188,6 +189,44 @@ class TestTorusPipeline:
             assert (out / name).exists()
         text = (out / "report_second.txt").read_text()
         assert "separation" in text
+        assert "path_max_energy" in text
         assert "mode = torus-second" in text
         iterations = [line for line in text.splitlines() if line.startswith("iterations = ")]
         assert len(iterations) == 1 and int(iterations[0].split(" = ")[1]) > 0
+
+    def test_retired_path_nodes_option_still_loads(self, tmp_path):
+        # opts.path_nodes is no longer an option; schema-v1 configs that
+        # set it still load, and the key is ignored
+        cfg = {
+            "schema_version": 1,
+            "mode": "torus",
+            "params": {"alpha": 30.0, "beta": 45.0, "sigma": 2.0},
+            "domain": {"kind": "torus",
+                       "periods": [6.283185307179586, 6.283185307179586],
+                       "n": [32, 32]},
+            "vortices": [{"species": 0, "x": 3.141592653589793,
+                          "y": 3.141592653589793}],
+            "opts": {"tol": 1e-9, "path_nodes": 17},
+        }
+        p = write_cfg(tmp_path / "torus_v1.json", cfg)
+        loaded = load_config(p)
+        assert loaded.opts == RunOpts(tol=1e-9)
+        out = tmp_path / "run"
+        assert main(["solve-torus", "--config", p, "--out", str(out),
+                     "--second-solution"]) == 0
+        assert (out / "report_second.txt").exists()
+
+    def test_no_second_solution_without_vortices(self, tmp_path, capsys):
+        cfg = {
+            "schema_version": 1,
+            "mode": "torus",
+            "params": {"alpha": 1.0, "beta": 2.0, "sigma": 3.0},
+            "domain": {"kind": "torus",
+                       "periods": [6.283185307179586, 6.283185307179586],
+                       "n": [32, 32]},
+            "vortices": [],
+        }
+        p = write_cfg(tmp_path / "empty.json", cfg)
+        assert main(["solve-torus", "--config", p, "--out", str(tmp_path / "o"),
+                     "--second-solution"]) == 3
+        assert "no second solution without vortices" in capsys.readouterr().out

@@ -239,9 +239,10 @@ class TestRootProperties:
         for saddle, sign in ((False, 1.0), (True, -1.0)):
             c1, c2, x, it = _solve_c_branch(maps, saddle=saddle)
             assert it <= 60
-            # F's round-off scale is the sum of the first quadratic's roots,
-            # q1/e1: the lower root loses digits to cancellation
-            scale = maps.q1(maps.g2(x)) / maps.s.e1
+            # the upper root's round-off scale is the sum of the first
+            # quadratic's roots, q1/e1; the lower root is formed without
+            # cancellation, so its scale is the root itself
+            scale = x if saddle else maps.q1(maps.g2(x)) / maps.s.e1
             assert abs(maps.f(x, sign)) <= 8.0 * np.finfo(float).eps * scale
             assert c1 == math.log(x)
             roots[saddle] = x
@@ -250,6 +251,16 @@ class TestRootProperties:
         b = solve_c(up, vp, bg, params, method="bisection")
         assert a.root == roots[False]
         assert abs(a.root - b.root) <= 1e-12 * a.root
+
+    def test_saddle_root_without_cancellation(self, setup):
+        # at the zero state the saddle root is about 1e-3 of the upper one,
+        # where q - √(q² - d) would cancel to |F(X)| ≈ 4e-14·X
+        dom, bg, _ = setup
+        params = ModelParams(alpha=10.0, beta=40.0, sigma=5.0)
+        z = np.zeros(dom.shape)
+        maps = _cmaps(z, z, bg, params)
+        x = _solve_c_branch(maps, saddle=True)[2]
+        assert abs(maps.f(x, -1.0)) <= 8.0 * np.finfo(float).eps * x
 
 
 class TestQuantizedConstraintIdentity:

@@ -261,6 +261,10 @@ class TestMountainPass:
         assert info2["probe_margin"] > 0
         # endpoint drop per the affine bound
         assert info2["endpoint_energy"] < info2["energy_first"] - 1.0
+        # mountain-pass level: above the first solution, at most the highest
+        # energy on the straight path of constant shifts to the endpoint
+        assert info2["energy_first"] < info2["energy_I"] <= info2["path_max_energy"]
+        assert info2["relax_trace"] == []
 
     def test_no_second_solution_without_vortices(self):
         dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 32, 32)
