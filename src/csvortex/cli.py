@@ -8,6 +8,7 @@ Exit codes: 0 all checks pass, 1 malformed config or missing files,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -27,7 +28,7 @@ from .errors import (
     MountainPassCollapseError,
     NonConvergenceError,
 )
-from .fields import ScalarField, read_field, write_csv, write_field
+from .fields import GridDomain, ScalarField, read_field, write_csv, write_field
 from .plane import (
     PlaneOperator,
     PlaneSolveOpts,
@@ -62,6 +63,32 @@ def _write_rays_csv(path, fit: diag.DecayFit) -> None:
             fh.write(f"{k},{s!r}\n")
 
 
+def _read_values(path: str, domain: GridDomain) -> np.ndarray:
+    """Values of a stored field, after checking its header against the domain.
+
+    The header stores the extent as float32, so extents are compared to
+    float32 precision.
+    """
+    field = read_field(path)
+    got = field.domain
+    tol = float(np.finfo(np.float32).eps)
+    if ((got.kind, got.n1, got.n2) != (domain.kind, domain.n1, domain.n2)
+            or not math.isclose(got.extent1, domain.extent1, rel_tol=tol)
+            or not math.isclose(got.extent2, domain.extent2, rel_tol=tol)):
+        raise DomainError(
+            f"{path} holds a {got.n1}x{got.n2} {got.kind} field of extent "
+            f"{got.extent1:g} x {got.extent2:g}, but the config asks for "
+            f"{domain.n1}x{domain.n2} {domain.kind} of extent "
+            f"{domain.extent1:g} x {domain.extent2:g}")
+    return field.values
+
+
+def _solver_counts(rep: diag.SolveReport, info: dict) -> None:
+    """Report keys for the solve's inner work and silent events."""
+    for key in ("minres_iters", "minres_unconverged", "clamp_hit"):
+        rep.extra[key] = info[key]
+
+
 def _plane_report(cfg: RunConfig, state: PlaneState, info: dict,
                   include_decay: bool = True) -> diag.SolveReport:
     params, domain = cfg.params, cfg.domain
@@ -86,6 +113,7 @@ def _plane_report(cfg: RunConfig, state: PlaneState, info: dict,
     neg = diag.max_principle_check(u, np.zeros_like(u), exclude=mask)[0]
     rep.max_principle = [diag.BoundCheck("u", neg.status, neg.worst, neg.node)]
     rep.extra["lambda_bg"] = params.lambda_bg
+    _solver_counts(rep, info)
     return rep
 
 
@@ -123,6 +151,7 @@ def _torus_report(cfg: RunConfig, state: TorusState, info: dict,
         rep.extra["separation"] = info["separation"]
         rep.extra["energy_first"] = info["energy_first"]
         rep.extra["path_max_energy"] = info["path_max_energy"]
+    _solver_counts(rep, info)
     return rep
 
 
@@ -194,17 +223,19 @@ def cmd_solve_torus(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     """Recompute diagnostics from stored fields; byte-stable for fixed inputs."""
     out = resolve_out_dir(cfg.opts)
+
+    def load(name: str) -> np.ndarray:
+        return _read_values(os.path.join(out, name), cfg.domain)
+
     try:
         if cfg.mode == "plane":
-            u = read_field(os.path.join(out, "u.bin")).values
-            f = read_field(os.path.join(out, "f.bin")).values
-            f_list, u_list = [], []
-            for i in range(cfg.params.species):
-                f_list.append(read_field(os.path.join(out, f"f_{i}.bin")).values)
-                u_list.append(read_field(os.path.join(out, f"u_{i}.bin")).values)
+            u = load("u.bin")
+            f = load("f.bin")
+            f_list = [load(f"f_{i}.bin") for i in range(cfg.params.species)]
+            u_list = [load(f"u_{i}.bin") for i in range(cfg.params.species)]
         else:
-            u = read_field(os.path.join(out, "u.bin")).values
-            v = read_field(os.path.join(out, "v.bin")).values
+            u = load("u.bin")
+            v = load("v.bin")
     except (FileNotFoundError, DomainError) as exc:
         print(f"error: {exc}")
         return EXIT_CONFIG
@@ -249,8 +280,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_decay_fit(cfg: RunConfig) -> int:
     out = resolve_out_dir(cfg.opts)
     try:
-        u = read_field(os.path.join(out, "u.bin")).values
-        u_list = [read_field(os.path.join(out, f"u_{i}.bin")).values
+        u = _read_values(os.path.join(out, "u.bin"), cfg.domain)
+        u_list = [_read_values(os.path.join(out, f"u_{i}.bin"), cfg.domain)
                   for i in range(cfg.params.species)]
     except (FileNotFoundError, DomainError) as exc:
         print(f"error: {exc}")

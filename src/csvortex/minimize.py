@@ -12,7 +12,8 @@ damped Newton iteration whose linear systems are solved by preconditioned
 MINRES; the Hessian may be indefinite, so the same routine refines both
 minima and mountain-pass saddle points.  Inner solves that stop short of their
 tolerance are still tried as steps, and are counted in
-``OptResult.minres_unconverged``.
+``OptResult.minres_unconverged``; ``OptResult.minres_iters`` counts the inner
+MINRES iterations.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ class OptResult:
     message: str = ""
     boundary_trapped: bool = False
     minres_unconverged: int = 0  # newton_polish inner solves that missed rtol
+    minres_iters: int = 0        # newton_polish inner MINRES iterations
 
 
 class _Wolfe:
@@ -207,15 +209,23 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
     n = x.size
     merits = [float(np.linalg.norm(g))]
     unconverged = 0
+    inner = 0
+
+    def count(xk: np.ndarray) -> None:
+        nonlocal inner
+        inner += 1
+
     for it in range(1, max_iter + 1):
         ginf = float(np.max(np.abs(g)))
         if ginf <= tol_inf:
             return OptResult(x, np.nan, g, it - 1, True, merits,
-                             "residual tolerance met", minres_unconverged=unconverged)
+                             "residual tolerance met", minres_unconverged=unconverged,
+                             minres_iters=inner)
         H = LinearOperator((n, n), matvec=lambda v: hess_vec(x, v))
         M = LinearOperator((n, n), matvec=precond) if precond is not None else None
         rtol = float(np.clip(merits[-1] * 1e-2, 1e-12, 1e-4))
-        delta, status = minres(H, -g, rtol=rtol, maxiter=minres_maxiter, M=M)
+        delta, status = minres(H, -g, rtol=rtol, maxiter=minres_maxiter, M=M,
+                               callback=count)
         if status != 0:
             unconverged += 1
         m0 = merits[-1]
@@ -245,8 +255,9 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
                 t *= 0.25
             if not accepted:
                 return OptResult(x, np.nan, g, it, False, merits,
-                                 "newton polish stalled", minres_unconverged=unconverged)
+                                 "newton polish stalled", minres_unconverged=unconverged,
+                                 minres_iters=inner)
     ginf = float(np.max(np.abs(g)))
     return OptResult(x, np.nan, g, max_iter, ginf <= tol_inf, merits,
                      "" if ginf <= tol_inf else "newton iteration budget exhausted",
-                     minres_unconverged=unconverged)
+                     minres_unconverged=unconverged, minres_iters=inner)

@@ -309,12 +309,13 @@ def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
                          history=opts.history)
     energies = list(res.energies)
     iterations = res.iterations
-    minres_unconverged = 0
+    minres_unconverged = minres_iters = 0
     if opts.use_newton_polish and float(np.max(np.abs(res.g))) > tol_flat:
         pol = newton_polish(op.grad_flat, op.hess_vec_flat, res.x,
                             precond=op.precond_flat, tol_inf=tol_flat)
         iterations += pol.iterations
         minres_unconverged = pol.minres_unconverged
+        minres_iters = pol.minres_iters
         if pol.converged:
             e_pol = op.fun_grad_flat(pol.x)[0]
             if e_pol <= energies[-1] + 1e-12 * max(1.0, abs(energies[-1])):
@@ -333,6 +334,7 @@ def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
         "grad_inf": grad_inf,
         "iterations": iterations,
         "minres_unconverged": minres_unconverged,
+        "minres_iters": minres_iters,
         "energies": energies,
         "wall_time": time.perf_counter() - t0,
         "u": u,

@@ -11,7 +11,10 @@ reduced functional J over the admissible set.  The second is a mountain-pass
 saddle of the full functional I: eliminating the constants through the
 saddle branch of the constraints (lower root of the first quadratic) turns
 it into a plain minimum, reached by descent from the barrier point -- the
-first solution's mean-zero part with the saddle-branch constants.
+first solution's mean-zero part with the saddle-branch constants.  Both
+descents are preconditioned by a frozen-coefficient inverse Hessian, 2x2 per
+Fourier mode: frozen at the vacuum for the first, at the barrier point for
+the second.
 """
 
 from __future__ import annotations
@@ -329,8 +332,13 @@ def constraint_residuals(maps: _CMaps, x1: float, x2: float) -> Tuple[float, flo
 
 
 # ---------------------------------------------------------------------------
-# the functional, its gradient, Hessian action and vacuum preconditioner
+# the functional, its gradient, Hessian action and preconditioner
 # ---------------------------------------------------------------------------
+
+
+# Eigenvalue magnitudes of a preconditioner symbol are floored at this fraction
+# of the largest one, so a mode whose eigenvalue crosses zero stays bounded.
+_SYMBOL_FLOOR = 1e-8
 
 
 class TorusOperator:
@@ -339,6 +347,11 @@ class TorusOperator:
     Every evaluation transforms the pair (u, v) once, in one batched FFT: the
     Dirichlet energy and the stiffness terms -aΔu - bΔv, -bΔu - aΔv are both
     read off (û, v̂), and the stiffness terms come back in one inverse FFT.
+
+    The preconditioner is a frozen-coefficient inverse Hessian, a symmetric
+    2x2 symbol per Fourier mode (see _inverse_symbol).  It starts at the
+    vacuum P = R = 1, where it is the exact inverse Hessian; precondition_at
+    refreezes it at the mean coefficients of a given state.
     """
 
     def __init__(self, bg: BackgroundTorus, params: ModelParams):
@@ -351,15 +364,44 @@ class TorusOperator:
         self.b = 0.5 * (1.0 / p.alpha - 1.0 / p.beta)
         self.source = 4.0 * math.pi * bg.n / self.domain.area
         self.clamp_hit = False
-        # Fourier symbols [[s, t], [t, s]] acting on (û, v̂): the stiffness
-        # terms, and the inverse of the vacuum Hessian [[aa, bb], [bb, aa]]
+        # Fourier symbols [[s11, s12], [s12, s22]] acting on (û, v̂): the
+        # stiffness terms, and the preconditioner, frozen at the vacuum Hessian
+        # coefficients (h_uu, h_uv, h_vv) = (2(α+β), 2(α-β), 2(α+β))
         k2 = _k2(self.domain)
         self.k2 = k2
-        self._stiff = (self.a * k2, self.b * k2)
-        aa = self.a * k2 + 2.0 * (p.alpha + p.beta)
-        bb = self.b * k2 + 2.0 * (p.alpha - p.beta)
-        det = aa * aa - bb * bb
-        self._vacuum_inv = (aa / det, -bb / det)
+        self._stiff = (self.a * k2, self.b * k2, self.a * k2)
+        self._vacuum = (2.0 * (p.alpha + p.beta), 2.0 * (p.alpha - p.beta),
+                        2.0 * (p.alpha + p.beta))
+        self._precond = self._inverse_symbol(*self._vacuum)
+
+    def _inverse_symbol(self, huu: float, huv: float, hvv: float):
+        """|M|^{-1} per Fourier mode, M = [[a k² + huu, b k² + huv], [·, a k² + hvv]].
+
+        M is inverted through the absolute values of its two eigenvalues, so
+        the result is SPD even where M is indefinite; the magnitudes are
+        floored at _SYMBOL_FLOOR times the largest.  The k = 0 mode takes the
+        vacuum coefficients: the reduced problems have no mean mode, and the
+        full one is preconditioned there as at the vacuum.
+        """
+        m11 = self._stiff[0] + huu
+        m12 = self._stiff[1] + huv
+        m22 = self._stiff[2] + hvv
+        m11[0, 0], m12[0, 0], m22[0, 0] = self._vacuum
+        mid = 0.5 * (m11 + m22)
+        half = 0.5 * (m11 - m22)
+        r = np.hypot(half, m12)
+        lam = np.abs(np.stack((mid + r, mid - r)))
+        f1, f2 = 1.0 / np.maximum(lam, _SYMBOL_FLOOR * np.max(lam))
+        # eigenvector angle θ of mid + r: cos 2θ = half/r, sin 2θ = m12/r
+        cos2 = np.divide(half, r, out=np.ones_like(r), where=r > 0.0)
+        sin2 = np.divide(m12, r, out=np.zeros_like(r), where=r > 0.0)
+        mean, dev = 0.5 * (f1 + f2), 0.5 * (f1 - f2)
+        return mean + dev * cos2, dev * sin2, mean - dev * cos2
+
+    def precondition_at(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Freeze the preconditioner at the mean Hessian coefficients of (u, v)."""
+        self._precond = self._inverse_symbol(
+            *(float(np.mean(h)) for h in self.hess_coeffs(u, v)))
 
     def _pr(self, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         eu = self.bg.u0 + u
@@ -374,11 +416,11 @@ class TorusOperator:
 
     @staticmethod
     def _apply_symbol(wh: np.ndarray, symbol) -> np.ndarray:
-        """Inverse FFT of [[s, t], [t, s]] (û, v̂), both rows in one batch."""
-        s, t = symbol
+        """Inverse FFT of [[s11, s12], [s12, s22]] (û, v̂), both rows in one batch."""
+        s11, s12, s22 = symbol
         out = np.empty_like(wh)
-        out[0] = s * wh[0] + t * wh[1]
-        out[1] = t * wh[0] + s * wh[1]
+        out[0] = s11 * wh[0] + s12 * wh[1]
+        out[1] = s12 * wh[0] + s22 * wh[1]
         return np.real(ifftn(out, axes=(1, 2)))
 
     def _dirichlet(self, wh: np.ndarray) -> float:
@@ -466,9 +508,13 @@ class TorusOperator:
         return self.pack(hu, hv) * self.domain.cell_area
 
     def precond_flat(self, w: np.ndarray) -> np.ndarray:
-        """Exact inverse of the vacuum Hessian, 2x2 per Fourier mode."""
+        """Apply the held inverse symbol: SPD, 2x2 per Fourier mode.
+
+        The vacuum Hessian's exact inverse until precondition_at freezes the
+        symbol at a state.
+        """
         wh = fftn(w.reshape((2,) + self.domain.shape), axes=(1, 2))
-        return self._apply_symbol(wh, self._vacuum_inv).ravel() / self.domain.cell_area
+        return self._apply_symbol(wh, self._precond).ravel() / self.domain.cell_area
 
 
 def torus_energy_I(u: np.ndarray, v: np.ndarray, bg: BackgroundTorus,
@@ -593,20 +639,17 @@ class _BranchReduced:
         self._memo = (up.copy(), vp.copy(), maps, c1, c2)
         return maps, c1, c2
 
-    def constants(self, up: np.ndarray, vp: np.ndarray) -> Tuple[float, float]:
-        return self._solve(up, vp)[1:]
-
     def feasible(self, x: np.ndarray) -> bool:
         """Admissible, with constants on this branch (solved once, remembered)."""
         try:
-            self.constants(*self.split(x))
+            self._solve(*self.split(x))
         except AdmissibilityError:
             return False
         return True
 
     def lift(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         up, vp = self.split(x)
-        c1, c2 = self.constants(up, vp)
+        _, c1, c2 = self._solve(up, vp)
         return up + c1, vp + c2
 
     def fun_grad(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -812,6 +855,7 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
         "grad_inf": grad_inf,
         "iterations": res.iterations + pol.iterations,
         "minres_unconverged": pol.minres_unconverged,
+        "minres_iters": pol.minres_iters,
         "energies": energies,
         "c_solve": cs_final,
         "c1": state.c1,
@@ -844,7 +888,10 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
     solution's energy.  The saddle is the plain minimum of the saddle-branch
     reduced energy (see _BranchReduced); L-BFGS descends it from the barrier
     point, the first solution's mean-zero part lifted by the saddle-branch
-    constants, and a Newton/MINRES polish closes the gradient.  Certificates
+    constants, and a Newton/MINRES polish closes the gradient.  Both use the
+    operator's preconditioner frozen once at the lifted barrier point
+    (TorusOperator.precondition_at), where P = e^{u0+u} is far from the
+    vacuum value 1 that preconditions the first solution.  Certificates
     in info: probe_margin (> 0 when the first solution is a local minimum),
     endpoint_energy, and path_max_energy, the highest sampled energy on the
     straight path of constant shifts to the endpoint, which bounds the
@@ -885,10 +932,13 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
     path_max = max(op.energy(u1 - s, v1)
                    for s in np.geomspace(0.25, -c_tilde, _PROFILE_SHIFTS))
 
-    # descend the saddle-branch reduced energy from the barrier point
+    # descend the saddle-branch reduced energy from the barrier point, with
+    # the preconditioner frozen at the lifted barrier point for the descent
+    # and the polish; the descent starts from the mean-zero pair itself, so
+    # its first evaluation reuses the constants solved for the lift
     saddle = _BranchReduced(op, saddle=True)
-    c1s, c2s = saddle.constants(first.u_prime, first.v_prime)
-    x_barrier = op.pack(first.u_prime + c1s, first.v_prime + c2s)
+    x_barrier = op.pack(first.u_prime, first.v_prime)
+    op.precondition_at(*saddle.lift(x_barrier))
     res = minimize_lbfgs(saddle.fun_grad, x_barrier, precond=op.precond_flat,
                          feasible=saddle.feasible,
                          tol_inf=max(opts.tol, 1e-6) * dom.cell_area * 100.0,
@@ -919,6 +969,7 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
         "grad_inf": grad_inf,
         "iterations": res.iterations + pol.iterations,
         "minres_unconverged": pol.minres_unconverged,
+        "minres_iters": pol.minres_iters,
         "separation": sep,
         "probe_margin": probe_margin,
         "c_tilde": c_tilde,

@@ -80,6 +80,8 @@ class TestPlanePipeline:
         text = (out / "report.txt").read_text()
         assert "quantized.total.rel_error" in text
         assert "mode = plane" in text
+        for key in ("minres_iters", "minres_unconverged", "clamp_hit = False"):
+            assert key in text
 
     def test_verify_roundtrip_and_idempotent(self, plane_cfg, tmp_path):
         out = tmp_path / "run"
@@ -89,6 +91,21 @@ class TestPlanePipeline:
         assert main(["verify", "--config", plane_cfg, "--out", str(out)]) == 0
         rep2 = (out / "verify_report.txt").read_bytes()
         assert rep1 == rep2
+        assert b"minres" not in rep1 and b"clamp_hit" not in rep1
+
+    def test_verify_rejects_fields_of_another_domain(self, plane_cfg, tmp_path, capsys):
+        # the stored 64² fields against a 32² grid, then against another box
+        out = tmp_path / "run"
+        assert main(["solve-plane", "--config", plane_cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--config", plane_cfg, "--out", str(out),
+                     "--grid", "32"]) == 1
+        assert "64x64 box" in capsys.readouterr().out
+        cfg = json.loads(open(plane_cfg).read())
+        cfg["domain"]["half_width"] = 8.5
+        wider = write_cfg(tmp_path / "wider.json", cfg)
+        assert main(["verify", "--config", wider, "--out", str(out)]) == 1
+        assert "extent 8 x 8" in capsys.readouterr().out
 
     def test_tampered_field_detected(self, plane_cfg, tmp_path, capsys):
         out = tmp_path / "run"
@@ -191,6 +208,8 @@ class TestTorusPipeline:
         assert "separation" in text
         assert "path_max_energy" in text
         assert "mode = torus-second" in text
+        for key in ("minres_iters", "minres_unconverged = 0", "clamp_hit"):
+            assert key in text
         iterations = [line for line in text.splitlines() if line.startswith("iterations = ")]
         assert len(iterations) == 1 and int(iterations[0].split(" = ")[1]) > 0
 

@@ -105,3 +105,6 @@ class TestNewtonPolish:
         capped = newton_polish(grad, hess_vec, np.zeros(40), tol_inf=1e-12,
                                max_iter=3, minres_maxiter=2)
         assert capped.minres_unconverged == capped.iterations == 3
+        # every inner iteration is counted: the capped solves run 2 each
+        assert capped.minres_iters == 6
+        assert full.minres_iters > full.iterations

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import csvortex.torus as torus_mod
 
 from csvortex.background import VortexSet, torus_background
 from csvortex.diagnostics import max_principle_check, quantized_integrals_torus
@@ -8,7 +12,7 @@ from csvortex.errors import (
     InfeasibleError,
     MountainPassCollapseError,
 )
-from csvortex.fields import GridDomain, integrate_values, laplacian_values
+from csvortex.fields import GridDomain, _k2, integrate_values, laplacian_values
 from csvortex.model import ModelParams
 from csvortex.torus import (
     TorusOperator,
@@ -33,6 +37,16 @@ def setup():
     bg = torus_background(vs, dom)
     params = ModelParams(alpha=30.0, beta=45.0, sigma=2.0)
     return dom, vs, bg, params
+
+
+@pytest.fixture(scope="module")
+def small():
+    """The 32² torus at alpha=30, beta=45 and its first solution."""
+    dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 32, 32)
+    vs = VortexSet.single([(np.pi, np.pi)])
+    params = ModelParams(alpha=30.0, beta=45.0, sigma=2.0)
+    first, info = minimize_torus(params, vs, dom, TorusSolveOpts(tol=1e-10))
+    return dom, info["bg"], params, first
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +135,42 @@ class TestEnergyGradient:
         fd = (op.grad_flat(x + t * d) - op.grad_flat(x - t * d)) / (2 * t)
         hv = op.hess_vec_flat(x, d)
         assert np.max(np.abs(fd - hv)) <= 1e-6 * np.max(np.abs(hv))
+
+
+class TestPreconditioner:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), amp=st.floats(0.0, 3.0),
+           c1=st.floats(-15.0, 1.0), c2=st.floats(-2.0, 1.0))
+    def test_frozen_symbol_spd(self, small, seed, amp, c1, c2):
+        # frozen anywhere from the vacuum to the saddle's P ≈ 1e-5 scale, the
+        # applied preconditioner stays symmetric and positive definite
+        dom, bg, params, _ = small
+        rng = np.random.default_rng(seed)
+        op = TorusOperator(bg, params)
+        op.precondition_at(smooth_random(dom, rng, amp) + c1,
+                           smooth_random(dom, rng, amp) + c2)
+        a = rng.standard_normal(2 * dom.n1 * dom.n2)
+        b = rng.standard_normal(a.size)
+        pa, pb = op.precond_flat(a), op.precond_flat(b)
+        scale = np.linalg.norm(pa) * np.linalg.norm(b) + np.linalg.norm(a) * np.linalg.norm(pb)
+        assert abs(np.dot(pa, b) - np.dot(a, pb)) <= 1e-13 * scale
+        assert np.dot(pa, a) > 0.0
+
+    def test_vacuum_symbol(self, small):
+        # at P = R = 1 the frozen symbol is the exact inverse vacuum Hessian
+        dom, bg, params, _ = small
+        op = TorusOperator(bg, params)
+        k2 = _k2(dom)
+        aa = op.a * k2 + 2.0 * (params.alpha + params.beta)
+        bb = op.b * k2 + 2.0 * (params.alpha - params.beta)
+        det = aa * aa - bb * bb
+        exact = (aa / det, -bb / det, aa / det)
+        scale = np.abs(aa / det) + np.abs(bb / det)
+        built = op._precond
+        op.precondition_at(-bg.u0, np.zeros(dom.shape))
+        for symbol in (built, op._precond):
+            for got, want in zip(symbol, exact):
+                assert np.max(np.abs(got - want) / scale) <= 1e-14
 
 
 class TestTarantello:
@@ -265,6 +315,40 @@ class TestMountainPass:
         # energy on the straight path of constant shifts to the endpoint
         assert info2["energy_first"] < info2["energy_I"] <= info2["path_max_energy"]
         assert info2["relax_trace"] == []
+
+    def test_frozen_preconditioner_work(self, small):
+        # the vacuum-preconditioned descent took 364 iterations here
+        dom, bg, params, first = small
+        _, info = mountain_pass(params, first, TorusSolveOpts(tol=1e-9), bg=bg)
+        assert info["iterations"] <= 60
+        assert info["minres_unconverged"] == 0
+        assert info["minres_iters"] > 0
+        assert info["grad_inf"] <= 1e-9
+
+    def test_barrier_constants_solved_once(self, small, monkeypatch):
+        # the barrier lift and the first descent evaluation share one root solve
+        dom, bg, params, first = small
+        saddle_solves = []
+        first_eval = []
+        solve, lbfgs = torus_mod._solve_c_branch, torus_mod.minimize_lbfgs
+
+        def counted(maps, saddle, newton=True):
+            if saddle:
+                saddle_solves.append(maps)
+            return solve(maps, saddle, newton)
+
+        def spied(fun_grad, x0, **kwargs):
+            def fg(x):
+                out = fun_grad(x)
+                if not first_eval:
+                    first_eval.append(len(saddle_solves))
+                return out
+            return lbfgs(fg, x0, **kwargs)
+
+        monkeypatch.setattr(torus_mod, "_solve_c_branch", counted)
+        monkeypatch.setattr(torus_mod, "minimize_lbfgs", spied)
+        mountain_pass(params, first, TorusSolveOpts(tol=1e-9), bg=bg)
+        assert first_eval == [1]
 
     def test_no_second_solution_without_vortices(self):
         dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 32, 32)
