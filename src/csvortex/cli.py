@@ -1,8 +1,9 @@
 """Command line front end: run the solvers, verify stored solutions.
 
 Subcommands: solve-plane, solve-torus, verify, decay-fit.
-Exit codes: 0 all checks pass, 1 malformed config or missing files,
-2 diagnostic failure, 3 solver non-convergence, 4 infeasible parameters.
+Exit codes: 0 all checks pass, 1 malformed config, usage error or missing
+files, 2 diagnostic failure, 3 solver non-convergence, 4 infeasible
+parameters.
 """
 
 from __future__ import annotations
@@ -187,8 +188,7 @@ def cmd_solve_plane(cfg: RunConfig) -> int:
 def cmd_solve_torus(cfg: RunConfig) -> int:
     out = resolve_out_dir(cfg.opts)
     opts = TorusSolveOpts(tol=cfg.opts.tol, max_iter=cfg.opts.max_iter,
-                          seed=cfg.opts.seed, lam_t=cfg.opts.lam_t,
-                          separation=cfg.opts.separation)
+                          lam_t=cfg.opts.lam_t, separation=cfg.opts.separation)
     state, info = minimize_torus(cfg.params, cfg.vortices, cfg.domain, opts)
     big_u, big_v = reconstruct_original(state, info["bg"])
     for name, arr in (("u", state.u), ("v", state.v), ("U", big_u), ("V", big_v)):
@@ -307,17 +307,18 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--max-iter", type=int, default=None)
         sp.add_argument("--grid", type=int, default=None)
-        sp.add_argument("--seed", choices=("zero", "tarantello"), default=None)
         sp.add_argument("--second-solution", action="store_true", default=None)
     return ap
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return EXIT_CONFIG if exc.code else EXIT_OK
     overrides = {k: v for k, v in (
         ("out", args.out), ("tol", args.tol), ("max_iter", args.max_iter),
-        ("grid", args.grid), ("seed", args.seed),
-        ("second_solution", args.second_solution),
+        ("grid", args.grid), ("second_solution", args.second_solution),
     ) if v is not None}
     try:
         cfg = load_config(args.config, overrides)

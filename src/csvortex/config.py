@@ -28,9 +28,7 @@ DEFAULTS = {
     "plane_grid": 512,
     "torus_grid": 256,
     "box_target_decay": 25.0,   # auto half-width: m*L >= 25
-    "lam_t": None,              # solver default 4*alpha*beta
     "separation": 1e-3,
-    "seed": "zero",
     "quantized_tol_plane": 0.02,
     "quantized_tol_torus": 0.01,
     "residual_tol": 1e-6,
@@ -41,7 +39,6 @@ DEFAULTS = {
 class RunOpts:
     tol: float = DEFAULTS["tol"]
     max_iter: int = DEFAULTS["max_iter"]
-    seed: str = DEFAULTS["seed"]
     second_solution: bool = False
     lam_t: Optional[float] = None
     separation: float = DEFAULTS["separation"]
@@ -92,7 +89,14 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         raise ConfigError(
             f"malformed config {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_config(raw, overrides or {})
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        return parse_config(raw, overrides or {})
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        # a block or value of the wrong JSON type, e.g. a number for a list
+        raise ConfigError(f"malformed config {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
@@ -124,7 +128,7 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
         try:
             s = int(entry.get("species", 0))
             pt = (float(entry["x"]), float(entry["y"]), int(entry.get("multiplicity", 1)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid vortices[{k}]: {exc}") from exc
         if not 0 <= s < params.species:
             raise ConfigError(
@@ -161,7 +165,6 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
     opts = RunOpts(
         tol=float(overrides.get("tol") or o.get("tol", DEFAULTS["tol"])),
         max_iter=int(overrides.get("max_iter") or o.get("max_iter", DEFAULTS["max_iter"])),
-        seed=str(overrides.get("seed") or o.get("seed", DEFAULTS["seed"])),
         second_solution=bool(overrides.get("second_solution",
                                            o.get("second_solution", False))),
         lam_t=(None if o.get("lam_t") is None else float(o["lam_t"])),
@@ -171,8 +174,6 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
         residual_tol=float(o.get("residual_tol", DEFAULTS["residual_tol"])),
         out_dir=str(overrides.get("out") or o.get("out_dir", ".")),
     )
-    if opts.seed not in ("zero", "tarantello"):
-        raise ConfigError(f"opts.seed must be 'zero' or 'tarantello', got {opts.seed!r}")
     if mode == "torus":
         params.require_torus_mode()
     center = raw.get("decay_center", [0.0, 0.0])
@@ -184,5 +185,8 @@ def resolve_out_dir(opts: RunOpts) -> str:
     """Output directory, overridable through the environment."""
     env = os.environ.get("CSVORTEX_OUT")
     out = env if env else opts.out_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot create output directory {out!r}: {exc}") from exc
     return out

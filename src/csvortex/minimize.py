@@ -25,6 +25,9 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
 
 
+_HISTORY = 12  # L-BFGS correction pairs kept
+
+
 class LineSearchError(RuntimeError):
     def __init__(self, message, feasibility_blocked=False):
         super().__init__(message)
@@ -48,14 +51,14 @@ class OptResult:
 class _Wolfe:
     """Strong-Wolfe search along a fixed direction; +inf encodes rejection."""
 
-    def __init__(self, fun_grad, x, f0, g0, d, feasible, c1=1e-4, c2=0.9,
-                 max_evals=60):
+    c1, c2 = 1e-4, 0.9   # sufficient-decrease and curvature constants
+    max_evals = 60
+
+    def __init__(self, fun_grad, x, f0, g0, d, feasible):
         self.fun_grad = fun_grad
         self.x, self.f0, self.d = x, f0, d
         self.gd0 = float(np.dot(g0, d))
         self.feasible = feasible
-        self.c1, self.c2 = c1, c2
-        self.max_evals = max_evals
         self.evals = 0
         self.saw_infeasible = False
         self.best = None  # (t, f, g, xt) with sufficient decrease
@@ -121,9 +124,7 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
                    precond: Optional[Callable] = None,
                    feasible: Optional[Callable] = None,
                    tol_inf: float = 1e-8,
-                   max_iter: int = 2000,
-                   history: int = 12,
-                   callback: Optional[Callable] = None) -> OptResult:
+                   max_iter: int = 2000) -> OptResult:
     """Preconditioned L-BFGS with strong-Wolfe steps and strict energy decrease.
 
     Converges when the gradient max-norm drops to ``tol_inf``.  ``precond``
@@ -183,12 +184,10 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
             rho.append(1.0 / sy)
             py = apply_p(y)
             gamma = sy / max(float(np.dot(y, py)), 1e-300)
-            if len(s_list) > history:
+            if len(s_list) > _HISTORY:
                 s_list.pop(0); y_list.pop(0); rho.pop(0)
         x, f, g = x_new, f_new, g_new
         energies.append(f)
-        if callback is not None:
-            callback(it, x, f, g)
     converged = float(np.max(np.abs(g))) <= tol_inf
     return OptResult(x, f, g, it, converged, energies,
                      "" if converged else "iteration budget exhausted", boundary)

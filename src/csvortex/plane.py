@@ -69,13 +69,13 @@ class PlaneState:
         return PlaneState(domain, z, tuple(z.copy() for _ in range(species)))
 
 
+_LBFGS_HANDOVER = 1e3  # L-BFGS hands over to Newton at this multiple of tol
+
+
 @dataclass(frozen=True)
 class PlaneSolveOpts:
     tol: float = 1e-8
     max_iter: int = 4000
-    history: int = 12
-    use_newton_polish: bool = True
-    lbfgs_tol_factor: float = 1e3  # hand over to Newton at tol * factor
 
 
 def _ring_only(padded: np.ndarray) -> np.ndarray:
@@ -303,14 +303,12 @@ def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
     op = PlaneOperator(bg, params)
     tol_flat = opts.tol * domain.cell_area
     x0 = PlaneState.zero(domain, params.species).pack()
-    handover = tol_flat * opts.lbfgs_tol_factor if opts.use_newton_polish else tol_flat
     res = minimize_lbfgs(op.fun_grad_flat, x0, precond=op.precond_flat,
-                         tol_inf=max(handover, tol_flat), max_iter=opts.max_iter,
-                         history=opts.history)
+                         tol_inf=tol_flat * _LBFGS_HANDOVER, max_iter=opts.max_iter)
     energies = list(res.energies)
     iterations = res.iterations
     minres_unconverged = minres_iters = 0
-    if opts.use_newton_polish and float(np.max(np.abs(res.g))) > tol_flat:
+    if float(np.max(np.abs(res.g))) > tol_flat:
         pol = newton_polish(op.grad_flat, op.hess_vec_flat, res.x,
                             precond=op.precond_flat, tol_inf=tol_flat)
         iterations += pol.iterations

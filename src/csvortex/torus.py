@@ -7,7 +7,8 @@ mean-zero parts and constants, u = u' + c1, v = v' + c2.  On the admissible
 set (two integral inequalities) the constants solve a pair of quadratic
 constraint equations with a unique consistent root, found here by safeguarded
 Newton inside a sign-change bracket.  The first solution minimizes the
-reduced functional J over the admissible set.  The second is a mountain-pass
+reduced functional J over the admissible set, by descent from Tarantello's
+screened seed, which lies inside that set.  The second is a mountain-pass
 saddle of the full functional I: eliminating the constants through the
 saddle branch of the constraints (lower root of the first quadratic) turns
 it into a plain minimum, reached by descent from the barrier point -- the
@@ -699,8 +700,7 @@ class _BranchReduced:
 
 
 def tarantello_init(params: ModelParams, bg: BackgroundTorus,
-                    lam_t: Optional[float] = None, tol: float = 1e-9,
-                    max_iter: int = 80) -> np.ndarray:
+                    lam_t: Optional[float] = None) -> np.ndarray:
     """Solve Δw = lam_t e^{u0+w}(e^{u0+w}-1) + 8πn/|Ω| by damped Newton.
 
     Starts from w = -u0 and converges to the screened ('large') solution with
@@ -731,10 +731,11 @@ def tarantello_init(params: ModelParams, bg: BackgroundTorus,
         return torus_shifted_inverse(vec.reshape(dom.shape), dom, 1.0, lam_t).ravel()
 
     pol = newton_polish(resid, jac_vec, -bg.u0.ravel(), precond=precond,
-                        tol_inf=tol, max_iter=max_iter, minres_maxiter=600)
+                        tol_inf=_SEED_TOL, max_iter=_SEED_MAX_ITER,
+                        minres_maxiter=600)
     if not pol.converged:
         raise NonConvergenceError(
-            f"screened seed did not reach residual {tol:g} ({pol.message}); "
+            f"screened seed did not reach residual {_SEED_TOL:g} ({pol.message}); "
             "try a larger lam_t", grad_norm=float(np.max(np.abs(pol.g))))
     return pol.x.reshape(dom.shape)
 
@@ -767,27 +768,32 @@ def reduced_energy_J(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTor
 # ---------------------------------------------------------------------------
 
 
+_SEED_TOL, _SEED_MAX_ITER = 1e-9, 80  # the screened seed's Newton solve
+_LBFGS_HANDOVER = 1e4    # L-BFGS hands over to Newton at this multiple of tol
+_ENDPOINT_MARGIN = 1.0   # extra drop of the endpoint below the affine bound
+_PROBE_RADIUS, _PROBE_SEED = 1e-2, 0   # the local-minimality probe's sphere
+# Constant shifts u1 + s, geometric in |s| from 0.25 to |c_tilde|, at which the
+# energy profile of the straight path to the endpoint is sampled; its maximum
+# bounds the mountain-pass level from above.
+_PROFILE_SHIFTS = 16
+
+
 @dataclass(frozen=True)
 class TorusSolveOpts:
     tol: float = 1e-8
     max_iter: int = 4000
-    history: int = 12
-    seed: str = "zero"            # or "tarantello"
-    lam_t: Optional[float] = None
-    lbfgs_tol_factor: float = 1e4
+    lam_t: Optional[float] = None   # screened-seed coefficient; None: 4*alpha*beta
     separation: float = 1e-3
-    endpoint_margin: float = 1.0
-    probe_radius: float = 1e-2
-    probe_seed: int = 0
 
 
 def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
                    opts: TorusSolveOpts = TorusSolveOpts()):
     """Constrained first solution on the torus.
 
-    Descends the reduced energy over mean-zero pairs (steps leaving the
-    admissible set are rejected with halved length), then polishes the full
-    pair (constants included) with Newton/MINRES until the gradient max-norm
+    From the screened seed (u' from tarantello_init, v' = 0), descends the
+    reduced energy over mean-zero pairs (steps leaving the admissible set
+    are rejected with halved length), then polishes the full pair
+    (constants included) with Newton/MINRES until the gradient max-norm
     meets opts.tol.  info["iterations"] counts L-BFGS and Newton steps.
     """
     params.require_torus_mode()
@@ -803,28 +809,20 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
     op = TorusOperator(bg, params)
     red = _BranchReduced(op, saddle=False)
 
-    if opts.seed == "zero":
-        up0 = np.zeros(domain.shape)
-        vp0 = np.zeros(domain.shape)
-    elif opts.seed == "tarantello":
-        w = tarantello_init(params, bg, opts.lam_t)
-        up0 = _project0(w)
-        vp0 = np.zeros(domain.shape)
-    else:
-        raise ConfigError(f"unknown seed {opts.seed!r}")
+    up0 = _project0(tarantello_init(params, bg, opts.lam_t))
+    vp0 = np.zeros(domain.shape)
     if not admissible(up0, vp0, bg, params):
         m1, m2 = admissibility_margins(up0, vp0, bg, params)
         raise AdmissibilityError(
-            f"the {opts.seed} seed is outside the admissible set "
-            f"(margins {m1:.3e}, {m2:.3e}); try the other seed or larger lam_t",
+            "the screened seed is outside the admissible set "
+            f"(margins {m1:.3e}, {m2:.3e}); try a larger lam_t",
             constraint="first" if m1 < 0 else "second")
 
     x0 = op.pack(up0, vp0)
     tol_flat = opts.tol * domain.cell_area
-    handover = tol_flat * opts.lbfgs_tol_factor
     res = minimize_lbfgs(red.fun_grad, x0, precond=op.precond_flat,
-                         feasible=red.feasible, tol_inf=max(handover, tol_flat),
-                         max_iter=opts.max_iter, history=opts.history)
+                         feasible=red.feasible, tol_inf=tol_flat * _LBFGS_HANDOVER,
+                         max_iter=opts.max_iter)
     if res.boundary_trapped and not res.converged:
         raise BoundaryTrappingError(
             "descent step length underflowed at the admissible-set boundary; "
@@ -863,7 +861,6 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
         "wall_time": time.perf_counter() - t0,
         "clamp_hit": op.clamp_hit,
         "vortex_mask": vortex_node_mask(vortices, domain),
-        "seed": opts.seed,
     }
     return state, info
 
@@ -872,15 +869,8 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
 # second solution: saddle-branch descent from the barrier point
 # ---------------------------------------------------------------------------
 
-# Constant shifts u1 + s, geometric in |s| from 0.25 to |c_tilde|, at which the
-# energy profile of the straight path to the endpoint is sampled; its maximum
-# bounds the mountain-pass level from above.
-_PROFILE_SHIFTS = 16
-
-
 def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
-                  bg: Optional[BackgroundTorus] = None,
-                  vortices: Optional[VortexSet] = None):
+                  bg: BackgroundTorus):
     """Second critical point: the mountain-pass saddle of the full functional.
 
     The endpoint (u1 + c_tilde, v1) is fixed by the affine upper bound for
@@ -897,10 +887,6 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
     straight path of constant shifts to the endpoint, which bounds the
     mountain-pass level from above.
     """
-    if bg is None:
-        if vortices is None:
-            raise ConfigError("mountain_pass needs the background or the vortex set")
-        bg = torus_background(vortices, first.domain)
     if bg.n == 0:
         raise MountainPassCollapseError(
             "no second solution without vortices: the functional has a unique critical point")
@@ -913,18 +899,18 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
     e_first = op.energy(u1, v1)
 
     # local-minimality probe on a sphere around the first solution
-    rng = np.random.default_rng(opts.probe_seed)
+    rng = np.random.default_rng(_PROBE_SEED)
     probe_min = np.inf
     for _ in range(8):
         du = rng.standard_normal(dom.shape)
         dv = rng.standard_normal(dom.shape)
-        scale = opts.probe_radius / w12_norm(du, dv, dom)
+        scale = _PROBE_RADIUS / w12_norm(du, dv, dom)
         probe_min = min(probe_min, op.energy(u1 + scale * du, v1 + scale * dv))
     probe_margin = probe_min - e_first
 
     # endpoint from the affine bound for constant shifts
     slope = 4.0 * math.pi * bg.n * (1.0 / p.alpha + 1.0 / p.beta)
-    c_tilde = -((4.0 * p.alpha + p.beta) * dom.area + 1.0 + opts.endpoint_margin) / slope
+    c_tilde = -((4.0 * p.alpha + p.beta) * dom.area + 1.0 + _ENDPOINT_MARGIN) / slope
     e_end = op.energy(u1 + c_tilde, v1)
     while e_end > e_first - 1.0:
         c_tilde *= 2.0
@@ -942,7 +928,7 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
     res = minimize_lbfgs(saddle.fun_grad, x_barrier, precond=op.precond_flat,
                          feasible=saddle.feasible,
                          tol_inf=max(opts.tol, 1e-6) * dom.cell_area * 100.0,
-                         max_iter=opts.max_iter, history=opts.history)
+                         max_iter=opts.max_iter)
     pol = newton_polish(saddle.grad, saddle.hess_vec, res.x,
                         precond=op.precond_flat, tol_inf=opts.tol * dom.cell_area,
                         max_iter=120)

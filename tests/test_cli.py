@@ -1,6 +1,10 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csvortex.cli import main
 from csvortex.config import RunOpts, load_config
@@ -39,6 +43,60 @@ def torus_cfg(tmp_path):
     return write_cfg(tmp_path / "torus.json", cfg)
 
 
+_BASE_CONFIGS = (
+    {"schema_version": 1, "mode": "plane",
+     "params": {"alpha": 1.0, "beta": 1.0, "species": 1, "lambda_bg": 2.0},
+     "domain": {"kind": "box", "half_width": 8.0, "n": 16},
+     "vortices": [{"species": 0, "x": 0.0, "y": 0.0}],
+     "opts": {"tol": 1e-9, "quantized_tol": 0.01}, "decay_center": [0.0, 0.0]},
+    {"schema_version": 1, "mode": "torus",
+     "params": {"alpha": 30.0, "beta": 45.0, "sigma": 2.0},
+     "domain": {"kind": "torus", "periods": [6.28, 6.28], "n": [16, 16]},
+     "vortices": [{"species": 0, "x": 3.14, "y": 3.14, "multiplicity": 1}],
+     "opts": {"tol": 1e-10, "lam_t": 100.0, "second_solution": True}},
+)
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000)
+    | st.floats(-1e3, 1e3, allow_nan=False) | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def _garbled_configs(draw):
+    """Bytes of a config file: a valid config with values replaced or
+    deleted, possibly cut short, or random JSON, or random bytes."""
+    kind = draw(st.sampled_from(("edit", "cut", "json", "bytes")))
+    if kind == "bytes":
+        return draw(st.binary(max_size=60))
+    if kind == "json":
+        return json.dumps(draw(_JSON_VALUES)).encode()
+    cfg = json.loads(json.dumps(draw(st.sampled_from(_BASE_CONFIGS))))
+    for _ in range(draw(st.integers(1, 3))):
+        block = cfg
+        while True:
+            if isinstance(block, list) and block:
+                key = draw(st.integers(0, len(block) - 1))
+            elif isinstance(block, dict) and block:
+                key = draw(st.sampled_from(sorted(block)))
+            else:
+                break
+            if isinstance(block[key], (dict, list)) and draw(st.booleans()):
+                block = block[key]
+                continue
+            if draw(st.booleans()):
+                block[key] = draw(_JSON_VALUES)
+            else:
+                del block[key]
+            break
+    text = json.dumps(cfg)
+    if kind == "cut":
+        text = text[:draw(st.integers(0, len(text)))]
+    return text.encode()
+
+
 class TestConfigErrors:
     def test_malformed_json_names_line(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -69,6 +127,65 @@ class TestConfigErrors:
                "vortices": []}
         p = write_cfg(tmp_path / "c.json", cfg)
         assert main(["solve-torus", "--config", p]) == 1
+
+
+    @pytest.mark.parametrize("garble", [
+        {"vortices": [3]},
+        {"domain": [64, 64]},
+        {"opts": "fast"},
+        {"decay_center": 2.0},
+        {"decay_center": [1.0]},
+        {"domain": {"kind": "box", "half_width": 8.0, "n": "sixty-four"}},
+        {"domain": {"kind": "box", "half_width": 8.0, "n": 1e400}},
+        {"opts": {"tol": "tight"}},
+    ])
+    def test_wrong_json_types_exit_one(self, plane_cfg, tmp_path, capsys, garble):
+        cfg = json.loads(open(plane_cfg).read())
+        cfg.update(garble)
+        p = tmp_path / "garbled.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["solve-plane", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().out
+
+    def test_unreadable_config_or_output_dir_exit_one(self, plane_cfg, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.delenv("CSVORTEX_OUT", raising=False)
+        assert main(["verify", "--config", str(tmp_path)]) == 1
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{")
+        assert main(["verify", "--config", str(binary)]) == 1
+        cfg = json.loads(open(plane_cfg).read())
+        cfg["opts"]["out_dir"] = ""
+        assert main(["verify", "--config", write_cfg(tmp_path / "c.json", cfg)]) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(content=_garbled_configs(),
+           command=st.sampled_from(("verify", "decay-fit")))
+    def test_garbled_configs_exit_with_a_documented_code(self, content, command):
+        # no fields are stored, so a config that parses exits 1 for the
+        # missing files before any solve
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.json")
+            with open(path, "wb") as fh:
+                fh.write(content)
+            code = main([command, "--config", path, "--out", os.path.join(tmp, "o")])
+        assert code in (0, 1, 2, 3, 4)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["solve-plane"],
+        ["bogus"],
+        ["verify", "--config", "c.json", "--grid", "abc"],
+        ["solve-torus", "--config", "c.json", "--seed", "zero"],
+    ])
+    def test_usage_error_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "solve-torus" in capsys.readouterr().out
 
 
 class TestPlanePipeline:
@@ -214,8 +331,8 @@ class TestTorusPipeline:
         assert len(iterations) == 1 and int(iterations[0].split(" = ")[1]) > 0
 
     def test_retired_path_nodes_option_still_loads(self, tmp_path):
-        # opts.path_nodes is no longer an option; schema-v1 configs that
-        # set it still load, and the key is ignored
+        # opts.path_nodes and opts.seed are no longer options; schema-v1
+        # configs that set them still load, and the keys are ignored
         cfg = {
             "schema_version": 1,
             "mode": "torus",
@@ -225,7 +342,7 @@ class TestTorusPipeline:
                        "n": [32, 32]},
             "vortices": [{"species": 0, "x": 3.141592653589793,
                           "y": 3.141592653589793}],
-            "opts": {"tol": 1e-9, "path_nodes": 17},
+            "opts": {"tol": 1e-9, "path_nodes": 17, "seed": "zero"},
         }
         p = write_cfg(tmp_path / "torus_v1.json", cfg)
         loaded = load_config(p)

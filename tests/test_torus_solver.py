@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,12 @@ from hypothesis import strategies as st
 import csvortex.torus as torus_mod
 
 from csvortex.background import VortexSet, torus_background
+from csvortex.cli import main
 from csvortex.diagnostics import max_principle_check, quantized_integrals_torus
 from csvortex.errors import (
-    AdmissibilityError,
     InfeasibleError,
     MountainPassCollapseError,
+    NonConvergenceError,
 )
 from csvortex.fields import GridDomain, _k2, integrate_values, laplacian_values
 from csvortex.model import ModelParams
@@ -18,6 +21,7 @@ from csvortex.torus import (
     TorusOperator,
     TorusSolveOpts,
     admissible,
+    feasibility,
     minimize_torus,
     mountain_pass,
     reconstruct_original,
@@ -235,6 +239,8 @@ class TestMinimizeTorus:
         state, info = first_solution
         assert info["grad_inf"] <= 1e-10
         assert info["feasibility"].feasible
+        # from the screened seed; the zero state took 88 iterations here
+        assert info["iterations"] <= 10
 
     def test_constants_nonpositive(self, first_solution):
         state, _ = first_solution
@@ -273,13 +279,6 @@ class TestMinimizeTorus:
         for q in quantized_integrals_torus(big_u, big_v, params, dom, bg.n):
             assert q.rel_error <= 0.01
             assert q.rel_error <= 1e-9  # exact by the discrete constraint identity
-
-    def test_tarantello_seed_path(self, setup):
-        dom, vs, bg, params = setup
-        state, info = minimize_torus(params, vs, dom,
-                                     TorusSolveOpts(tol=1e-9, seed="tarantello"))
-        assert info["grad_inf"] <= 1e-9
-        assert info["seed"] == "tarantello"
 
     def test_pde_residual_weak_form(self, first_solution, setup):
         # gradient fields are exactly the residuals of the transformed system
@@ -359,8 +358,9 @@ class TestMountainPass:
 
 
 class TestSeedRejection:
-    def test_inadmissible_zero_seed_reported(self):
-        # near the feasibility edge the flat seed leaves the admissible set
+    def test_inadmissible_zero_state_coupling_reported(self, tmp_path):
+        # near the feasibility edge the zero state leaves the admissible set;
+        # there the solve must fail with a typed error and exit code 3
         dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 64, 64)
         vs = VortexSet.single([(np.pi, np.pi)])
         bg = torus_background(vs, dom)
@@ -368,13 +368,24 @@ class TestSeedRejection:
         z = np.zeros(dom.shape)
         for a in np.linspace(0.65, 1.6, 40):
             cand = ModelParams(alpha=a, beta=1.2 * a, sigma=2.0)
-            from csvortex.torus import feasibility as feas_fn
-
-            if feas_fn(cand, bg.n, dom.area).feasible and not admissible(
+            if feasibility(cand, bg.n, dom.area).feasible and not admissible(
                     z, z, bg, cand):
                 params = cand
                 break
         if params is None:
             pytest.skip("no feasible-but-inadmissible coupling found on this grid")
-        with pytest.raises(AdmissibilityError):
-            minimize_torus(params, vs, dom, TorusSolveOpts(seed="zero"))
+        with pytest.raises(NonConvergenceError):
+            minimize_torus(params, vs, dom, TorusSolveOpts())
+        cfg = {
+            "schema_version": 1,
+            "mode": "torus",
+            "params": {"alpha": float(params.alpha), "beta": float(params.beta),
+                       "sigma": params.sigma},
+            "domain": {"kind": "torus", "periods": [2 * np.pi, 2 * np.pi],
+                       "n": [64, 64]},
+            "vortices": [{"species": 0, "x": np.pi, "y": np.pi}],
+        }
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve-torus", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 3
