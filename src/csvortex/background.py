@@ -20,7 +20,7 @@ then self-consistent to round-off under the spectral Laplacian.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.fft import fftn, ifftn
@@ -83,26 +83,39 @@ class VortexSet:
 class BackgroundPlane:
     """Per-species plane backgrounds u_i0, h_i plus their species sum.
 
-    ``u0`` and ``h`` are the closed-form profiles sampled nodally.  ``u0_pad``
-    holds the profiles on the grid padded by one ghost ring: the plane solver
-    lifts its Dirichlet data from that ring.  ``u0_grid`` is the discretely
-    consistent counterpart of u0: the solution of the 5-point system
-    Δ u0_grid = -h + 4π δ_grid with the analytic ghost data, where δ_grid is a
-    bilinearly spread unit load at each vortex.  The solver's exponentials and
-    the reconstruction use u0_grid, so the background's algebraic far-field
-    tail cancels in the discrete equations to round-off and the reconstructed
-    u, u_j keep a clean exponential tail (the analytic samples would leave an
-    O(h^2/|x|^6) truncation wake swamping it).
+    Each profile is held once, as an (M, n1, n2) stack (``*_stack``); the
+    per-species tuples ``u0``, ``h``, ``u0_pad`` and ``u0_grid`` are views of
+    the stacks.  ``u0`` and ``h`` are the closed-form profiles sampled
+    nodally.  ``u0_pad`` holds the profiles on the grid padded by one ghost
+    ring: the plane solver lifts its Dirichlet data from that ring.
+    ``u0_grid`` is the discretely consistent counterpart of u0: the solution
+    of the 5-point system Δ u0_grid = -h + 4π δ_grid with the analytic ghost
+    data, where δ_grid is a bilinearly spread unit load at each vortex.  The
+    solver's exponentials and the reconstruction use u0_grid, so the
+    background's algebraic far-field tail cancels in the discrete equations
+    to round-off and the reconstructed u, u_j keep a clean exponential tail
+    (the analytic samples would leave an O(h^2/|x|^6) truncation wake
+    swamping it).
     """
 
     domain: GridDomain
     lam: float
-    u0: Tuple[np.ndarray, ...]       # u_i0, one per species, <= 0 everywhere
-    h: Tuple[np.ndarray, ...]        # h_i >= 0, integrates to ~4*pi*n_i
-    u0_sum: np.ndarray = field(repr=False, default=None)  # Σ_k u_k0
-    u0_pad: Tuple[np.ndarray, ...] = field(repr=False, default=None)
-    u0_grid: Tuple[np.ndarray, ...] = field(repr=False, default=None)
-    u0_grid_sum: np.ndarray = field(repr=False, default=None)
+    u0_stack: np.ndarray = field(repr=False)       # u_i0 <= 0 everywhere
+    h_stack: np.ndarray = field(repr=False)        # h_i >= 0, ∫ h_i ~ 4π n_i
+    u0_pad_stack: np.ndarray = field(repr=False)   # (M, n1 + 2, n2 + 2)
+    u0_grid_stack: np.ndarray = field(repr=False)
+    u0: Tuple[np.ndarray, ...] = field(init=False, repr=False)
+    h: Tuple[np.ndarray, ...] = field(init=False, repr=False)
+    u0_pad: Tuple[np.ndarray, ...] = field(init=False, repr=False)
+    u0_grid: Tuple[np.ndarray, ...] = field(init=False, repr=False)
+    u0_sum: np.ndarray = field(init=False, repr=False)       # Σ_k u_k0
+    u0_grid_sum: np.ndarray = field(init=False, repr=False)  # Σ_k u0_grid_k
+
+    def __post_init__(self):
+        for name in ("u0", "h", "u0_pad", "u0_grid"):
+            object.__setattr__(self, name, tuple(getattr(self, name + "_stack")))
+        object.__setattr__(self, "u0_sum", np.sum(self.u0_stack, axis=0))
+        object.__setattr__(self, "u0_grid_sum", np.sum(self.u0_grid_stack, axis=0))
 
     def u0_field(self, i: int) -> ScalarField:
         return ScalarField(self.domain, self.u0[i])
@@ -144,25 +157,19 @@ def plane_background(vortices: VortexSet, lam: float, domain: GridDomain) -> Bac
     yp = -domain.extent2 + domain.h2 * (np.arange(-1, domain.n2 + 1) + 0.5)
     xg, yg = np.meshgrid(xp, yp, indexing="ij")
     floor = (domain.h1**2 + domain.h2**2) / 4.0
-    u0_list: List[np.ndarray] = []
-    h_list: List[np.ndarray] = []
-    pad_list: List[np.ndarray] = []
-    grid_list: List[np.ndarray] = []
-    for pts in vortices.species:
-        u0p = np.zeros(xg.shape)
-        h = np.zeros(xg.shape)
-        for x, y, m in pts:
+    m = vortices.num_species
+    u0_pad = np.zeros((m,) + xg.shape)
+    h_pad = np.zeros((m,) + xg.shape)
+    load = np.empty((m,) + domain.shape)
+    for k, pts in enumerate(vortices.species):
+        for x, y, mult in pts:
             d2 = (xg - x) ** 2 + (yg - y) ** 2
-            u0p -= m * np.log1p(lam / np.maximum(d2, floor))
-            h += m * 4.0 * lam / (lam + d2) ** 2
-        pad_list.append(u0p)
-        u0_list.append(u0p[1:-1, 1:-1].copy())
-        h_list.append(h[1:-1, 1:-1].copy())
-        grid_list.append(_consistent_profile(pts, h_list[-1], u0p, domain))
-    u0_sum = np.sum(u0_list, axis=0) if u0_list else np.zeros(domain.shape)
-    grid_sum = np.sum(grid_list, axis=0) if grid_list else np.zeros(domain.shape)
-    return BackgroundPlane(domain, float(lam), tuple(u0_list), tuple(h_list),
-                           u0_sum, tuple(pad_list), tuple(grid_list), grid_sum)
+            u0_pad[k] -= mult * np.log1p(lam / np.maximum(d2, floor))
+            h_pad[k] += mult * 4.0 * lam / (lam + d2) ** 2
+        load[k] = _cic_load(pts, domain)
+    h = h_pad[:, 1:-1, 1:-1].copy()
+    return BackgroundPlane(domain, float(lam), u0_pad[:, 1:-1, 1:-1].copy(), h,
+                           u0_pad, _consistent_profiles(load, h, u0_pad, domain))
 
 
 def _cic_load(pts, domain: GridDomain) -> np.ndarray:
@@ -183,20 +190,22 @@ def _cic_load(pts, domain: GridDomain) -> np.ndarray:
     return load
 
 
-def _consistent_profile(pts, h: np.ndarray, u0_pad: np.ndarray,
-                        domain: GridDomain) -> np.ndarray:
-    """Solve the discrete Dirichlet problem Δu = -h + 4π δ_grid exactly.
+def _consistent_profiles(load: np.ndarray, h: np.ndarray, u0_pad: np.ndarray,
+                         domain: GridDomain) -> np.ndarray:
+    """Solve the discrete Dirichlet problems Δu = -h + 4π δ_grid exactly.
 
-    The ghost ring carries the analytic profile, so the result matches the
-    closed form at the wall and deviates inside only by the discretization
-    correction that keeps the 5-point identity exact at every node.
+    One problem per species, stacked on the leading axis and solved in one
+    batched sine-transform pair.  The ghost ring carries the analytic
+    profile, so the result matches the closed form at the wall and deviates
+    inside only by the discretization correction that keeps the 5-point
+    identity exact at every node.
     """
     from .fields import box_laplacian_ring, box_shifted_inverse
 
-    rhs = -h + 4.0 * np.pi * _cic_load(pts, domain)
+    rhs = -h + 4.0 * np.pi * load
     ring = u0_pad.copy()
-    ring[1:-1, 1:-1] = 0.0
-    ring_term = box_laplacian_ring(np.zeros(domain.shape), ring, domain)
+    ring[:, 1:-1, 1:-1] = 0.0
+    ring_term = box_laplacian_ring(np.zeros(h.shape), ring, domain)
     # Δ0 x = rhs - ring_term  <=>  (-Δ0) x = ring_term - rhs
     return box_shifted_inverse(ring_term - rhs, domain, 1.0, 0.0)
 

@@ -19,7 +19,7 @@ import csv
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.fft import dstn, fftn, idstn, ifftn
@@ -34,9 +34,10 @@ _KIND_BOX = 1
 EXP_CLAMP = 50.0
 
 
-def exp_clip(x: np.ndarray) -> np.ndarray:
-    """e^x with the exponent capped at EXP_CLAMP."""
-    return np.exp(np.minimum(x, EXP_CLAMP))
+def exp_clip(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """e^x with the exponent capped at EXP_CLAMP; in place when ``out`` is x."""
+    capped = np.minimum(x, EXP_CLAMP, out=out)
+    return np.exp(capped, out=capped)
 
 
 @dataclass(frozen=True)
@@ -167,19 +168,30 @@ def _k2(domain: GridDomain) -> np.ndarray:
 
 
 def laplacian_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
-    """Discrete Laplacian on raw node values (zero ghosts for the box)."""
+    """Discrete Laplacian on raw node values (zero ghosts for the box).
+
+    On the box, leading axes index a stack of fields.
+    """
     if domain.kind == "torus":
         return np.real(ifftn(-_k2(domain) * fftn(values)))
-    return _box_laplacian_padded(np.pad(values, 1), domain)
+    ring = ((0, 0),) * (values.ndim - 2) + ((1, 1), (1, 1))
+    return _box_laplacian_padded(np.pad(values, ring), domain)
 
 
 def _box_laplacian_padded(p: np.ndarray, domain: GridDomain) -> np.ndarray:
-    """5-point Laplacian of the interior of p, whose outer ring holds the ghosts."""
-    c = p[1:-1, 1:-1]
-    return (
-        (p[2:, 1:-1] - 2.0 * c + p[:-2, 1:-1]) / domain.h1**2
-        + (p[1:-1, 2:] - 2.0 * c + p[1:-1, :-2]) / domain.h2**2
-    )
+    """5-point Laplacian of the interior of p, whose outer ring holds the ghosts.
+
+    Acts on the trailing two axes.
+    """
+    c = p[..., 1:-1, 1:-1]
+    out = p[..., 2:, 1:-1] - 2.0 * c
+    out += p[..., :-2, 1:-1]
+    out /= domain.h1**2
+    dyy = p[..., 1:-1, 2:] - 2.0 * c
+    dyy += p[..., 1:-1, :-2]
+    dyy /= domain.h2**2
+    out += dyy
+    return out
 
 
 def laplacian(field: ScalarField) -> ScalarField:
@@ -286,12 +298,15 @@ def poisson_solve_torus(rhs: np.ndarray, domain: GridDomain) -> np.ndarray:
 def box_pad_with_ring(values: np.ndarray, ring: np.ndarray) -> np.ndarray:
     """Embed values into a padded array whose outer ring carries ``ring`` data."""
     p = ring.copy()
-    p[1:-1, 1:-1] = values
+    p[..., 1:-1, 1:-1] = values
     return p
 
 
 def box_laplacian_ring(values: np.ndarray, ring: np.ndarray, domain: GridDomain) -> np.ndarray:
-    """5-point Laplacian where the ghost ring carries prescribed boundary data."""
+    """5-point Laplacian where the ghost ring carries prescribed boundary data.
+
+    Leading axes index a stack of fields, each with its own ring.
+    """
     return _box_laplacian_padded(box_pad_with_ring(values, ring), domain)
 
 
@@ -308,13 +323,20 @@ def _dst_eigs(n1: int, n2: int, h1: float, h2: float) -> np.ndarray:
     return lam1[:, None] + lam2[None, :]
 
 
-def box_shifted_inverse(values: np.ndarray, domain: GridDomain, c_lap: float,
-                        c_id: float) -> np.ndarray:
-    """Apply (c_lap*(-Δ_5) + c_id)^(-1) via the sine transform (zero ghosts)."""
+def box_shifted_inverse(values: np.ndarray, domain: GridDomain, c_lap,
+                        c_id) -> np.ndarray:
+    """Apply (c_lap*(-Δ_5) + c_id)^(-1) via the sine transform (zero ghosts).
+
+    Acts on the trailing two axes.  For a stack of fields, c_lap and c_id may
+    be arrays with one coefficient per field; every field is transformed in
+    the same batched sine-transform pair.
+    """
     lam = _dst_eigs(domain.n1, domain.n2, domain.h1, domain.h2)
-    vh = dstn(values, type=1, norm="ortho")
+    c_lap = np.reshape(c_lap, np.shape(c_lap) + (1, 1))
+    c_id = np.reshape(c_id, np.shape(c_id) + (1, 1))
+    vh = dstn(values, type=1, norm="ortho", axes=(-2, -1))
     vh /= c_lap * lam + c_id
-    return idstn(vh, type=1, norm="ortho")
+    return idstn(vh, type=1, norm="ortho", axes=(-2, -1), overwrite_x=True)
 
 
 def torus_shifted_inverse(values: np.ndarray, domain: GridDomain, c_lap: float,

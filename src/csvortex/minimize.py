@@ -1,11 +1,17 @@
 """Descent and critical-point machinery shared by both solvers.
 
 ``minimize_lbfgs`` is a limited-memory quasi-Newton loop with a strong-Wolfe
-line search: accepted iterates strictly decrease the objective.  A caller may
-install a feasibility predicate; trial points outside the feasible set are
-treated as infinitely costly, which makes the line search reject them and
-halve the step — the rejection semantics required at the admissible-set
-boundary of the constrained torus problem.
+line search.  Its direction comes from the compact form of the inverse
+Hessian (Byrd, Nocedal and Schnabel 1994): matrix-vector products with two
+fixed buffers of kept pairs and one small triangular solve, and one
+application of the preconditioner per iteration.  Accepted energies never
+increase, and they decrease strictly wherever the decrease is resolvable:
+once the predicted decrease of a step falls below 64 ulps of the energy, the
+line search accepts on the approximate-Wolfe slope test of Hager and Zhang
+(2005) instead.  A caller may install a feasibility predicate; trial points
+outside the feasible set are treated as infinitely costly, which makes the
+line search reject them and halve the step — the rejection semantics
+required at the admissible-set boundary of the constrained torus problem.
 
 ``newton_polish`` drives the gradient to a tight max-norm tolerance with a
 damped Newton iteration whose linear systems are solved by preconditioned
@@ -22,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import LinearOperator, minres
 
 
@@ -58,6 +65,7 @@ class _Wolfe:
         self.fun_grad = fun_grad
         self.x, self.f0, self.d = x, f0, d
         self.gd0 = float(np.dot(g0, d))
+        self.resolvable = 64.0 * float(np.spacing(abs(f0)))
         self.feasible = feasible
         self.evals = 0
         self.saw_infeasible = False
@@ -74,8 +82,17 @@ class _Wolfe:
             return np.inf, None, np.nan, xt
         return ft, gt, float(np.dot(gt, self.d)), xt
 
-    def _suff(self, t, ft):
-        return ft <= self.f0 + self.c1 * t * self.gd0
+    def _rejected(self, t, ft, gdt, f_ref):
+        """Trial t fails sufficient decrease, or does not improve on f_ref.
+
+        Where the predicted decrease c1·t·|gᵀd| is below 64 ulps of |f0| the
+        energies cannot resolve it: the trial then passes on f(t) <= f0 and
+        the approximate-Wolfe slope test gᵀ(t)d <= (2c1 - 1)gᵀd (Hager and
+        Zhang), without comparing f against f_ref.
+        """
+        if -self.c1 * t * self.gd0 < self.resolvable:
+            return not (ft <= self.f0 and gdt <= (2.0 * self.c1 - 1.0) * self.gd0)
+        return ft > self.f0 + self.c1 * t * self.gd0 or ft >= f_ref
 
     def run(self, t0=1.0):
         if self.gd0 >= 0:
@@ -85,7 +102,7 @@ class _Wolfe:
         t = t0
         while self.evals < self.max_evals:
             ft, gt, gdt, xt = self.phi(t)
-            if not self._suff(t, ft) or (t_prev > 0.0 and ft >= f_prev):
+            if self._rejected(t, ft, gdt, f_prev if t_prev > 0.0 else np.inf):
                 return self.zoom(t_prev, f_lo if t_prev > 0.0 else self.f0, t)
             self.best = (t, ft, gt, xt)
             if abs(gdt) <= -self.c2 * self.gd0:
@@ -102,7 +119,7 @@ class _Wolfe:
                 break
             t = 0.5 * (lo + hi)
             ft, gt, gdt, xt = self.phi(t)
-            if not self._suff(t, ft) or ft >= f_lo:
+            if self._rejected(t, ft, gdt, f_lo):
                 hi = t
                 continue
             self.best = (t, ft, gt, xt)
@@ -120,72 +137,123 @@ class _Wolfe:
         raise LineSearchError(why, feasibility_blocked=self.saw_infeasible)
 
 
+class _Pairs:
+    """The kept correction pairs in the compact form of the inverse Hessian.
+
+    With H0 = γP the L-BFGS inverse Hessian is (Byrd, Nocedal and Schnabel)
+
+        H = γP + [S, γPY] [[R⁻ᵀ(D + γYᵀPY)R⁻¹, -R⁻ᵀ], [-R⁻¹, 0]] [Sᵀ; γYᵀP],
+
+    where R is the upper triangle of SᵀY and D its diagonal.  The pairs live
+    in two fixed (_HISTORY, n) buffers, S and PY = P·Y, filled in order and
+    then overwritten oldest first; SᵀY and YᵀPY are kept by buffer slot.
+    """
+
+    def __init__(self, n: int):
+        self.s = np.zeros((_HISTORY, n))
+        self.py = np.zeros((_HISTORY, n))
+        self.sy = np.zeros((_HISTORY, _HISTORY))   # s_i·y_j, by slot
+        self.ypy = np.zeros((_HISTORY, _HISTORY))  # y_i·P y_j, by slot
+        self.clear()
+
+    def clear(self) -> None:
+        self.k = 0      # pairs kept
+        self.head = 0   # slot of the oldest pair once the buffers are full
+        self.gamma = 1.0
+
+    def push(self, s: np.ndarray, y: np.ndarray, py: np.ndarray) -> None:
+        if self.k < _HISTORY:
+            slot = self.k
+            self.k += 1
+        else:
+            slot = self.head
+            self.head = (self.head + 1) % _HISTORY
+        k = self.k
+        self.s[slot] = s
+        self.py[slot] = py
+        self.sy[:k, slot] = self.s[:k] @ y
+        self.ypy[:k, slot] = self.ypy[slot, :k] = self.py[:k] @ y
+        self.gamma = float(self.sy[slot, slot]) / max(float(self.ypy[slot, slot]), 1e-300)
+
+    def direction(self, g: np.ndarray, pg: np.ndarray) -> np.ndarray:
+        """-H g, given P g."""
+        d = pg * -self.gamma
+        k = self.k
+        if k == 0:
+            return d
+        order = (self.head + np.arange(k)) % _HISTORY  # slots, oldest first
+        cols = np.ix_(order, order)
+        r = np.triu(self.sy[cols])
+        a = (self.s[:k] @ g)[order]
+        b = (self.py[:k] @ g)[order]
+        p = solve_triangular(r, a)
+        w = np.diag(r) * p + self.gamma * (self.ypy[cols] @ p - b)
+        q = solve_triangular(r, w, trans="T")
+        qs = np.empty(k)
+        qs[order] = q
+        ps = np.empty(k)
+        ps[order] = p * self.gamma
+        d -= qs @ self.s[:k]
+        d += ps @ self.py[:k]
+        return d
+
+
+def _curvature_pair(s: np.ndarray, y: np.ndarray):
+    """(s, y) if the step passes the curvature test, else None."""
+    if float(np.dot(s, y)) > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        return s, y
+    return None
+
+
 def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
                    precond: Optional[Callable] = None,
                    feasible: Optional[Callable] = None,
                    tol_inf: float = 1e-8,
                    max_iter: int = 2000) -> OptResult:
-    """Preconditioned L-BFGS with strong-Wolfe steps and strict energy decrease.
+    """Preconditioned L-BFGS with Wolfe steps; energies never increase.
 
     Converges when the gradient max-norm drops to ``tol_inf``.  ``precond``
-    applies a fixed symmetric positive-definite initial inverse Hessian.
+    applies a fixed symmetric positive-definite initial inverse Hessian P; it
+    is applied once per iteration, to the new gradient, and P y comes from
+    the difference of consecutive preconditioned gradients.
     """
     apply_p = precond if precond is not None else (lambda v: v.copy())
     x = np.asarray(x0, dtype=float).copy()
     f, g = fun_grad(x)
     energies = [f]
-    s_list: List[np.ndarray] = []
-    y_list: List[np.ndarray] = []
-    rho: List[float] = []
-    gamma = 1.0
+    pairs = _Pairs(x.size)
+    pg = None       # P g at the current iterate
+    pending = None  # (s, y) of the last step, kept once P y is known
     boundary = False
     it = 0
     for it in range(1, max_iter + 1):
         if float(np.max(np.abs(g))) <= tol_inf:
             return OptResult(x, f, g, it - 1, True, energies,
                              "gradient tolerance met", boundary)
-        # two-loop recursion
-        q = g.copy()
-        alphas = []
-        for s, y, r in zip(reversed(s_list), reversed(y_list), reversed(rho)):
-            a = r * float(np.dot(s, q))
-            alphas.append(a)
-            q -= a * y
-        z = gamma * apply_p(q)
-        for (s, y, r), a in zip(zip(s_list, y_list, rho), reversed(alphas)):
-            b = r * float(np.dot(y, z))
-            z += (a - b) * s
-        d = -z
+        pg_new = apply_p(g)
+        if pending is not None:
+            pairs.push(*pending, pg_new - pg)
+            pending = None
+        pg = pg_new
+        d = pairs.direction(g, pg)
         if float(np.dot(g, d)) >= 0:
-            s_list.clear(); y_list.clear(); rho.clear()
-            gamma = 1.0
-            d = -apply_p(g)
+            pairs.clear()
+            d = -pg
         try:
             t, f_new, g_new, x_new = _Wolfe(fun_grad, x, f, g, d, feasible).run()
         except LineSearchError as exc:
             boundary = boundary or exc.feasibility_blocked
-            if not s_list:
+            if pairs.k == 0:
                 return OptResult(x, f, g, it, False, energies, str(exc), boundary)
             # retry once along the preconditioned steepest descent
-            s_list.clear(); y_list.clear(); rho.clear()
-            gamma = 1.0
-            d = -apply_p(g)
+            pairs.clear()
             try:
-                t, f_new, g_new, x_new = _Wolfe(fun_grad, x, f, g, d, feasible).run()
+                t, f_new, g_new, x_new = _Wolfe(fun_grad, x, f, g, -pg,
+                                                feasible).run()
             except LineSearchError as exc2:
                 boundary = boundary or exc2.feasibility_blocked
                 return OptResult(x, f, g, it, False, energies, str(exc2), boundary)
-        s = x_new - x
-        y = g_new - g
-        sy = float(np.dot(s, y))
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_list.append(s)
-            y_list.append(y)
-            rho.append(1.0 / sy)
-            py = apply_p(y)
-            gamma = sy / max(float(np.dot(y, py)), 1e-300)
-            if len(s_list) > _HISTORY:
-                s_list.pop(0); y_list.pop(0); rho.pop(0)
+        pending = _curvature_pair(x_new - x, g_new - g)
         x, f, g = x_new, f_new, g_new
         energies.append(f)
     converged = float(np.max(np.abs(g))) <= tol_inf

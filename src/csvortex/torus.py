@@ -480,7 +480,12 @@ class TorusOperator:
 
     def hess_vec(self, u: np.ndarray, v: np.ndarray, du: np.ndarray,
                  dv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        huu, huv, hvv = self.hess_coeffs(u, v)
+        return self.hess_apply(self.hess_coeffs(u, v), du, dv)
+
+    def hess_apply(self, coeffs: Tuple[np.ndarray, np.ndarray, np.ndarray],
+                   du: np.ndarray, dv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Second variation with the pointwise coefficients already formed."""
+        huu, huv, hvv = coeffs
         su, sv = self._apply_symbol(self._spectra(du, dv), self._stiff)
         return su + huu * du + huv * dv, sv + huv * du + hvv * dv
 
@@ -626,6 +631,9 @@ class _BranchReduced:
         # the line search asks feasible() and then fun_grad() at one trial
         # point, and MINRES asks hess_vec() many times at one Newton iterate
         self._memo: Optional[tuple] = None
+        # (memo, pointwise Hessian coefficients, 2x2 Hessian in the constants)
+        # at that state, shared by the products there
+        self._hess: Optional[tuple] = None
 
     def split(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         u, v = self.op.unpack(x)
@@ -672,15 +680,21 @@ class _BranchReduced:
         return np.array([[h11, h12], [h12, h22]])
 
     def hess_vec(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Schur-reduced second variation via implicit differentiation."""
+        """Schur-reduced second variation via implicit differentiation.
+
+        The pointwise coefficients and the constants' 2x2 Hessian are formed
+        once per state and shared by every product there.
+        """
         up, vp = self.split(x)
         maps, c1, c2 = self._solve(up, vp)
-        u, v = up + c1, vp + c2
+        if self._hess is None or self._hess[0] is not self._memo:
+            self._hess = (self._memo, self.op.hess_coeffs(up + c1, vp + c2),
+                          self._c_hessian(maps, c1, c2))
+        _, coeffs, hc = self._hess
         du, dv = self.op.unpack(w)
-        hu, hv = self.op.hess_vec(u, v, du, dv)
+        hu, hv = self.op.hess_apply(coeffs, du, dv)
         rhs = -np.array([integrate_values(hu, self.op.domain),
                          integrate_values(hv, self.op.domain)])
-        hc = self._c_hessian(maps, c1, c2)
         det = hc[0, 0] * hc[1, 1] - hc[0, 1] * hc[1, 0]
         if abs(det) < 1e-14 * (abs(hc[0, 0] * hc[1, 1]) + 1.0):
             dc = np.zeros(2)
@@ -688,7 +702,7 @@ class _BranchReduced:
             dc = np.linalg.solve(hc, rhs)
         # H(du + dc1, dv + dc2) = H(du, dv) + H(dc1, dc2), and the Laplacian
         # annihilates the constant shift: only the pointwise terms act on it
-        huu, huv, hvv = self.op.hess_coeffs(u, v)
+        huu, huv, hvv = coeffs
         hu = hu + huu * dc[0] + huv * dc[1]
         hv = hv + huv * dc[0] + hvv * dc[1]
         return self.op.pack(_project0(hu), _project0(hv)) * self.op.domain.cell_area

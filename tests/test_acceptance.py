@@ -76,6 +76,15 @@ def crit1_run():
 
 
 @pytest.fixture(scope="module")
+def crit3_second_run(crit1_run):
+    """The (alpha, beta) = (0.5, 2) solve on criterion 1's box and vortex."""
+    _, dom, vs, _, _ = crit1_run
+    params = ModelParams(alpha=0.5, beta=2.0, species=1, lambda_bg=10.0)
+    state, info = solve_plane(params, vs, dom, PlaneSolveOpts(tol=1e-12))
+    return params, state, info
+
+
+@pytest.fixture(scope="module")
 def torus_family():
     """First solutions for alpha in {30, 60, 120}, beta = 1.5*alpha, N=256."""
     runs = {}
@@ -137,7 +146,7 @@ def test_criterion_2_plane_multi_species():
     assert elapsed <= 300.0
 
 
-def test_criterion_3_decay_rate_band(crit1_run):
+def test_criterion_3_decay_rate_band(crit1_run, crit3_second_run):
     """Two-sided band on the tail rate of the linearized system.
 
     Linearizing the plane energy at the vacuum (A_i, B_i -> 1) gives
@@ -150,8 +159,7 @@ def test_criterion_3_decay_rate_band(crit1_run):
     """
     params, dom, vs, state, info = crit1_run
     fit = decay_fit(info["u"], info["u_list"], params, dom)
-    params2 = ModelParams(alpha=0.5, beta=2.0, species=1, lambda_bg=10.0)
-    state2, info2 = solve_plane(params2, vs, dom, PlaneSolveOpts(tol=1e-12))
+    params2, state2, info2 = crit3_second_run
     fit2 = decay_fit(info2["u"], info2["u_list"], params2, dom)
     centre = -4.0 * min(params.alpha, params.beta)
     centre2 = -4.0 * min(params2.alpha, params2.beta)
@@ -172,7 +180,7 @@ def test_criterion_3_decay_rate_band(crit1_run):
         f"from -4*min(alpha,beta) = {centre2:.3f} (band 15%)")
 
 
-def test_criterion_3_supplement_one_sided_decay_bound(crit1_run):
+def test_criterion_3_supplement_one_sided_decay_bound(crit1_run, crit3_second_run):
     """The decay statement the theorems actually make: at least rate m(1-eps).
 
     With eps = 0.15 this is slope <= -0.85 * m; both parameter sets clear it
@@ -180,8 +188,7 @@ def test_criterion_3_supplement_one_sided_decay_bound(crit1_run):
     """
     params, dom, vs, state, info = crit1_run
     fit = decay_fit(info["u"], info["u_list"], params, dom)
-    params2 = ModelParams(alpha=0.5, beta=2.0, species=1, lambda_bg=10.0)
-    _, info2 = solve_plane(params2, vs, dom, PlaneSolveOpts(tol=1e-12))
+    params2, _, info2 = crit3_second_run
     fit2 = decay_fit(info2["u"], info2["u_list"], params2, dom)
     ok = fit.slope <= -0.85 * fit.expected_m and fit2.slope <= -0.85 * fit2.expected_m
     banner("3s", ok,

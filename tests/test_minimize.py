@@ -1,6 +1,12 @@
-import numpy as np
+import itertools
 
-from csvortex.minimize import minimize_lbfgs, newton_polish
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import csvortex.minimize as minimize_mod
+from csvortex.minimize import _HISTORY, minimize_lbfgs, newton_polish
 
 
 def quad_problem(n, rng):
@@ -56,11 +62,82 @@ class TestLBFGS:
         assert res.boundary_trapped
         assert res.x[0] >= 1.0
 
+    def test_converges_at_energy_roundoff(self, rng):
+        # written about its minimizer, the quadratic's energy resolves every
+        # decrease at offset 0; an offset of 1e6 puts the last steps' decrease
+        # below 64 ulps of f, and the line search must still accept them
+        _, x_star, d = quad_problem(200, rng)
+
+        def centred(offset):
+            def fun_grad(x):
+                e = x - x_star
+                return 0.5 * float(e @ (d * e)) + offset, d * e
+            return fun_grad
+
+        plain = minimize_lbfgs(centred(0.0), np.zeros(200), tol_inf=1e-9,
+                               max_iter=2000)
+        shifted = minimize_lbfgs(centred(1e6), np.zeros(200), tol_inf=1e-9,
+                                 max_iter=2000)
+        assert plain.converged
+        assert shifted.converged, shifted.message
+        assert shifted.iterations <= plain.iterations + 5
+        assert all(e2 <= e1 for e1, e2 in zip(shifted.energies, shifted.energies[1:]))
+
     def test_budget_exhaustion(self, rng):
         fun_grad, _, _ = quad_problem(50, rng)
         res = minimize_lbfgs(fun_grad, np.zeros(50), tol_inf=1e-14, max_iter=2)
         assert not res.converged
         assert res.iterations == 2
+
+
+def _spd(rng, n, cond):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.geomspace(1.0, cond, n)) @ q.T
+
+
+class TestCompactForm:
+    """The compact direction against the explicit BFGS recursion."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(16, 40),
+           cond=st.floats(10.0, 1e3), pcond=st.floats(1.0, 10.0))
+    def test_direction_matches_bfgs_recursion(self, seed, n, cond, pcond):
+        rng = np.random.default_rng(seed)
+        a = _spd(rng, n, cond)
+        p = _spd(rng, n, pcond)
+        b = rng.standard_normal(n)
+        searches = []
+
+        class Recorded(minimize_mod._Wolfe):
+            def __init__(self, fun_grad, x, f0, g0, d, feasible):
+                searches.append((x.copy(), g0.copy(), d.copy()))
+                super().__init__(fun_grad, x, f0, g0, d, feasible)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(minimize_mod, "_Wolfe", Recorded)
+            minimize_lbfgs(lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b),
+                           rng.standard_normal(n), precond=lambda v: p @ v,
+                           tol_inf=1e-300, max_iter=2 * _HISTORY)
+        # compare while the gradients are well above round-off
+        g_floor = 1e-6 * np.linalg.norm(searches[0][1])
+        steps = list(itertools.takewhile(
+            lambda rec: np.linalg.norm(rec[1]) > g_floor, searches))
+        pairs = []
+        for (x0, g0, _), (x1, g1, d1) in zip(steps, steps[1:]):
+            s, y = x1 - x0, g1 - g0
+            if s @ y > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+                pairs = (pairs + [(s, y)])[-_HISTORY:]
+            if not pairs:
+                continue
+            s, y = pairs[-1]
+            h = (s @ y) / (y @ p @ y) * p
+            for s, y in pairs:
+                rho = 1.0 / (s @ y)
+                v = np.eye(n) - rho * np.outer(y, s)
+                h = v.T @ h @ v + rho * np.outer(s, s)
+            expected = -h @ g1
+            assert np.linalg.norm(d1 - expected) <= 1e-10 * np.linalg.norm(expected)
+        assert len(steps) >= 2
 
 
 class TestNewtonPolish:

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csvortex.background import VortexSet, plane_background, vortex_node_mask
 from csvortex.diagnostics import quantized_integrals_plane
 from csvortex.errors import DomainError, NonConvergenceError
-from csvortex.fields import GridDomain, box_dirichlet_ring, integrate_values
+from csvortex.fields import (
+    GridDomain,
+    box_dirichlet_ring,
+    box_shifted_inverse,
+    integrate_values,
+)
 from csvortex.model import ModelParams
 from csvortex.plane import (
     PlaneOperator,
@@ -120,6 +127,74 @@ class TestPlaneGradient:
         assert np.max(np.abs(fd - hv)) <= 1e-6 * np.max(np.abs(hv))
 
 
+def random_problem(seed, species):
+    """Random couplings, vortices and smooth state on a small box."""
+    rng = np.random.default_rng(seed)
+    dom = GridDomain.box(6.0, 32)
+    pts = tuple(tuple((float(x), float(y), 1) for x, y in
+                      rng.uniform(-3.0, 3.0, size=(int(rng.integers(0, 3)), 2)))
+                for _ in range(species))
+    params = ModelParams(alpha=float(rng.uniform(0.5, 2.0)),
+                         beta=float(rng.uniform(0.5, 2.0)), species=species,
+                         lambda_bg=float(rng.uniform(1.0, 10.0)))
+    bg = plane_background(VortexSet(pts), params.lambda_bg, dom)
+    return rng, dom, params, bg, random_state(dom, rng, species, amp=0.3)
+
+
+class TestPlaneProperties:
+    """The fused, species-stacked operator against independent references."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), species=st.sampled_from([1, 2, 3]))
+    def test_energy_matches_oracle(self, seed, species):
+        _, _, params, bg, state = random_problem(seed, species)
+        assert plane_energy(state, bg, params) == pytest.approx(
+            oracle_energy(state, bg, params), rel=1e-12)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), species=st.sampled_from([1, 2, 3]))
+    def test_gradient_central_differences(self, seed, species):
+        rng, _, params, bg, state = random_problem(seed, species)
+        op = PlaneOperator(bg, params)
+        x = state.pack()
+        _, g = op.fun_grad_flat(x)
+        for _ in range(3):
+            d = rng.standard_normal(x.size)
+            d /= np.linalg.norm(d)
+            t = 1e-5
+            fd = (op.fun_grad_flat(x + t * d)[0]
+                  - op.fun_grad_flat(x - t * d)[0]) / (2 * t)
+            an = float(g @ d)
+            assert abs(fd - an) <= 1e-6 * max(abs(an), 1e-30)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), species=st.sampled_from([1, 2, 3]))
+    def test_hessian_symmetric_and_consistent(self, seed, species):
+        rng, _, params, bg, state = random_problem(seed, species)
+        op = PlaneOperator(bg, params)
+        x = state.pack()
+        u = rng.standard_normal(x.size)
+        v = rng.standard_normal(x.size)
+        hu, hv = op.hess_vec_flat(x, u), op.hess_vec_flat(x, v)
+        assert float(hu @ v) == pytest.approx(float(u @ hv), rel=1e-12)
+        t = 1e-6 / np.linalg.norm(u)
+        fd = (op.grad_flat(x + t * u) - op.grad_flat(x - t * u)) / (2 * t)
+        assert np.max(np.abs(fd - hu)) <= 1e-6 * np.max(np.abs(hu))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), species=st.sampled_from([1, 2, 3]))
+    def test_batched_shifted_inverse(self, seed, species):
+        rng, dom, _, _, _ = random_problem(seed, species)
+        values = rng.standard_normal((species + 1,) + dom.shape)
+        c_lap = rng.uniform(0.1, 3.0, species + 1)
+        c_id = rng.uniform(0.0, 10.0, species + 1)
+        batched = box_shifted_inverse(values, dom, c_lap, c_id)
+        for k in range(species + 1):
+            single = box_shifted_inverse(values[k], dom, c_lap[k], c_id[k])
+            assert np.allclose(batched[k], single, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(single)))
+
+
 @pytest.fixture(scope="module")
 def solved_small():
     dom = GridDomain.box(8.0, 64)
@@ -179,6 +254,23 @@ class TestSolvePlane:
         op = info["operator"]
         assert pde_residual_same_op(state, op) <= 10 * 1e-10
         assert pde_residual_fourth(state, op, exclude=info["vortex_mask"]) < 1.0
+
+    def test_preconditioner_once_per_iteration(self, monkeypatch):
+        # one application per L-BFGS iteration and per MINRES iteration
+        calls = []
+        apply = PlaneOperator.precond_flat
+
+        def counted(self, v):
+            calls.append(1)
+            return apply(self, v)
+
+        monkeypatch.setattr(PlaneOperator, "precond_flat", counted)
+        dom = GridDomain.box(8.0, 64)
+        params = ModelParams(alpha=1.0, beta=1.0, species=2, lambda_bg=10.0)
+        vs = VortexSet((((0.0, 0.0, 1),), ((1.1, 0.0, 1), (-0.7, 0.9, 1))))
+        _, info = solve_plane(params, vs, dom, PlaneSolveOpts(tol=1e-9))
+        assert info["minres_iters"] > 0
+        assert len(calls) <= info["iterations"] + info["minres_iters"] + 3
 
     def test_zero_vortex_residual_is_roundoff(self):
         dom = GridDomain.box(6.0, 32)

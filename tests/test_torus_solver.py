@@ -349,6 +349,29 @@ class TestMountainPass:
         mountain_pass(params, first, TorusSolveOpts(tol=1e-9), bg=bg)
         assert first_eval == [1]
 
+    def test_hessian_coefficients_once_per_state(self, small, monkeypatch):
+        # the MINRES products at one Newton iterate share one coefficient pass
+        dom, bg, params, first = small
+        calls = []
+        coeffs = TorusOperator.hess_coeffs
+
+        def counted(self, u, v):
+            calls.append(1)
+            return coeffs(self, u, v)
+
+        monkeypatch.setattr(TorusOperator, "hess_coeffs", counted)
+        red = torus_mod._BranchReduced(TorusOperator(bg, params))
+        x = red.op.pack(first.u_prime, first.v_prime)
+        rng = np.random.default_rng(7)
+        ws = [rng.standard_normal(x.size) for _ in range(20)]
+        products = [red.hess_vec(x, w) for w in ws]
+        assert len(calls) <= 21
+        # moving to another state and back recomputes, with the same result
+        red.hess_vec(0.5 * x, ws[0])
+        assert np.array_equal(red.hess_vec(x, ws[0]), products[0])
+        fresh = torus_mod._BranchReduced(TorusOperator(bg, params))
+        assert np.array_equal(fresh.hess_vec(x, ws[1]), products[1])
+
     def test_no_second_solution_without_vortices(self):
         dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 32, 32)
         params = ModelParams(1.0, 2.0, sigma=3.0)
