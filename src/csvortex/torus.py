@@ -5,17 +5,19 @@ Working variables: the substitution U = u0/2 + (u+v)/2, V = u0/2 + (u-v)/2
 turns the original pair (U, V) into smooth unknowns (u, v), decomposed into
 mean-zero parts and constants, u = u' + c1, v = v' + c2.  On the admissible
 set (two integral inequalities) the constants solve a pair of quadratic
-constraint equations with a unique consistent root, found here by safeguarded
-Newton inside a sign-change bracket.  The first solution minimizes the
-reduced functional J over the admissible set, by descent from Tarantello's
-screened seed, which lies inside that set.  The second is a mountain-pass
-saddle of the full functional I: eliminating the constants through the
-saddle branch of the constraints (lower root of the first quadratic) turns
-it into a plain minimum, reached by descent from the barrier point -- the
-first solution's mean-zero part with the saddle-branch constants.  Both
-descents are preconditioned by a frozen-coefficient inverse Hessian, 2x2 per
-Fourier mode: frozen at the vacuum for the first, at the barrier point for
-the second.
+constraint equations, each branch of which has a unique consistent root,
+found here by safeguarded Newton inside a sign-change bracket.  Both
+solutions are minima of a reduced functional, the constants eliminated
+through one branch, and are found by one solve (_branch_solve: L-BFGS, then
+a Newton/MINRES polish).  The first solution minimizes J, with the upper
+roots, over the admissible set, from Tarantello's screened seed, which lies
+inside that set.  The second is a mountain-pass saddle of the full
+functional I: eliminating the constants through the saddle branch (lower
+root of the first quadratic) turns it into a plain minimum, reached from the
+barrier point -- the first solution's mean-zero part with the saddle-branch
+constants.  Both solves are preconditioned by a frozen-coefficient inverse
+Hessian, 2x2 per Fourier mode: frozen at the vacuum for the first, at the
+barrier point for the second.
 """
 
 from __future__ import annotations
@@ -247,7 +249,9 @@ def _solve_c_branch(maps: _CMaps, saddle: bool,
     saddle=False: X = g1(g2(X)) with both upper roots (the constrained
     minimizer's constants; F(X)/X strictly increasing makes the root unique).
     saddle=True: lower root for the first constraint, upper for the second --
-    the index-1 combination whose c1-curvature is negative.
+    the index-1 combination whose c1-curvature is negative.  Its bracket is
+    closed-form: q1 >= (1-γ) j1 > 0, so the lower root d1/(2 e1 (q1 + r1))
+    never exceeds B = d1 / (2 e1 (1-γ) j1), and F(B) >= 0.
 
     Once F changes sign on [lo, hi], safeguarded Newton runs inside the
     bracket: every evaluation shrinks it, and a step that leaves it is
@@ -265,7 +269,8 @@ def _solve_c_branch(maps: _CMaps, saddle: bool,
         if maps.n == 0 or maps.d1 <= 0.0:
             raise AdmissibilityError(
                 "the saddle branch needs a positive vortex number")
-        lo, hi = 1e-300, _solve_c_branch(maps, saddle=False, newton=newton)[2]
+        lo = 1e-300
+        hi = maps.d1 / (2.0 * maps.s.e1 * (1.0 - maps.gam) * maps.s.j1)
         if f(hi) < 0.0:
             raise AdmissibilityError("saddle branch root not bracketed")
     else:
@@ -502,17 +507,6 @@ class TorusOperator:
         val, gu, gv = self.fun_grad(u, v)
         return val, self.pack(gu, gv) * self.domain.cell_area
 
-    def grad_flat(self, x: np.ndarray) -> np.ndarray:
-        u, v = self.unpack(x)
-        gu, gv = self.gradient(u, v)
-        return self.pack(gu, gv) * self.domain.cell_area
-
-    def hess_vec_flat(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        u, v = self.unpack(x)
-        du, dv = self.unpack(w)
-        hu, hv = self.hess_vec(u, v, du, dv)
-        return self.pack(hu, hv) * self.domain.cell_area
-
     def precond_flat(self, w: np.ndarray) -> np.ndarray:
         """Apply the held inverse symbol: SPD, 2x2 per Fourier mode.
 
@@ -627,9 +621,10 @@ class _BranchReduced:
         self.bg = op.bg
         self.params = op.params
         self.saddle = saddle
-        # (u', v', maps, c1, c2) of the last state whose constants were solved:
-        # the line search asks feasible() and then fun_grad() at one trial
-        # point, and MINRES asks hess_vec() many times at one Newton iterate
+        # (u', v', maps, c1, c2, X0, root iterations) of the last state whose
+        # constants were solved: the line search asks feasible() and then
+        # fun_grad() at one trial point, and MINRES asks hess_vec() many times
+        # at one Newton iterate
         self._memo: Optional[tuple] = None
         # (memo, pointwise Hessian coefficients, 2x2 Hessian in the constants)
         # at that state, shared by the products there
@@ -639,14 +634,15 @@ class _BranchReduced:
         u, v = self.op.unpack(x)
         return _project0(u), _project0(v)
 
-    def _solve(self, up: np.ndarray, vp: np.ndarray) -> Tuple[_CMaps, float, float]:
+    def _solve(self, up: np.ndarray,
+               vp: np.ndarray) -> Tuple[_CMaps, float, float, float, int]:
+        """(maps, c1, c2, X0, iterations) of the branch root at (u', v')."""
         memo = self._memo
         if memo is not None and np.array_equal(memo[0], up) and np.array_equal(memo[1], vp):
             return memo[2:]
         maps = _cmaps(up, vp, self.bg, self.params)
-        c1, c2, _, _ = _solve_c_branch(maps, saddle=self.saddle)
-        self._memo = (up.copy(), vp.copy(), maps, c1, c2)
-        return maps, c1, c2
+        self._memo = (up.copy(), vp.copy(), maps) + _solve_c_branch(maps, saddle=self.saddle)
+        return self._memo[2:]
 
     def feasible(self, x: np.ndarray) -> bool:
         """Admissible, with constants on this branch (solved once, remembered)."""
@@ -658,7 +654,7 @@ class _BranchReduced:
 
     def lift(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         up, vp = self.split(x)
-        _, c1, c2 = self._solve(up, vp)
+        c1, c2 = self._solve(up, vp)[1:3]
         return up + c1, vp + c2
 
     def fun_grad(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -686,7 +682,7 @@ class _BranchReduced:
         once per state and shared by every product there.
         """
         up, vp = self.split(x)
-        maps, c1, c2 = self._solve(up, vp)
+        maps, c1, c2 = self._solve(up, vp)[:3]
         if self._hess is None or self._hess[0] is not self._memo:
             self._hess = (self._memo, self.op.hess_coeffs(up + c1, vp + c2),
                           self._c_hessian(maps, c1, c2))
@@ -778,12 +774,13 @@ def reduced_energy_J(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTor
 
 
 # ---------------------------------------------------------------------------
-# first solution: constrained minimization of J
+# the branch-reduced solve; first solution: constrained minimization of J
 # ---------------------------------------------------------------------------
 
 
 _SEED_TOL, _SEED_MAX_ITER = 1e-9, 80  # the screened seed's Newton solve
-_LBFGS_HANDOVER = 1e4    # L-BFGS hands over to Newton at this multiple of tol
+_LBFGS_HANDOVER = 1e4    # the first solution's L-BFGS hands over at this multiple of tol
+_NEWTON_MAX_ITER = 120   # Newton steps of either branch's polish
 _ENDPOINT_MARGIN = 1.0   # extra drop of the endpoint below the affine bound
 _PROBE_RADIUS, _PROBE_SEED = 1e-2, 0   # the local-minimality probe's sphere
 # Constant shifts u1 + s, geometric in |s| from 0.25 to |c_tilde|, at which the
@@ -800,15 +797,69 @@ class TorusSolveOpts:
     separation: float = 1e-3
 
 
+def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: TorusSolveOpts,
+                  lbfgs_tol: float) -> Tuple[TorusState, dict]:
+    """Minimize red's reduced energy from the mean-zero pair x0.
+
+    L-BFGS, with steps leaving the admissible set rejected, hands over at
+    gradient max-norm lbfgs_tol to a Newton/MINRES polish on the Schur Hessian
+    until the max-norm meets opts.tol; both use the operator's preconditioner
+    as it stands.  The constants sit on red's branch root at every iterate,
+    and the returned state's residuals (info["c_solve"]) are those of that
+    root.  A descent trapped at the admissible-set boundary raises
+    BoundaryTrappingError; a polish that misses opts.tol on the full
+    gradient raises NonConvergenceError carrying the state.
+    """
+    op = red.op
+    dom = op.domain
+    what = "saddle descent" if red.saddle else "first-solution descent"
+    res = minimize_lbfgs(red.fun_grad, x0, precond=op.precond_flat,
+                         feasible=red.feasible, tol_inf=lbfgs_tol * dom.cell_area,
+                         max_iter=opts.max_iter)
+    if res.boundary_trapped and not res.converged:
+        hint = "" if red.saddle else (
+            "; alpha is likely below the existence threshold for this vortex number")
+        raise BoundaryTrappingError(
+            f"{what} trapped at the admissible-set boundary after "
+            f"{res.iterations} iterations ({res.message}){hint}")
+    pol = newton_polish(red.grad, red.hess_vec, res.x, precond=op.precond_flat,
+                        tol_inf=opts.tol * dom.cell_area, max_iter=_NEWTON_MAX_ITER)
+    up, vp = red.split(pol.x)
+    maps, c1, c2, root, root_iters = red._solve(up, vp)
+    u, v = up + c1, vp + c2
+    state = TorusState.from_full(u, v, dom)
+    gu, gv = op.gradient(u, v)
+    grad_inf = max(float(np.max(np.abs(gu))), float(np.max(np.abs(gv))))
+    if grad_inf > opts.tol:
+        raise NonConvergenceError(
+            f"{what} stalled at gradient max-norm {grad_inf:.3e} "
+            f"(target {opts.tol:.3e})", state=state, grad_norm=grad_inf)
+    r1, r2 = constraint_residuals(maps, root, math.exp(c2))
+    energy = op.energy(u, v)
+    return state, {
+        "energy_I": energy,
+        "energies": list(res.energies) + [energy],
+        "grad_inf": grad_inf,
+        "iterations": res.iterations + pol.iterations,
+        "minres_unconverged": pol.minres_unconverged,
+        "minres_iters": pol.minres_iters,
+        "c_solve": CSolve(c1, c2, root, r1, r2, root_iters),
+        "c1": state.c1,
+        "c2": state.c2,
+        "clamp_hit": op.clamp_hit,
+    }
+
+
 def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
                    opts: TorusSolveOpts = TorusSolveOpts()):
     """Constrained first solution on the torus.
 
-    From the screened seed (u' from tarantello_init, v' = 0), descends the
-    reduced energy over mean-zero pairs (steps leaving the admissible set
-    are rejected with halved length), then polishes the full pair
-    (constants included) with Newton/MINRES until the gradient max-norm
-    meets opts.tol.  info["iterations"] counts L-BFGS and Newton steps.
+    From the screened seed (u' from tarantello_init, v' = 0), minimizes the
+    reduced energy J over mean-zero pairs, the constants on the upper-branch
+    root at every iterate (_branch_solve: L-BFGS, then a Newton/MINRES
+    polish until the gradient max-norm meets opts.tol).  info["iterations"]
+    counts L-BFGS and Newton steps; info["energy_J"] is the closed-form
+    reduced energy, an independent check of info["energy_I"].
     """
     params.require_torus_mode()
     if domain.kind != "torus":
@@ -821,7 +872,6 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
             f"necessary condition fails: alpha*beta*|Omega| - 8*pi*n = {feas.margin:.6g} < 0",
             margin=feas.margin)
     op = TorusOperator(bg, params)
-    red = _BranchReduced(op, saddle=False)
 
     up0 = _project0(tarantello_init(params, bg, opts.lam_t))
     vp0 = np.zeros(domain.shape)
@@ -832,50 +882,16 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
             f"(margins {m1:.3e}, {m2:.3e}); try a larger lam_t",
             constraint="first" if m1 < 0 else "second")
 
-    x0 = op.pack(up0, vp0)
-    tol_flat = opts.tol * domain.cell_area
-    res = minimize_lbfgs(red.fun_grad, x0, precond=op.precond_flat,
-                         feasible=red.feasible, tol_inf=tol_flat * _LBFGS_HANDOVER,
-                         max_iter=opts.max_iter)
-    if res.boundary_trapped and not res.converged:
-        raise BoundaryTrappingError(
-            "descent step length underflowed at the admissible-set boundary; "
-            "alpha is likely below the existence threshold for this vortex number")
-    energies = list(res.energies)
-    up, vp = red.split(res.x)
-    cs = solve_c(up, vp, bg, params)
-    x_full = op.pack(up + cs.c1, vp + cs.c2)
-    pol = newton_polish(op.grad_flat, op.hess_vec_flat, x_full,
-                        precond=op.precond_flat, tol_inf=tol_flat)
-    grad_inf = float(np.max(np.abs(pol.g))) / domain.cell_area
-    u, v = op.unpack(pol.x)
-    state = TorusState.from_full(u, v, domain)
-    if grad_inf > opts.tol:
-        raise NonConvergenceError(
-            f"torus solve stalled at gradient max-norm {grad_inf:.3e} "
-            f"(target {opts.tol:.3e})", state=state, grad_norm=grad_inf)
-    if not admissible(state.u_prime, state.v_prime, bg, params):
-        raise AdmissibilityError("polished solution left the admissible set")
-    cs_final = solve_c(state.u_prime, state.v_prime, bg, params)
-    energies.append(op.energy(u, v))
-    info = {
+    state, info = _branch_solve(_BranchReduced(op, saddle=False), op.pack(up0, vp0),
+                                opts, opts.tol * _LBFGS_HANDOVER)
+    info.update({
         "bg": bg,
         "operator": op,
         "feasibility": feas,
-        "energy_I": op.energy(u, v),
         "energy_J": reduced_energy_J(state.u_prime, state.v_prime, bg, params),
-        "grad_inf": grad_inf,
-        "iterations": res.iterations + pol.iterations,
-        "minres_unconverged": pol.minres_unconverged,
-        "minres_iters": pol.minres_iters,
-        "energies": energies,
-        "c_solve": cs_final,
-        "c1": state.c1,
-        "c2": state.c2,
         "wall_time": time.perf_counter() - t0,
-        "clamp_hit": op.clamp_hit,
         "vortex_mask": vortex_node_mask(vortices, domain),
-    }
+    })
     return state, info
 
 
@@ -890,13 +906,14 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
     The endpoint (u1 + c_tilde, v1) is fixed by the affine upper bound for
     constant shifts, so that it sits more than one unit below the first
     solution's energy.  The saddle is the plain minimum of the saddle-branch
-    reduced energy (see _BranchReduced); L-BFGS descends it from the barrier
-    point, the first solution's mean-zero part lifted by the saddle-branch
-    constants, and a Newton/MINRES polish closes the gradient.  Both use the
-    operator's preconditioner frozen once at the lifted barrier point
-    (TorusOperator.precondition_at), where P = e^{u0+u} is far from the
-    vacuum value 1 that preconditions the first solution.  Certificates
-    in info: probe_margin (> 0 when the first solution is a local minimum),
+    reduced energy (see _BranchReduced), found by _branch_solve from the
+    barrier point, the first solution's mean-zero part lifted by the
+    saddle-branch constants; info["c_solve"] certifies those constants.  The
+    solve uses the operator's preconditioner frozen once at the lifted
+    barrier point (TorusOperator.precondition_at), where P = e^{u0+u} is far
+    from the vacuum value 1 that preconditions the first solution.  A descent
+    trapped at the admissible-set boundary raises BoundaryTrappingError.
+    Certificates in info: probe_margin (> 0 when the first solution is a local minimum),
     endpoint_energy, and path_max_energy, the highest sampled energy on the
     straight path of constant shifts to the endpoint, which bounds the
     mountain-pass level from above.
@@ -939,37 +956,16 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
     saddle = _BranchReduced(op, saddle=True)
     x_barrier = op.pack(first.u_prime, first.v_prime)
     op.precondition_at(*saddle.lift(x_barrier))
-    res = minimize_lbfgs(saddle.fun_grad, x_barrier, precond=op.precond_flat,
-                         feasible=saddle.feasible,
-                         tol_inf=max(opts.tol, 1e-6) * dom.cell_area * 100.0,
-                         max_iter=opts.max_iter)
-    pol = newton_polish(saddle.grad, saddle.hess_vec, res.x,
-                        precond=op.precond_flat, tol_inf=opts.tol * dom.cell_area,
-                        max_iter=120)
-    u2, v2 = saddle.lift(pol.x)
-    gu, gv = op.gradient(u2, v2)
-    grad_inf = max(float(np.max(np.abs(gu))), float(np.max(np.abs(gv))))
-    if grad_inf > opts.tol:
-        raise NonConvergenceError(
-            f"mountain-pass polish stalled at gradient max-norm {grad_inf:.3e}",
-            grad_norm=grad_inf)
-    second = TorusState.from_full(u2, v2, dom)
-    sep = w12_norm(u2 - u1, v2 - v1, dom)
+    second, info = _branch_solve(saddle, x_barrier, opts, max(opts.tol, 1e-6) * 100.0)
+    sep = w12_norm(second.u - u1, second.v - v1, dom)
     if sep < opts.separation:
         raise MountainPassCollapseError(
             f"saddle descent collapsed onto the first solution (separation {sep:.3e} < "
             f"{opts.separation:g}): no second solution found at these parameters")
-    e_second = op.energy(u2, v2)
-    cs = solve_c(second.u_prime, second.v_prime, bg, params)
-    info = {
+    info.update({
         "bg": bg,
         "operator": op,
-        "energy_I": e_second,
         "energy_first": e_first,
-        "grad_inf": grad_inf,
-        "iterations": res.iterations + pol.iterations,
-        "minres_unconverged": pol.minres_unconverged,
-        "minres_iters": pol.minres_iters,
         "separation": sep,
         "probe_margin": probe_margin,
         "c_tilde": c_tilde,
@@ -977,10 +973,6 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
         "path_max_energy": path_max,
         # always empty; bench/workloads.py reads its length
         "relax_trace": [],
-        "c_solve": cs,
-        "c1": second.c1,
-        "c2": second.c2,
         "wall_time": time.perf_counter() - t0,
-        "clamp_hit": op.clamp_hit,
-    }
+    })
     return second, info

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import csvortex.torus as torus_mod
+
 from csvortex.background import VortexSet, torus_background
 from csvortex.errors import AdmissibilityError, ConfigError
 from csvortex.fields import GridDomain, integrate_values
@@ -252,14 +254,23 @@ class TestRootProperties:
         assert a.root == roots[False]
         assert abs(a.root - b.root) <= 1e-12 * a.root
 
-    def test_saddle_root_without_cancellation(self, setup):
+    def test_saddle_root_without_cancellation(self, setup, monkeypatch):
         # at the zero state the saddle root is about 1e-3 of the upper one,
         # where q - √(q² - d) would cancel to |F(X)| ≈ 4e-14·X
         dom, bg, _ = setup
         params = ModelParams(alpha=10.0, beta=40.0, sigma=5.0)
         z = np.zeros(dom.shape)
         maps = _cmaps(z, z, bg, params)
-        x = _solve_c_branch(maps, saddle=True)[2]
+        # the bracket is closed-form: no nested upper-branch solve
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return _solve_c_branch(*args, **kwargs)
+
+        monkeypatch.setattr(torus_mod, "_solve_c_branch", counted)
+        x = torus_mod._solve_c_branch(maps, saddle=True)[2]
+        assert len(calls) == 1
         assert abs(maps.f(x, -1.0)) <= 8.0 * np.finfo(float).eps * x
 
 

@@ -11,6 +11,7 @@ from csvortex.background import VortexSet, torus_background
 from csvortex.cli import main
 from csvortex.diagnostics import max_principle_check, quantized_integrals_torus
 from csvortex.errors import (
+    BoundaryTrappingError,
     InfeasibleError,
     MountainPassCollapseError,
     NonConvergenceError,
@@ -136,8 +137,12 @@ class TestEnergyGradient:
         d = rng.standard_normal(x.size)
         d /= np.linalg.norm(d)
         t = 1e-6
-        fd = (op.grad_flat(x + t * d) - op.grad_flat(x - t * d)) / (2 * t)
-        hv = op.hess_vec_flat(x, d)
+        u, v = op.unpack(x)
+        du, dv = op.unpack(d)
+        gp = op.pack(*op.gradient(u + t * du, v + t * dv))
+        gm = op.pack(*op.gradient(u - t * du, v - t * dv))
+        fd = (gp - gm) / (2 * t)
+        hv = op.pack(*op.hess_vec(u, v, du, dv))
         assert np.max(np.abs(fd - hv)) <= 1e-6 * np.max(np.abs(hv))
 
 
@@ -261,9 +266,13 @@ class TestMinimizeTorus:
         assert all(e2 <= e1 + 1e-10 for e1, e2 in zip(es, es[1:]))
 
     def test_constraint_residuals(self, first_solution):
-        cs = first_solution[1]["c_solve"]
+        state, info = first_solution
+        cs = info["c_solve"]
         assert cs.residual_1 <= 1e-10
         assert cs.residual_2 <= 1e-10
+        # the residuals certify the solution's own constants
+        assert cs.c1 == pytest.approx(state.c1, abs=1e-12)
+        assert cs.c2 == pytest.approx(state.c2, abs=1e-12)
 
     def test_max_principle(self, first_solution, setup):
         dom, vs, bg, params = setup
@@ -314,6 +323,40 @@ class TestMountainPass:
         # energy on the straight path of constant shifts to the endpoint
         assert info2["energy_first"] < info2["energy_I"] <= info2["path_max_energy"]
         assert info2["relax_trace"] == []
+        # the constraint residuals certify the saddle-branch constants, not
+        # the upper-branch root of the same mean-zero pair
+        cs = info2["c_solve"]
+        assert cs.c1 == pytest.approx(second.c1, abs=1e-12)
+        assert cs.c2 == pytest.approx(second.c2, abs=1e-12)
+        assert cs.residual_1 <= 1e-10
+        assert cs.residual_2 <= 1e-10
+
+    def test_trapped_saddle_descent(self, tmp_path, capsys):
+        # here the first solution converges, but the saddle descent stops
+        # against the admissible-set boundary after a dozen iterations
+        dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 32, 32)
+        params = ModelParams(alpha=30.0, beta=45.0, sigma=2.0)
+        centres = [(1.0, 1.0), (4.0, 4.0), (2.0, 5.0)]
+        opts = TorusSolveOpts(tol=1e-9)
+        first, info = minimize_torus(params, VortexSet.single(centres), dom, opts)
+        with pytest.raises(BoundaryTrappingError) as err:
+            mountain_pass(params, first, opts, bg=info["bg"])
+        assert "saddle descent" in str(err.value)
+        assert "threshold" not in str(err.value)
+        cfg = {
+            "schema_version": 1,
+            "mode": "torus",
+            "params": {"alpha": 30.0, "beta": 45.0, "sigma": 2.0},
+            "domain": {"kind": "torus", "periods": [2 * np.pi, 2 * np.pi],
+                       "n": [32, 32]},
+            "vortices": [{"species": 0, "x": x, "y": y} for x, y in centres],
+            "opts": {"tol": 1e-9},
+        }
+        path = tmp_path / "trapped.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve-torus", "--config", str(path), "--out",
+                     str(tmp_path / "run"), "--second-solution"]) == 3
+        assert "saddle descent" in capsys.readouterr().out
 
     def test_frozen_preconditioner_work(self, small):
         # the vacuum-preconditioned descent took 364 iterations here
