@@ -26,9 +26,12 @@ import numpy as np
 from scipy.fft import fftn, ifftn
 
 from .errors import ConfigError, DomainError
-from .fields import GridDomain, ScalarField, laplacian_values, poisson_solve_torus
+from .fields import GridDomain, laplacian_values, poisson_solve_torus
 
 Point = Tuple[float, float, int]  # (x, y, multiplicity)
+
+# width of the spectral Gaussian smoothing each torus point load, in cells
+_LOAD_WIDTH_CELLS = 4.0
 
 
 @dataclass(frozen=True)
@@ -108,20 +111,12 @@ class BackgroundPlane:
     h: Tuple[np.ndarray, ...] = field(init=False, repr=False)
     u0_pad: Tuple[np.ndarray, ...] = field(init=False, repr=False)
     u0_grid: Tuple[np.ndarray, ...] = field(init=False, repr=False)
-    u0_sum: np.ndarray = field(init=False, repr=False)       # Σ_k u_k0
     u0_grid_sum: np.ndarray = field(init=False, repr=False)  # Σ_k u0_grid_k
 
     def __post_init__(self):
         for name in ("u0", "h", "u0_pad", "u0_grid"):
             object.__setattr__(self, name, tuple(getattr(self, name + "_stack")))
-        object.__setattr__(self, "u0_sum", np.sum(self.u0_stack, axis=0))
         object.__setattr__(self, "u0_grid_sum", np.sum(self.u0_grid_stack, axis=0))
-
-    def u0_field(self, i: int) -> ScalarField:
-        return ScalarField(self.domain, self.u0[i])
-
-    def h_field(self, i: int) -> ScalarField:
-        return ScalarField(self.domain, self.h[i])
 
 
 @dataclass(frozen=True)
@@ -132,9 +127,6 @@ class BackgroundTorus:
     n: int
     u0: np.ndarray
     load: np.ndarray = field(repr=False, default=None)
-
-    def u0_field(self) -> ScalarField:
-        return ScalarField(self.domain, self.u0)
 
     def residual(self) -> float:
         """Max-norm of Δu0 - load; closes to round-off by construction."""
@@ -210,19 +202,18 @@ def _consistent_profiles(load: np.ndarray, h: np.ndarray, u0_pad: np.ndarray,
     return box_shifted_inverse(ring_term - rhs, domain, 1.0, 0.0)
 
 
-def torus_background(vortices: VortexSet, domain: GridDomain,
-                     width_cells: float = 4.0) -> BackgroundTorus:
+def torus_background(vortices: VortexSet, domain: GridDomain) -> BackgroundTorus:
     """Solve the discrete mean-zero background problem on the torus.
 
     Each point source is a nearest-node Kronecker load smoothed by a spectral
-    Gaussian of width ``width_cells`` grid cells.  The smoothing keeps the
+    Gaussian _LOAD_WIDTH_CELLS grid cells wide.  The smoothing keeps the
     total weight and the node-centering exactly (the k=0 mode is untouched)
     while removing the near-Nyquist content a bare one-node load would imprint
     on u0 through the 1/k^2 inverse: that content rings globally at the 1e-3
     level and breaks the pointwise amplitude bounds of the computed solutions;
     at width 4 the residual ringing sits at machine epsilon.  The discrete
     system stays exactly self-consistent because the solver sees the same
-    load.  Width 0 recovers the bare one-node load.
+    load.
     """
     if domain.kind != "torus":
         raise DomainError("torus background requires a torus domain")
@@ -235,13 +226,12 @@ def torus_background(vortices: VortexSet, domain: GridDomain,
         i = int(round(x / domain.h1)) % domain.n1
         j = int(round(y / domain.h2)) % domain.n2
         load[i, j] += 8.0 * np.pi * m / domain.cell_area
-    if width_cells > 0:
-        kx = 2.0 * np.pi * np.fft.fftfreq(domain.n1, d=domain.h1)
-        ky = 2.0 * np.pi * np.fft.fftfreq(domain.n2, d=domain.h2)
-        s1 = width_cells * domain.h1
-        s2 = width_cells * domain.h2
-        damp = np.exp(-(kx[:, None] ** 2 * s1**2 + ky[None, :] ** 2 * s2**2) / 2.0)
-        load = np.real(ifftn(fftn(load) * damp))
+    kx = 2.0 * np.pi * np.fft.fftfreq(domain.n1, d=domain.h1)
+    ky = 2.0 * np.pi * np.fft.fftfreq(domain.n2, d=domain.h2)
+    s1 = _LOAD_WIDTH_CELLS * domain.h1
+    s2 = _LOAD_WIDTH_CELLS * domain.h2
+    damp = np.exp(-(kx[:, None] ** 2 * s1**2 + ky[None, :] ** 2 * s2**2) / 2.0)
+    load = np.real(ifftn(fftn(load) * damp))
     u0 = poisson_solve_torus(load, domain)
     return BackgroundTorus(domain, n, u0, load)
 

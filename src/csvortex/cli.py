@@ -1,6 +1,9 @@
 """Command line front end: run the solvers, verify stored solutions.
 
-Subcommands: solve-plane, solve-torus, verify, decay-fit.
+Subcommands: solve-plane, solve-torus, verify, decay-fit.  One pass over the
+fields a solve writes (_field_report) computes every field diagnostic:
+verify writes exactly that pass over the stored fields, and a solve report
+is that pass over the written fields plus the solver's record of the run.
 Exit codes: 0 all checks pass, 1 malformed config, usage error or missing
 files, 2 diagnostic failure, 3 solver non-convergence, 4 infeasible
 parameters.
@@ -84,81 +87,74 @@ def _read_values(path: str, domain: GridDomain) -> np.ndarray:
     return field.values
 
 
-def _solver_counts(rep: diag.SolveReport, info: dict) -> None:
-    """Report keys for the solve's inner work and silent events."""
-    for key in ("minres_iters", "minres_unconverged", "clamp_hit"):
-        rep.extra[key] = info[key]
+def _write_fields(out: str, domain: GridDomain, fields) -> None:
+    """Write each (name, values) pair to <out>/<name>.bin."""
+    for name, values in fields:
+        write_field(os.path.join(out, f"{name}.bin"), ScalarField(domain, values))
 
 
-def _plane_report(cfg: RunConfig, state: PlaneState, info: dict,
-                  include_decay: bool = True) -> diag.SolveReport:
+def _field_report(cfg: RunConfig, op, mode: str, fields) -> diag.SolveReport:
+    """Every diagnostic that the fields of one solution determine.
+
+    ``fields`` are the arrays a solve writes and verify reads back: (state,
+    u, u_list) on the plane, the full pair (u, v) on the torus, split once
+    into its mean-zero part and constants.  ``op`` is the solver's operator
+    or one built from the config; its background supplies u0.  The report
+    holds no solver record and no timing.
+    """
     params, domain = cfg.params, cfg.domain
-    op: PlaneOperator = info["operator"]
-    u, u_list = info["u"], info["u_list"]
-    mask = info["vortex_mask"]
-    rep = diag.SolveReport(mode="plane")
-    rep.energy = info["energy"]
-    rep.grad_norm = info["grad_inf"]
-    rep.iterations = info["iterations"]
-    rep.wall_time = info["wall_time"]
-    rep.quantized = diag.quantized_integrals_plane(u, u_list, params, domain,
-                                                   cfg.vortices.counts)
-    rep.pde_residual_same = pde_residual_same_op(state, op)
-    rep.pde_residual_fourth = pde_residual_fourth(state, op, exclude=mask)
-    if include_decay:
-        try:
-            rep.decay = diag.decay_fit(u, u_list, params, domain,
-                                       center=cfg.decay_center)
-        except DiagnosticFailure:
-            rep.decay = None
-    neg = diag.max_principle_check(u, np.zeros_like(u), exclude=mask)[0]
-    rep.max_principle = [diag.BoundCheck("u", neg.status, neg.worst, neg.node)]
-    rep.extra["lambda_bg"] = params.lambda_bg
-    _solver_counts(rep, info)
-    return rep
-
-
-def _torus_report(cfg: RunConfig, state: TorusState, info: dict,
-                  label: str = "") -> diag.SolveReport:
-    params, domain = cfg.params, cfg.domain
-    bg = info["bg"]
-    op: TorusOperator = info["operator"]
-    big_u, big_v = reconstruct_original(state, bg)
     mask = vortex_node_mask(cfg.vortices, domain)
-    rep = diag.SolveReport(mode="torus" + label)
-    rep.energy = info["energy_I"]
-    rep.grad_norm = info["grad_inf"]
-    rep.iterations = info.get("iterations", 0)
-    rep.wall_time = info["wall_time"]
+    rep = diag.SolveReport(mode=mode)
+    if cfg.mode == "plane":
+        state, u, u_list = fields
+        rep.energy = op.energy(state)
+        rep.grad_norm = float(np.max(np.abs(op.gradient(state).pack())))
+        rep.quantized = diag.quantized_integrals_plane(u, u_list, params, domain,
+                                                       cfg.vortices.counts)
+        rep.pde_residual_same = pde_residual_same_op(state, op)
+        rep.pde_residual_fourth = pde_residual_fourth(state, op, exclude=mask)
+        neg = diag.max_principle_check(u, np.zeros_like(u), exclude=mask)[0]
+        rep.max_principle = [diag.BoundCheck("u", neg.status, neg.worst, neg.node)]
+        return rep
+    u, v = fields
+    bg = op.bg
+    state = TorusState.from_full(u, v, domain)
+    big_u, big_v = reconstruct_original(state, bg)
+    rep.energy = op.energy(u, v)
+    gu, gv = op.gradient(u, v)
+    rep.grad_norm = max(float(np.max(np.abs(gu))), float(np.max(np.abs(gv))))
+    rep.pde_residual_same = rep.grad_norm
     rep.feasibility_margin = feasibility(params, bg.n, domain.area).margin
     rep.quantized = diag.quantized_integrals_torus(big_u, big_v, params, domain, bg.n)
-    gu, gv = op.gradient(state.u, state.v)
-    rep.pde_residual_same = max(float(np.max(np.abs(gu))), float(np.max(np.abs(gv))))
     rep.pde_residual_fourth = pde_residual_fourth_torus(
-        state.u, state.v, bg, params, exclude=vortex_node_mask(cfg.vortices, domain,
-                                                               halo=3))
+        u, v, bg, params, exclude=vortex_node_mask(cfg.vortices, domain, halo=3))
     rep.max_principle = diag.max_principle_check(big_u, big_v, exclude=mask)
-    cs = info["c_solve"]
     m1, m2 = admissibility_margins(state.u_prime, state.v_prime, bg, params)
-    rep.extra["admissible_margin_1"] = m1
-    rep.extra["admissible_margin_2"] = m2
-    rep.extra["c1"] = state.c1
-    rep.extra["c2"] = state.c2
-    rep.extra["constraint_residual_1"] = cs.residual_1
-    rep.extra["constraint_residual_2"] = cs.residual_2
-    if "energy_J" in info:
-        rep.extra["energy_J"] = info["energy_J"]
-    if "separation" in info:
-        rep.extra["separation"] = info["separation"]
-        rep.extra["energy_first"] = info["energy_first"]
-        rep.extra["path_max_energy"] = info["path_max_energy"]
-    _solver_counts(rep, info)
+    rep.extra.update(admissible_margin_1=m1, admissible_margin_2=m2,
+                     c1=state.c1, c2=state.c2)
     return rep
 
 
-def _emit(report: diag.SolveReport, out: str, name: str, timing: bool = True) -> None:
+def _solve_report(cfg: RunConfig, mode: str, fields, info: dict,
+                  **record) -> diag.SolveReport:
+    """The field report of a solve's output plus the solver's record of the run."""
+    rep = _field_report(cfg, info["operator"], mode, fields)
+    rep.iterations = info["iterations"]
+    rep.wall_time = info["wall_time"]
+    for key in ("minres_iters", "minres_unconverged", "clamp_hit"):
+        rep.extra[key] = info[key]
+    rep.extra.update(record)
+    return rep
+
+
+def _emit(rep: diag.SolveReport, cfg: RunConfig, out: str, name: str,
+          timing: bool = True) -> List[str]:
+    """Write a report; return the names of its checks that fail the config's
+    tolerances."""
     with open(os.path.join(out, name), "w") as fh:
-        fh.write(report.to_text(include_timing=timing))
+        fh.write(rep.to_text(include_timing=timing))
+    return rep.failures(cfg.quantized_tol, max(cfg.opts.residual_tol,
+                                               10.0 * cfg.opts.tol))
 
 
 def cmd_solve_plane(cfg: RunConfig) -> int:
@@ -166,18 +162,21 @@ def cmd_solve_plane(cfg: RunConfig) -> int:
     opts = PlaneSolveOpts(tol=cfg.opts.tol, max_iter=cfg.opts.max_iter)
     state, info = solve_plane(cfg.params, cfg.vortices, cfg.domain, opts)
     u, u_list = info["u"], info["u_list"]
-    write_field(os.path.join(out, "f.bin"), ScalarField(cfg.domain, state.f))
-    write_field(os.path.join(out, "u.bin"), ScalarField(cfg.domain, u))
-    for i, (fi, ui) in enumerate(zip(state.f_i, u_list)):
-        write_field(os.path.join(out, f"f_{i}.bin"), ScalarField(cfg.domain, fi))
-        write_field(os.path.join(out, f"u_{i}.bin"), ScalarField(cfg.domain, ui))
-    rep = _plane_report(cfg, state, info)
-    _emit(rep, out, "report.txt")
+    _write_fields(out, cfg.domain,
+                  [("f", state.f), ("u", u)]
+                  + [(f"f_{i}", fi) for i, fi in enumerate(state.f_i)]
+                  + [(f"u_{i}", ui) for i, ui in enumerate(u_list)])
+    rep = _solve_report(cfg, "plane", (state, u, u_list), info,
+                        lambda_bg=cfg.params.lambda_bg)
+    try:
+        rep.decay = diag.decay_fit(u, u_list, cfg.params, cfg.domain,
+                                   center=cfg.decay_center)
+    except DiagnosticFailure:
+        pass
+    bad = _emit(rep, cfg, out, "report.txt")
     write_csv(os.path.join(out, "u.csv"), ScalarField(cfg.domain, u))
     if rep.decay is not None:
         _write_rays_csv(os.path.join(out, "decay_rays.csv"), rep.decay)
-    bad = rep.failures(cfg.quantized_tol, max(cfg.opts.residual_tol,
-                                              10.0 * cfg.opts.tol))
     if bad:
         print("FAIL: " + ", ".join(bad))
         return EXIT_DIAGNOSTIC
@@ -189,28 +188,29 @@ def cmd_solve_torus(cfg: RunConfig) -> int:
     out = resolve_out_dir(cfg.opts)
     opts = TorusSolveOpts(tol=cfg.opts.tol, max_iter=cfg.opts.max_iter,
                           lam_t=cfg.opts.lam_t, separation=cfg.opts.separation)
+
+    def finish(state: TorusState, info: dict, suffix: str, mode: str, name: str,
+               **record) -> List[str]:
+        big_u, big_v = reconstruct_original(state, info["bg"])
+        _write_fields(out, cfg.domain, [(f"{key}{suffix}", arr) for key, arr in (
+            ("u", state.u), ("v", state.v), ("U", big_u), ("V", big_v))])
+        cs = info["c_solve"]
+        rep = _solve_report(cfg, mode, (state.u, state.v), info,
+                            constraint_residual_1=cs.residual_1,
+                            constraint_residual_2=cs.residual_2, **record)
+        return _emit(rep, cfg, out, name)
+
     state, info = minimize_torus(cfg.params, cfg.vortices, cfg.domain, opts)
-    big_u, big_v = reconstruct_original(state, info["bg"])
-    for name, arr in (("u", state.u), ("v", state.v), ("U", big_u), ("V", big_v)):
-        write_field(os.path.join(out, f"{name}.bin"), ScalarField(cfg.domain, arr))
-    rep = _torus_report(cfg, state, info)
-    _emit(rep, out, "report.txt")
     codes = [EXIT_OK]
-    bad = rep.failures(cfg.quantized_tol, max(cfg.opts.residual_tol,
-                                              10.0 * cfg.opts.tol))
+    bad = finish(state, info, "", "torus", "report.txt", energy_J=info["energy_J"])
     if bad:
         print("FAIL(first): " + ", ".join(bad))
         codes.append(EXIT_DIAGNOSTIC)
     if cfg.opts.second_solution:
         second, info2 = mountain_pass(cfg.params, state, opts, bg=info["bg"])
-        big_u2, big_v2 = reconstruct_original(second, info2["bg"])
-        for name, arr in (("u2", second.u), ("v2", second.v),
-                          ("U2", big_u2), ("V2", big_v2)):
-            write_field(os.path.join(out, f"{name}.bin"), ScalarField(cfg.domain, arr))
-        rep2 = _torus_report(cfg, second, info2, label="-second")
-        _emit(rep2, out, "report_second.txt")
-        bad2 = rep2.failures(cfg.quantized_tol, max(cfg.opts.residual_tol,
-                                                    10.0 * cfg.opts.tol))
+        bad2 = finish(second, info2, "2", "torus-second", "report_second.txt",
+                      separation=info2["separation"], energy_first=info2["energy_first"],
+                      path_max_energy=info2["path_max_energy"])
         if info2["energy_I"] <= info2["energy_first"]:
             bad2.append("energy_ordering")
         if bad2:
@@ -221,55 +221,31 @@ def cmd_solve_torus(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    """Recompute diagnostics from stored fields; byte-stable for fixed inputs."""
+    """Recompute the field diagnostics from stored fields; byte-stable for
+    fixed inputs."""
     out = resolve_out_dir(cfg.opts)
+    species = range(cfg.params.species)
 
     def load(name: str) -> np.ndarray:
         return _read_values(os.path.join(out, name), cfg.domain)
 
     try:
         if cfg.mode == "plane":
-            u = load("u.bin")
-            f = load("f.bin")
-            f_list = [load(f"f_{i}.bin") for i in range(cfg.params.species)]
-            u_list = [load(f"u_{i}.bin") for i in range(cfg.params.species)]
+            state = PlaneState(cfg.domain, load("f.bin"),
+                               tuple(load(f"f_{i}.bin") for i in species))
+            fields = (state, load("u.bin"), [load(f"u_{i}.bin") for i in species])
         else:
-            u = load("u.bin")
-            v = load("v.bin")
+            fields = (load("u.bin"), load("v.bin"))
     except (FileNotFoundError, DomainError) as exc:
         print(f"error: {exc}")
         return EXIT_CONFIG
-    mask = vortex_node_mask(cfg.vortices, cfg.domain)
-    rep = diag.SolveReport(mode=f"{cfg.mode}-verify")
     if cfg.mode == "plane":
-        bg = plane_background(cfg.vortices, cfg.params.lambda_bg, cfg.domain)
-        op = PlaneOperator(bg, cfg.params)
-        state = PlaneState(cfg.domain, f, tuple(f_list))
-        rep.energy = op.energy(state)
-        rep.grad_norm = float(np.max(np.abs(op.gradient(state).pack())))
-        rep.quantized = diag.quantized_integrals_plane(u, u_list, cfg.params,
-                                                       cfg.domain, cfg.vortices.counts)
-        rep.pde_residual_same = pde_residual_same_op(state, op)
-        rep.pde_residual_fourth = pde_residual_fourth(state, op, exclude=mask)
-        neg = diag.max_principle_check(u, np.zeros_like(u), exclude=mask)[0]
-        rep.max_principle = [diag.BoundCheck("u", neg.status, neg.worst, neg.node)]
+        op = PlaneOperator(plane_background(cfg.vortices, cfg.params.lambda_bg,
+                                            cfg.domain), cfg.params)
     else:
-        bg = torus_background(cfg.vortices, cfg.domain)
-        op = TorusOperator(bg, cfg.params)
-        rep.energy = op.energy(u, v)
-        gu, gv = op.gradient(u, v)
-        rep.pde_residual_same = max(float(np.max(np.abs(gu))),
-                                    float(np.max(np.abs(gv))))
-        rep.grad_norm = rep.pde_residual_same
-        state = TorusState.from_full(u, v, cfg.domain)
-        big_u, big_v = reconstruct_original(state, bg)
-        rep.feasibility_margin = feasibility(cfg.params, bg.n, cfg.domain.area).margin
-        rep.quantized = diag.quantized_integrals_torus(big_u, big_v, cfg.params,
-                                                       cfg.domain, bg.n)
-        rep.max_principle = diag.max_principle_check(big_u, big_v, exclude=mask)
-    _emit(rep, out, "verify_report.txt", timing=False)
-    bad = rep.failures(cfg.quantized_tol, max(cfg.opts.residual_tol,
-                                              10.0 * cfg.opts.tol))
+        op = TorusOperator(torus_background(cfg.vortices, cfg.domain), cfg.params)
+    bad = _emit(_field_report(cfg, op, f"{cfg.mode}-verify", fields), cfg, out,
+                "verify_report.txt", timing=False)
     if bad:
         print("FAIL: " + ", ".join(bad))
         return EXIT_DIAGNOSTIC
@@ -289,7 +265,7 @@ def cmd_decay_fit(cfg: RunConfig) -> int:
     fit = diag.decay_fit(u, u_list, cfg.params, cfg.domain, center=cfg.decay_center)
     rep = diag.SolveReport(mode="decay-fit")
     rep.decay = fit
-    _emit(rep, out, "decay_report.txt", timing=False)
+    _emit(rep, cfg, out, "decay_report.txt", timing=False)
     _write_rays_csv(os.path.join(out, "decay_rays.csv"), fit)
     print(f"slope = {fit.slope:.6f}, bound rate = {-fit.expected_m:.6f}, "
           f"rel_dev = {fit.rel_dev:.3f}")

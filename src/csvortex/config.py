@@ -142,9 +142,8 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
         raise ConfigError("plane mode requires a box domain")
     if mode == "torus" and kind != "torus":
         raise ConfigError("torus mode requires a torus domain")
-    grid_override = overrides.get("grid")
     if kind == "box":
-        n = int(grid_override or d.get("n", DEFAULTS["plane_grid"]))
+        n = int(overrides.get("grid", d.get("n", DEFAULTS["plane_grid"])))
         half = d.get("half_width")
         half = float(half) if half is not None else _auto_half_width(params, vortices)
         domain = GridDomain.box(half, n)
@@ -155,16 +154,16 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
         nn = d.get("n", [DEFAULTS["torus_grid"], DEFAULTS["torus_grid"]])
         if isinstance(nn, int):
             nn = [nn, nn]
-        if grid_override:
-            nn = [int(grid_override), int(grid_override)]
+        if "grid" in overrides:
+            nn = [int(overrides["grid"])] * 2
         domain = GridDomain.torus(float(periods[0]), float(periods[1]),
                                   int(nn[0]), int(nn[1]))
     vortices.validate_in(domain)
 
     o = raw.get("opts", {})
     opts = RunOpts(
-        tol=float(overrides.get("tol") or o.get("tol", DEFAULTS["tol"])),
-        max_iter=int(overrides.get("max_iter") or o.get("max_iter", DEFAULTS["max_iter"])),
+        tol=float(overrides.get("tol", o.get("tol", DEFAULTS["tol"]))),
+        max_iter=int(overrides.get("max_iter", o.get("max_iter", DEFAULTS["max_iter"]))),
         second_solution=bool(overrides.get("second_solution",
                                            o.get("second_solution", False))),
         lam_t=(None if o.get("lam_t") is None else float(o["lam_t"])),
@@ -172,8 +171,12 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
         quantized_tol=(None if o.get("quantized_tol") is None
                        else float(o["quantized_tol"])),
         residual_tol=float(o.get("residual_tol", DEFAULTS["residual_tol"])),
-        out_dir=str(overrides.get("out") or o.get("out_dir", ".")),
+        out_dir=str(overrides.get("out", o.get("out_dir", "."))),
     )
+    if not opts.tol > 0:
+        raise ConfigError(f"tol must be positive, got {opts.tol!r}")
+    if opts.max_iter < 1:
+        raise ConfigError(f"max_iter must be at least 1, got {opts.max_iter!r}")
     if mode == "torus":
         params.require_torus_mode()
     center = raw.get("decay_center", [0.0, 0.0])

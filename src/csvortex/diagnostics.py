@@ -18,6 +18,11 @@ from .errors import DiagnosticFailure
 from .fields import GridDomain, exp_clip, integrate_values
 from .model import ModelParams
 
+# rays of the radial decay fit
+_DECAY_RAYS = 64
+# strictness band of the maximum-principle bounds: values above it fail
+_STRICT = 1e-12
+
 
 @dataclass(frozen=True)
 class QuantizedIntegral:
@@ -110,8 +115,7 @@ def _bilinear(values: np.ndarray, domain: GridDomain, xs: np.ndarray,
 
 def decay_fit(u: np.ndarray, u_list: Sequence[np.ndarray], params: ModelParams,
               domain: GridDomain, center: Tuple[float, float] = (0.0, 0.0),
-              annulus: Tuple[float, float] = (0.5, 0.8),
-              n_rays: int = 64) -> DecayFit:
+              annulus: Tuple[float, float] = (0.5, 0.8)) -> DecayFit:
     """Least-squares slope of ln(u^2 + Σ u_i^2) versus radius.
 
     Samples 64 rays across the annulus [annulus[0]*L, annulus[1]*L], fits each
@@ -132,8 +136,8 @@ def decay_fit(u: np.ndarray, u_list: Sequence[np.ndarray], params: ModelParams,
     if radii.size < 8:
         raise DiagnosticFailure("annulus too thin for a slope fit", check="decay")
     slopes = []
-    for k in range(n_rays):
-        th = 2.0 * math.pi * k / n_rays
+    for k in range(_DECAY_RAYS):
+        th = 2.0 * math.pi * k / _DECAY_RAYS
         xs = center[0] + radii * math.cos(th)
         ys = center[1] + radii * math.sin(th)
         samples = _bilinear(big, domain, xs, ys)
@@ -161,11 +165,10 @@ class BoundCheck:
 
 
 def max_principle_check(big_u: np.ndarray, big_v: np.ndarray,
-                        exclude: Optional[np.ndarray] = None,
-                        strict: float = 1e-12) -> List[BoundCheck]:
+                        exclude: Optional[np.ndarray] = None) -> List[BoundCheck]:
     """Verify U < 0, U+V < 0, U-V < 0 at every non-vortex node.
 
-    ``strict`` is the strictness band: values above +strict fail.  The band
+    Values above the strictness band _STRICT = 1e-12 fail.  The band
     absorbs round-off at nodes where the true margin decays below machine
     precision (the amplitudes approach the vacuum exponentially away from the
     vortices, so far-field margins are smaller than any representable
@@ -180,7 +183,7 @@ def max_principle_check(big_u: np.ndarray, big_v: np.ndarray,
             continue
         vals = arr[keep]
         worst = float(np.max(vals))
-        if worst <= strict:
+        if worst <= _STRICT:
             out.append(BoundCheck(label, "pass", worst))
         else:
             flat = np.argmax(np.where(keep, arr, -np.inf))

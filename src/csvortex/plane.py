@@ -236,11 +236,6 @@ class PlaneOperator:
         G = self._evaluate(st.pack().reshape(self.shape), energy=False)[1]
         return PlaneState(self.domain, G[0], tuple(G[1:]))
 
-    def hess_vec(self, st: PlaneState, dv: PlaneState) -> PlaneState:
-        """Second variation applied to a direction (homogeneous ghost data)."""
-        H = self._hess(st.pack(), dv.pack().reshape(self.shape))
-        return PlaneState(self.domain, H[0], tuple(H[1:]))
-
     # -- flat-vector interface for the optimizer --------------------------
     def fun_grad_flat(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
         val, G = self._evaluate(x.reshape(self.shape))

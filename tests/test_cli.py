@@ -158,6 +158,26 @@ class TestConfigErrors:
         cfg["opts"]["out_dir"] = ""
         assert main(["verify", "--config", write_cfg(tmp_path / "c.json", cfg)]) == 1
 
+    @pytest.mark.parametrize("override", [
+        ["--grid", "0"], ["--tol", "0"], ["--max-iter", "0"], ["--out", ""],
+    ])
+    def test_zero_valued_overrides_are_applied(self, plane_cfg, tmp_path, monkeypatch,
+                                               override):
+        # each override must reach the config and fail its check there; a
+        # dropped override would run the config's own 64² solve and exit 0
+        monkeypatch.delenv("CSVORTEX_OUT", raising=False)
+        argv = ["solve-plane", "--config", plane_cfg, "--out", str(tmp_path / "o")]
+        assert main(argv + override) == 1
+
+    @pytest.mark.parametrize("opts", [{"tol": 0.0}, {"tol": -1e-9}, {"max_iter": 0}])
+    def test_nonpositive_tol_or_max_iter_in_config_exit_one(self, plane_cfg, tmp_path,
+                                                            capsys, opts):
+        cfg = json.loads(open(plane_cfg).read())
+        cfg["opts"].update(opts)
+        p = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["solve-plane", "--config", p, "--out", str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().out
+
     @settings(max_examples=150, deadline=None)
     @given(content=_garbled_configs(),
            command=st.sampled_from(("verify", "decay-fit")))
@@ -186,6 +206,36 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "solve-torus" in capsys.readouterr().out
+
+
+def _report_values(path):
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+
+
+class TestReportAgreement:
+    """A solve report and verify's report of the fields that solve wrote
+    agree on every key they share, to the last printed digit."""
+
+    @pytest.mark.parametrize("command,config", [("solve-plane", "plane_cfg"),
+                                                ("solve-torus", "torus_cfg")])
+    def test_solve_and_verify_reports_agree(self, command, config, tmp_path, request):
+        cfg = request.getfixturevalue(config)
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        solved = _report_values(out / "report.txt")
+        verified = _report_values(out / "verify_report.txt")
+        shared = (set(solved) & set(verified)) - {"mode", "iterations"}
+        assert {key: solved[key] for key in shared} == {key: verified[key] for key in shared}
+        assert {"energy", "grad_norm", "pde_residual.same_operator",
+                "pde_residual.fourth_order"} <= shared
+        if command == "solve-torus":
+            for key in ("pde_residual.fourth_order", "admissible_margin_1",
+                        "admissible_margin_2", "c1", "c2"):
+                assert key in verified, key
+        for key in ("minres_iters", "clamp_hit", "wall_time_seconds",
+                    "constraint_residual_1", "energy_J", "decay.slope"):
+            assert key not in verified, key
 
 
 class TestPlanePipeline:
