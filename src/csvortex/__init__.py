@@ -40,10 +40,6 @@ from .errors import (
 from .fields import (
     GridDomain,
     ScalarField,
-    dirichlet_inner,
-    integrate,
-    laplacian,
-    project_mean_zero,
     read_field,
     write_csv,
     write_field,
@@ -52,17 +48,13 @@ from .model import ModelParams
 from .plane import (
     PlaneSolveOpts,
     PlaneState,
-    plane_energy,
-    plane_gradient,
     solve_plane,
 )
 from .torus import (
-    ConstraintCoeffs,
     Feasibility,
     TorusSolveOpts,
     TorusState,
     admissible,
-    constraint_coeffs,
     feasibility,
     gamma,
     minimize_torus,
@@ -70,8 +62,6 @@ from .torus import (
     reduced_energy_J,
     solve_c,
     tarantello_init,
-    torus_energy_I,
-    torus_gradient_I,
 )
 
 __version__ = "0.1.0"

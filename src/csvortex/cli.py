@@ -59,6 +59,8 @@ EXIT_DIAGNOSTIC = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_INFEASIBLE = 4
 
+_RESIDUAL_FLOOR = 1e-6  # same-operator PDE residuals pass below max(this, 10*tol)
+
 
 def _write_rays_csv(path, fit: diag.DecayFit) -> None:
     with open(path, "w") as fh:
@@ -153,8 +155,7 @@ def _emit(rep: diag.SolveReport, cfg: RunConfig, out: str, name: str,
     tolerances."""
     with open(os.path.join(out, name), "w") as fh:
         fh.write(rep.to_text(include_timing=timing))
-    return rep.failures(cfg.quantized_tol, max(cfg.opts.residual_tol,
-                                               10.0 * cfg.opts.tol))
+    return rep.failures(cfg.quantized_tol, max(_RESIDUAL_FLOOR, 10.0 * cfg.opts.tol))
 
 
 def cmd_solve_plane(cfg: RunConfig) -> int:
@@ -187,7 +188,7 @@ def cmd_solve_plane(cfg: RunConfig) -> int:
 def cmd_solve_torus(cfg: RunConfig) -> int:
     out = resolve_out_dir(cfg.opts)
     opts = TorusSolveOpts(tol=cfg.opts.tol, max_iter=cfg.opts.max_iter,
-                          lam_t=cfg.opts.lam_t, separation=cfg.opts.separation)
+                          lam_t=cfg.opts.lam_t)
 
     def finish(state: TorusState, info: dict, suffix: str, mode: str, name: str,
                **record) -> List[str]:

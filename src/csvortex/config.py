@@ -28,10 +28,8 @@ DEFAULTS = {
     "plane_grid": 512,
     "torus_grid": 256,
     "box_target_decay": 25.0,   # auto half-width: m*L >= 25
-    "separation": 1e-3,
     "quantized_tol_plane": 0.02,
     "quantized_tol_torus": 0.01,
-    "residual_tol": 1e-6,
 }
 
 
@@ -41,9 +39,7 @@ class RunOpts:
     max_iter: int = DEFAULTS["max_iter"]
     second_solution: bool = False
     lam_t: Optional[float] = None
-    separation: float = DEFAULTS["separation"]
     quantized_tol: Optional[float] = None
-    residual_tol: float = DEFAULTS["residual_tol"]
     out_dir: str = "."
 
 
@@ -167,10 +163,8 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
         second_solution=bool(overrides.get("second_solution",
                                            o.get("second_solution", False))),
         lam_t=(None if o.get("lam_t") is None else float(o["lam_t"])),
-        separation=float(o.get("separation", DEFAULTS["separation"])),
         quantized_tol=(None if o.get("quantized_tol") is None
                        else float(o["quantized_tol"])),
-        residual_tol=float(o.get("residual_tol", DEFAULTS["residual_tol"])),
         out_dir=str(overrides.get("out", o.get("out_dir", "."))),
     )
     if not opts.tol > 0:

@@ -210,7 +210,7 @@ class SolveReport:
     decay: Optional[DecayFit] = None
     max_principle: List[BoundCheck] = field(default_factory=list)
     feasibility_margin: float = math.nan
-    iterations: int = 0
+    iterations: Optional[int] = None   # set from a solver record only
     wall_time: float = math.nan
     extra: Dict[str, object] = field(default_factory=dict)
 
@@ -242,7 +242,8 @@ class SolveReport:
                 out.append(f"max_principle.{chk.label}.node = {chk.node[0]},{chk.node[1]}")
         for key in sorted(self.extra):
             out.append(f"{key} = {self.extra[key]!r}")
-        out.append(f"iterations = {self.iterations}")
+        if self.iterations is not None:
+            out.append(f"iterations = {self.iterations}")
         if include_timing and not math.isnan(self.wall_time):
             out.append(f"wall_time_seconds = {self.wall_time:.3f}")
         return out

@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.fft import dstn, fftn, idstn, ifftn
 
-from .errors import DomainError, NonFiniteFieldError
+from .errors import DomainError
 
 _KIND_TORUS = 0
 _KIND_BOX = 1
@@ -133,23 +133,6 @@ class ScalarField:
             )
         object.__setattr__(self, "values", v)
 
-    def check_finite(self) -> "ScalarField":
-        bad = ~np.isfinite(self.values)
-        if bad.any():
-            node = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise NonFiniteFieldError(f"non-finite field value at node {node}", node=node)
-        return self
-
-    def is_mean_zero(self, rel: float = 1e-12) -> bool:
-        scale = self.domain.area * max(np.max(np.abs(self.values)), 1e-300)
-        return abs(integrate_values(self.values, self.domain)) <= rel * scale
-
-
-def _same_domain(f: ScalarField, g: ScalarField) -> GridDomain:
-    if f.domain != g.domain:
-        raise DomainError("fields live on different domains")
-    return f.domain
-
 
 # ---------------------------------------------------------------------------
 # spectral machinery (torus)
@@ -194,12 +177,6 @@ def _box_laplacian_padded(p: np.ndarray, domain: GridDomain) -> np.ndarray:
     return out
 
 
-def laplacian(field: ScalarField) -> ScalarField:
-    """Apply the domain's Laplacian: spectral on the torus, 5-point on the box."""
-    out = laplacian_values(field.values, field.domain)
-    return ScalarField(field.domain, out).check_finite()
-
-
 def laplacian4_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
     """Independent 4th-order centered Laplacian, for discretization-error checks.
 
@@ -229,15 +206,13 @@ def laplacian4_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
 
 
 def integrate_values(values: np.ndarray, domain: GridDomain) -> float:
+    """Cell-area-weighted midpoint quadrature over the whole domain."""
     return float(np.sum(values)) * domain.cell_area
 
 
-def integrate(field: ScalarField) -> float:
-    """Cell-area-weighted midpoint quadrature over the whole domain."""
-    return integrate_values(field.values, field.domain)
-
-
 def dirichlet_inner_values(f: np.ndarray, g: np.ndarray, domain: GridDomain) -> float:
+    """∫ ∇f·∇g: spectral on the torus, forward differences with zero ghosts on
+    the box; exactly adjoint to laplacian_values (-∫ f Δg to round-off)."""
     if domain.kind == "torus":
         fh = fftn(f)
         gh = fftn(g)
@@ -254,25 +229,6 @@ def _box_dirichlet_padded(pf: np.ndarray, pg: np.ndarray, domain: GridDomain) ->
     dyf = np.diff(pf[1:-1, :], axis=1) / h2
     dyg = np.diff(pg[1:-1, :], axis=1) / h2
     return float(np.sum(dxf * dxg) + np.sum(dyf * dyg)) * h1 * h2
-
-
-def dirichlet_inner(f: ScalarField, g: ScalarField) -> float:
-    """Gradient inner product  ∫ ∇f·∇g.
-
-    Computed spectrally on the torus and by forward differences (with zero
-    ghosts) on the box; exactly adjoint to :func:`laplacian`, i.e.
-    dirichlet_inner(f, g) == -integrate(f * laplacian(g)) to round-off.
-    """
-    domain = _same_domain(f, g)
-    return dirichlet_inner_values(f.values, g.values, domain)
-
-
-def project_mean_zero(field: ScalarField) -> ScalarField:
-    """Remove the mean (torus only; the constant/mean-zero splitting is periodic)."""
-    if field.domain.kind != "torus":
-        raise DomainError("mean-zero projection is defined on the torus only")
-    mean = integrate(field) / field.domain.area
-    return ScalarField(field.domain, field.values - mean)
 
 
 def poisson_solve_torus(rhs: np.ndarray, domain: GridDomain) -> np.ndarray:

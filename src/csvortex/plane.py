@@ -259,17 +259,6 @@ class PlaneOperator:
         return out.ravel()
 
 
-def plane_energy(state: PlaneState, bg: BackgroundPlane, params: ModelParams) -> float:
-    """Discrete energy of a remainder state (ghost ring lifted to -u0 data)."""
-    return PlaneOperator(bg, params).energy(state)
-
-
-def plane_gradient(state: PlaneState, bg: BackgroundPlane,
-                   params: ModelParams) -> PlaneState:
-    """Pointwise L2-gradient fields of the discrete energy."""
-    return PlaneOperator(bg, params).gradient(state)
-
-
 def reconstruct(state: PlaneState, bg: BackgroundPlane) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
     """Original variables u = Σ u_k0 + f and u_j = u_j0 + f_j.
 

@@ -82,13 +82,6 @@ def feasibility(params: ModelParams, n: int, area: float) -> Feasibility:
 
 
 @dataclass(frozen=True)
-class ConstraintCoeffs:
-    q1: float
-    q2: float
-    gamma: float
-
-
-@dataclass(frozen=True)
 class StateIntegrals:
     """The five quadratures the constraint algebra is built from."""
 
@@ -111,15 +104,6 @@ def state_integrals(u_prime: np.ndarray, v_prime: np.ndarray,
         j2=integrate_values(ev, dom),
         g=integrate_values(eu * ev, dom),
     )
-
-
-def constraint_coeffs(u_prime: np.ndarray, v_prime: np.ndarray,
-                      c1: float, c2: float, bg: BackgroundTorus,
-                      params: ModelParams) -> ConstraintCoeffs:
-    """Q1 (needs e^{c2}) and Q2 (needs e^{c1}) of the constraint quadratics."""
-    maps = _CMaps(state_integrals(u_prime, v_prime, bg), gamma(params), bg.n,
-                  params.alpha * params.beta)
-    return ConstraintCoeffs(maps.q1(math.exp(c2)), maps.q2(math.exp(c1)), maps.gam)
 
 
 def _margins(s: StateIntegrals, n: int, params: ModelParams) -> Tuple[float, float]:
@@ -229,6 +213,30 @@ class _CMaps:
             dfx = 0.0
         return x - x1, dfx
 
+    def bracket(self, saddle: bool) -> Tuple[float, float]:
+        """Closed-form [lo, hi] with F(lo) <= 0 <= F(hi) on the given branch.
+
+        Upper branch: g1 >= q1/(2 e1) >= (1-γ) j1/(2 e1) = lo, and
+        g1(g2(X)) <= A + B X with A = (1-γ)(j1 + γ g j2/e2)/e1 and
+        B = γ² g²/(e1 e2) <= γ² < 1 (Cauchy-Schwarz), so F >= 0 from A/(1-B)
+        on; hi = 2A/(1-B), because without vortices the root is A/(1-B).
+        Saddle branch: q1 >= (1-γ) j1 > 0, so the lower root
+        d1/(2 e1 (q1 + r1)) never exceeds hi = d1/(2 e1 (1-γ) j1).
+        """
+        s, gam = self.s, self.gam
+        if saddle:
+            if self.n == 0 or self.d1 <= 0.0:
+                raise AdmissibilityError(
+                    "the saddle branch needs a positive vortex number")
+            lo, hi = 1e-300, self.d1 / (2.0 * s.e1 * (1.0 - gam) * s.j1)
+        else:
+            a = (1.0 - gam) * (s.j1 + gam * s.g * s.j2 / s.e2) / s.e1
+            b = gam * gam * s.g * s.g / (s.e1 * s.e2)
+            lo, hi = 0.5 * (1.0 - gam) * s.j1 / s.e1, 2.0 * a / (1.0 - b)
+        if self.f(hi, -1.0 if saddle else 1.0) < 0.0:
+            raise AdmissibilityError("constraint root not bracketed")
+        return lo, hi
+
 
 def _cmaps(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTorus,
            params: ModelParams) -> _CMaps:
@@ -249,45 +257,17 @@ def _solve_c_branch(maps: _CMaps, saddle: bool,
     saddle=False: X = g1(g2(X)) with both upper roots (the constrained
     minimizer's constants; F(X)/X strictly increasing makes the root unique).
     saddle=True: lower root for the first constraint, upper for the second --
-    the index-1 combination whose c1-curvature is negative.  Its bracket is
-    closed-form: q1 >= (1-γ) j1 > 0, so the lower root d1/(2 e1 (q1 + r1))
-    never exceeds B = d1 / (2 e1 (1-γ) j1), and F(B) >= 0.
+    the index-1 combination whose c1-curvature is negative.  Both brackets
+    are closed-form (_CMaps.bracket).
 
-    Once F changes sign on [lo, hi], safeguarded Newton runs inside the
-    bracket: every evaluation shrinks it, and a step that leaves it is
-    replaced by the bisection midpoint.  The loop stops when the step or the
-    bracket is within 4 ulp of X.  newton=False bisects only (the
-    cross-check of the Newton root).
+    Safeguarded Newton runs inside the bracket: every evaluation shrinks it,
+    and a step that leaves it is replaced by the bisection midpoint.  The
+    loop stops when the step or the bracket is within 4 ulp of X.
+    newton=False bisects only (the cross-check of the Newton root).
     """
     sign1 = -1.0 if saddle else 1.0
-
-    def f(x: float) -> float:
-        return maps.f(x, sign1)
-
+    lo, hi = maps.bracket(saddle)
     it = 0
-    if saddle:
-        if maps.n == 0 or maps.d1 <= 0.0:
-            raise AdmissibilityError(
-                "the saddle branch needs a positive vortex number")
-        lo = 1e-300
-        hi = maps.d1 / (2.0 * maps.s.e1 * (1.0 - maps.gam) * maps.s.j1)
-        if f(hi) < 0.0:
-            raise AdmissibilityError("saddle branch root not bracketed")
-    else:
-        lo = 0.5 * (1.0 - maps.gam) * maps.s.j1 / maps.s.e1
-        while f(lo) > 0.0 and lo > 1e-300:
-            lo *= 0.5
-            it += 1
-            if it > 600:
-                raise AdmissibilityError(
-                    "failed to bracket the constraint root from below")
-        hi = max(2.0 * lo, 1.0)
-        while f(hi) < 0.0:
-            hi *= 2.0
-            it += 1
-            if it > 700:
-                raise AdmissibilityError(
-                    "failed to bracket the constraint root from above")
     x = 0.5 * (lo + hi)
     for _ in range(200):
         fx, dfx = maps.f_df(x, sign1)
@@ -312,10 +292,10 @@ def solve_c(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTorus,
             params: ModelParams, method: str = "newton") -> CSolve:
     """Solve the two constraint quadratics for (c1, c2).
 
-    Safeguarded Newton on F(X) = X - g1(g2(X)) (X = e^{c1}) inside a
-    sign-change bracket, using the closed-form branch derivatives;
-    method="bisection" bisects the same bracket instead.  F(X)/X is strictly
-    increasing, so the bracket is certain once F changes sign.
+    Safeguarded Newton on F(X) = X - g1(g2(X)) (X = e^{c1}) inside the
+    closed-form sign-change bracket (_CMaps.bracket), using the closed-form
+    branch derivatives; method="bisection" bisects the same bracket instead.
+    F(X)/X is strictly increasing, so the root in the bracket is unique.
     """
     if method not in ("newton", "bisection"):
         raise ConfigError(f"unknown root method {method!r}")
@@ -515,18 +495,6 @@ class TorusOperator:
         """
         wh = fftn(w.reshape((2,) + self.domain.shape), axes=(1, 2))
         return self._apply_symbol(wh, self._precond).ravel() / self.domain.cell_area
-
-
-def torus_energy_I(u: np.ndarray, v: np.ndarray, bg: BackgroundTorus,
-                   params: ModelParams) -> float:
-    """Value of the full functional at full fields (u, v)."""
-    return TorusOperator(bg, params).energy(u, v)
-
-
-def torus_gradient_I(u: np.ndarray, v: np.ndarray, bg: BackgroundTorus,
-                     params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:
-    """Pointwise L2-gradient pair of the full functional."""
-    return TorusOperator(bg, params).gradient(u, v)
 
 
 def pde_residual_fourth_torus(u: np.ndarray, v: np.ndarray, bg: BackgroundTorus,
@@ -754,7 +722,7 @@ def reduced_energy_J(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTor
                      params: ModelParams) -> float:
     """Closed-form reduced energy after eliminating the constants.
 
-    Agrees with torus_energy_I(u'+c1, v'+c2) to the root-solve residual.
+    Agrees with TorusOperator.energy(u'+c1, v'+c2) to the root-solve residual.
     """
     p = params
     dom = bg.domain
@@ -787,6 +755,7 @@ _PROBE_RADIUS, _PROBE_SEED = 1e-2, 0   # the local-minimality probe's sphere
 # energy profile of the straight path to the endpoint is sampled; its maximum
 # bounds the mountain-pass level from above.
 _PROFILE_SHIFTS = 16
+_SEPARATION = 1e-3   # least Sobolev distance of the second solution from the first
 
 
 @dataclass(frozen=True)
@@ -794,7 +763,6 @@ class TorusSolveOpts:
     tol: float = 1e-8
     max_iter: int = 4000
     lam_t: Optional[float] = None   # screened-seed coefficient; None: 4*alpha*beta
-    separation: float = 1e-3
 
 
 def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: TorusSolveOpts,
@@ -958,10 +926,10 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
     op.precondition_at(*saddle.lift(x_barrier))
     second, info = _branch_solve(saddle, x_barrier, opts, max(opts.tol, 1e-6) * 100.0)
     sep = w12_norm(second.u - u1, second.v - v1, dom)
-    if sep < opts.separation:
+    if sep < _SEPARATION:
         raise MountainPassCollapseError(
             f"saddle descent collapsed onto the first solution (separation {sep:.3e} < "
-            f"{opts.separation:g}): no second solution found at these parameters")
+            f"{_SEPARATION:g}): no second solution found at these parameters")
     info.update({
         "bg": bg,
         "operator": op,

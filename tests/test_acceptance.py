@@ -43,7 +43,6 @@ from csvortex.torus import (
     mountain_pass,
     reconstruct_original,
     solve_c,
-    torus_gradient_I,
 )
 
 from conftest import smooth_random
@@ -359,7 +358,7 @@ def test_criterion_8_large_alpha_limit(torus_family):
 def test_criterion_9_two_solutions(two_solutions):
     params, first, info, second, info2, elapsed = two_solutions
     bg = info["bg"]
-    gu, gv = torus_gradient_I(second.u, second.v, bg, params)
+    gu, gv = TorusOperator(bg, params).gradient(second.u, second.v)
     resid = max(float(np.max(np.abs(gu))), float(np.max(np.abs(gv))))
     q_first = quantized_integrals_torus(*reconstruct_original(first, bg),
                                         params, TORUS_CELL, bg.n)

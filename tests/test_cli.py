@@ -225,7 +225,7 @@ class TestReportAgreement:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         solved = _report_values(out / "report.txt")
         verified = _report_values(out / "verify_report.txt")
-        shared = (set(solved) & set(verified)) - {"mode", "iterations"}
+        shared = (set(solved) & set(verified)) - {"mode"}
         assert {key: solved[key] for key in shared} == {key: verified[key] for key in shared}
         assert {"energy", "grad_norm", "pde_residual.same_operator",
                 "pde_residual.fourth_order"} <= shared
@@ -233,7 +233,7 @@ class TestReportAgreement:
             for key in ("pde_residual.fourth_order", "admissible_margin_1",
                         "admissible_margin_2", "c1", "c2"):
                 assert key in verified, key
-        for key in ("minres_iters", "clamp_hit", "wall_time_seconds",
+        for key in ("iterations", "minres_iters", "clamp_hit", "wall_time_seconds",
                     "constraint_residual_1", "energy_J", "decay.slope"):
             assert key not in verified, key
 
@@ -301,7 +301,7 @@ class TestPlanePipeline:
         out = tmp_path / "run"
         assert main(["solve-plane", "--config", plane_cfg, "--out", str(out)]) == 0
         assert main(["decay-fit", "--config", plane_cfg, "--out", str(out)]) == 0
-        assert (out / "decay_report.txt").exists()
+        assert "iterations" not in _report_values(out / "decay_report.txt")
         assert (out / "decay_rays.csv").exists()
         assert "slope" in capsys.readouterr().out
 
@@ -381,8 +381,9 @@ class TestTorusPipeline:
         assert len(iterations) == 1 and int(iterations[0].split(" = ")[1]) > 0
 
     def test_retired_path_nodes_option_still_loads(self, tmp_path):
-        # opts.path_nodes and opts.seed are no longer options; schema-v1
-        # configs that set them still load, and the keys are ignored
+        # opts.path_nodes, opts.seed, opts.separation and opts.residual_tol
+        # are no longer options; schema-v1 configs that set them still load,
+        # and the keys are ignored
         cfg = {
             "schema_version": 1,
             "mode": "torus",
@@ -392,7 +393,8 @@ class TestTorusPipeline:
                        "n": [32, 32]},
             "vortices": [{"species": 0, "x": 3.141592653589793,
                           "y": 3.141592653589793}],
-            "opts": {"tol": 1e-9, "path_nodes": 17, "seed": "zero"},
+            "opts": {"tol": 1e-9, "path_nodes": 17, "seed": "zero",
+                     "separation": 0.5, "residual_tol": 1e-3},
         }
         p = write_cfg(tmp_path / "torus_v1.json", cfg)
         loaded = load_config(p)

@@ -9,16 +9,16 @@ from csvortex.errors import DomainError
 from csvortex.fields import (
     GridDomain,
     ScalarField,
-    dirichlet_inner,
-    integrate,
-    laplacian,
+    dirichlet_inner_values,
+    integrate_values,
     laplacian4_values,
+    laplacian_values,
     poisson_solve_torus,
-    project_mean_zero,
     read_field,
     write_csv,
     write_field,
 )
+from csvortex.torus import TorusState
 
 from conftest import smooth_random
 
@@ -45,14 +45,14 @@ class TestGridDomain:
 
 class TestLaplacian:
     def test_constant_annihilated_torus(self, torus64):
-        f = ScalarField(torus64, np.full(torus64.shape, 4.2))
-        assert np.max(np.abs(laplacian(f).values)) == 0.0
+        f = np.full(torus64.shape, 4.2)
+        assert np.max(np.abs(laplacian_values(f, torus64))) == 0.0
 
     def test_fourier_eigenfunction(self, torus64):
         X, _ = torus64.coords()
-        f = ScalarField(torus64, np.sin(2 * np.pi * X / torus64.extent1))
-        expect = -((2 * np.pi / torus64.extent1) ** 2) * f.values
-        assert np.max(np.abs(laplacian(f).values - expect)) < 1e-12
+        f = np.sin(2 * np.pi * X / torus64.extent1)
+        expect = -((2 * np.pi / torus64.extent1) ** 2) * f
+        assert np.max(np.abs(laplacian_values(f, torus64) - expect)) < 1e-12
 
     def test_box_matches_dense_matrix(self, rng):
         # assemble the 5-point matrix explicitly on a 16x16 grid and compare
@@ -62,14 +62,14 @@ class TestLaplacian:
         t = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h**2
         eye = sp.identity(n)
         dense = sp.kron(t, eye) + sp.kron(eye, t)
-        f = ScalarField(dom, rng.standard_normal(dom.shape))
-        expect = (dense @ f.values.ravel()).reshape(n, n)
-        assert np.max(np.abs(laplacian(f).values - expect)) < 1e-12
+        f = rng.standard_normal(dom.shape)
+        expect = (dense @ f.ravel()).reshape(n, n)
+        assert np.max(np.abs(laplacian_values(f, dom) - expect)) < 1e-12
 
     def test_divergence_theorem_torus(self, torus64, rng):
-        f = ScalarField(torus64, smooth_random(torus64, rng, mean_zero=False))
-        val = integrate(laplacian(f))
-        scale = max(np.max(np.abs(laplacian(f).values)), 1.0)
+        lap = laplacian_values(smooth_random(torus64, rng, mean_zero=False), torus64)
+        val = integrate_values(lap, torus64)
+        scale = max(np.max(np.abs(lap)), 1.0)
         assert abs(val) <= 1e-10 * scale * torus64.area
 
     def test_fourth_order_torus_eigen(self, torus64):
@@ -84,84 +84,89 @@ class TestLaplacian:
 class TestIntegrate:
     def test_constant_on_torus(self):
         dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 32, 32)
-        assert integrate(ScalarField(dom, np.ones(dom.shape))) == pytest.approx(
+        assert integrate_values(np.ones(dom.shape), dom) == pytest.approx(
             4 * np.pi**2, rel=1e-14)
 
     def test_zero_mean_mode(self, torus64):
         X, _ = torus64.coords()
-        f = ScalarField(torus64, np.sin(2 * np.pi * X / torus64.extent1))
-        assert abs(integrate(f)) < 1e-12
+        f = np.sin(2 * np.pi * X / torus64.extent1)
+        assert abs(integrate_values(f, torus64)) < 1e-12
 
     def test_gaussian_against_1d_quadrature(self):
         # separable reference: (∫ e^{-x^2} dx over [-10,10])^2 from adaptive 1-D quadrature
         dom = GridDomain.box(10.0, 256)
         X, Y = dom.coords()
-        f = ScalarField(dom, np.exp(-(X**2) - Y**2))
+        val = integrate_values(np.exp(-(X**2) - Y**2), dom)
         ref_1d, _ = quad(lambda x: np.exp(-(x**2)), -10.0, 10.0, epsabs=1e-14)
-        assert integrate(f) == pytest.approx(ref_1d**2, abs=1e-6)
-        assert integrate(f) == pytest.approx(np.pi, abs=1e-6)
+        assert val == pytest.approx(ref_1d**2, abs=1e-6)
+        assert val == pytest.approx(np.pi, abs=1e-6)
 
 
 class TestDirichletInner:
     def test_constant_is_zero(self, torus64):
-        f = ScalarField(torus64, np.full(torus64.shape, 2.0))
-        assert dirichlet_inner(f, f) == pytest.approx(0.0, abs=1e-12)
+        f = np.full(torus64.shape, 2.0)
+        assert dirichlet_inner_values(f, f, torus64) == pytest.approx(0.0, abs=1e-12)
 
     def test_parseval_sine(self, torus64):
         X, _ = torus64.coords()
-        f = ScalarField(torus64, np.sin(2 * np.pi * X / torus64.extent1))
+        f = np.sin(2 * np.pi * X / torus64.extent1)
         expect = (2 * np.pi / torus64.extent1) ** 2 * torus64.area / 2
-        assert dirichlet_inner(f, f) == pytest.approx(expect, rel=1e-12)
+        assert dirichlet_inner_values(f, f, torus64) == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["torus", "box"])
     def test_adjoint_to_laplacian(self, kind, rng, torus64, box32):
         dom = torus64 if kind == "torus" else box32
-        f = ScalarField(dom, rng.standard_normal(dom.shape))
-        g = ScalarField(dom, rng.standard_normal(dom.shape))
-        lhs = dirichlet_inner(f, g)
-        rhs = -integrate(ScalarField(dom, f.values * laplacian(g).values))
+        f = rng.standard_normal(dom.shape)
+        g = rng.standard_normal(dom.shape)
+        lhs = dirichlet_inner_values(f, g, dom)
+        rhs = -integrate_values(f * laplacian_values(g, dom), dom)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
     def test_symmetry(self, rng, torus64):
-        f = ScalarField(torus64, rng.standard_normal(torus64.shape))
-        g = ScalarField(torus64, rng.standard_normal(torus64.shape))
-        assert dirichlet_inner(f, g) == pytest.approx(dirichlet_inner(g, f), rel=1e-12)
-
-    def test_domain_mismatch(self, torus64, box32):
-        f = ScalarField(torus64, np.zeros(torus64.shape))
-        g = ScalarField(box32, np.zeros(box32.shape))
-        with pytest.raises(DomainError):
-            dirichlet_inner(f, g)
+        f = rng.standard_normal(torus64.shape)
+        g = rng.standard_normal(torus64.shape)
+        assert dirichlet_inner_values(f, g, torus64) == pytest.approx(
+            dirichlet_inner_values(g, f, torus64), rel=1e-12)
 
     def test_nonnegative_zero_iff_trivial(self, rng, torus64, box32):
-        f = ScalarField(torus64, smooth_random(torus64, rng))
-        assert dirichlet_inner(f, f) > 0
-        c = ScalarField(torus64, np.full(torus64.shape, -1.3))
-        assert dirichlet_inner(c, c) == pytest.approx(0.0, abs=1e-12)
-        fb = ScalarField(box32, smooth_random(box32, rng))
-        assert dirichlet_inner(fb, fb) > 0
+        f = smooth_random(torus64, rng)
+        assert dirichlet_inner_values(f, f, torus64) > 0
+        c = np.full(torus64.shape, -1.3)
+        assert dirichlet_inner_values(c, c, torus64) == pytest.approx(0.0, abs=1e-12)
+        fb = smooth_random(box32, rng)
+        assert dirichlet_inner_values(fb, fb, box32) > 0
         # on the box even a constant has gradient energy against the zero wall
-        cb = ScalarField(box32, np.ones(box32.shape))
-        assert dirichlet_inner(cb, cb) > 0
+        cb = np.ones(box32.shape)
+        assert dirichlet_inner_values(cb, cb, box32) > 0
 
 
 class TestProjectMeanZero:
+    """The mean-zero split u = u' + c1 that the torus solver and verify use."""
+
     def test_constant_to_zero(self, torus64):
-        f = ScalarField(torus64, np.full(torus64.shape, 5.0))
-        assert np.max(np.abs(project_mean_zero(f).values)) < 1e-12
+        state = TorusState.from_full(np.full(torus64.shape, 5.0),
+                                     np.full(torus64.shape, -0.5), torus64)
+        assert max(np.max(np.abs(state.u_prime)), np.max(np.abs(state.v_prime))) < 1e-12
+        assert (state.c1, state.c2) == (pytest.approx(5.0, rel=1e-15),
+                                        pytest.approx(-0.5, rel=1e-15))
 
     def test_idempotent(self, rng, torus64):
-        f = ScalarField(torus64, rng.standard_normal(torus64.shape))
-        once = project_mean_zero(f)
-        twice = project_mean_zero(once)
-        assert np.max(np.abs(once.values - twice.values)) < 1e-15
+        once = TorusState.from_full(rng.standard_normal(torus64.shape),
+                                    rng.standard_normal(torus64.shape), torus64)
+        twice = TorusState.from_full(once.u_prime, once.v_prime, torus64)
+        assert np.max(np.abs(once.u_prime - twice.u_prime)) < 1e-15
+        assert np.max(np.abs(once.v_prime - twice.v_prime)) < 1e-15
 
     def test_shift_recovery(self, rng, torus64):
-        base = smooth_random(torus64, rng)
-        f = ScalarField(torus64, base + 2.5)
-        out = project_mean_zero(f)
-        assert abs(integrate(out)) < 1e-10
-        assert np.max(np.abs(out.values + 2.5 - f.values)) < 1e-12
+        u = smooth_random(torus64, rng) + 2.5
+        v = smooth_random(torus64, rng) - 1.5
+        state = TorusState.from_full(u, v, torus64)
+        assert (state.c1, state.c2) == (pytest.approx(2.5, abs=1e-12),
+                                        pytest.approx(-1.5, abs=1e-12))
+        for part in (state.u_prime, state.v_prime):
+            assert abs(integrate_values(part, torus64)) < 1e-10
+        assert np.max(np.abs(state.u - u)) < 1e-12
+        assert np.max(np.abs(state.v - v)) < 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(a=st.floats(-5, 5), b=st.floats(-5, 5))
@@ -170,26 +175,18 @@ class TestProjectMeanZero:
         r = np.random.default_rng(7)
         f = r.standard_normal(dom.shape)
         g = r.standard_normal(dom.shape)
-        lhs = project_mean_zero(ScalarField(dom, a * f + b * g)).values
-        rhs = (a * project_mean_zero(ScalarField(dom, f)).values
-               + b * project_mean_zero(ScalarField(dom, g)).values)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12 * (1 + abs(a) + abs(b))
-
-    def test_box_rejected(self, box32):
-        with pytest.raises(DomainError):
-            project_mean_zero(ScalarField(box32, np.zeros(box32.shape)))
-
-    def test_mean_zero_flag(self, rng, torus64):
-        f = project_mean_zero(ScalarField(torus64, rng.standard_normal(torus64.shape)))
-        assert f.is_mean_zero()
+        lhs = TorusState.from_full(a * f + b * g, a * g - b * f, dom)
+        s_f = TorusState.from_full(f, g, dom)
+        s_g = TorusState.from_full(g, -f, dom)
+        tol = 1e-12 * (1 + abs(a) + abs(b))
+        assert np.max(np.abs(lhs.u_prime - a * s_f.u_prime - b * s_g.u_prime)) < tol
+        assert np.max(np.abs(lhs.v_prime - a * s_f.v_prime - b * s_g.v_prime)) < tol
 
 
 class TestPoisson:
     def test_roundtrip(self, rng, torus64):
         rhs = smooth_random(torus64, rng)
         u = poisson_solve_torus(rhs, torus64)
-        from csvortex.fields import laplacian_values
-
         assert np.max(np.abs(laplacian_values(u, torus64) - rhs)) < 1e-10
         assert abs(u.mean()) < 1e-14
 

@@ -17,7 +17,6 @@ from csvortex.torus import (
     _solve_c_branch,
     admissibility_margins,
     admissible,
-    constraint_coeffs,
     feasibility,
     gamma,
     reduced_energy_J,
@@ -88,32 +87,32 @@ class TestConstraintCoeffs:
         bg = torus_background(VortexSet((tuple(),)), dom)
         params = ModelParams(1.0, 3.0, sigma=4.0)
         z = np.zeros(dom.shape)
-        cc = constraint_coeffs(z, z, 0.0, 0.0, bg, params)
-        assert cc.q1 == pytest.approx(dom.area, rel=1e-12)
-        assert cc.q2 == pytest.approx(dom.area, rel=1e-12)
-        assert cc.gamma == pytest.approx(0.5)
+        maps = _cmaps(z, z, bg, params)
+        assert maps.q1(1.0) == pytest.approx(dom.area, rel=1e-12)
+        assert maps.q2(1.0) == pytest.approx(dom.area, rel=1e-12)
+        assert maps.gam == pytest.approx(0.5)
 
     def test_gamma_to_zero_limit(self, setup, rng):
         dom, bg, _ = setup
         up, vp = smooth_random(dom, rng, 0.3), smooth_random(dom, rng, 0.3)
         params = ModelParams(30.0, 30.0 * (1 + 1e-9), sigma=2.0)
-        cc = constraint_coeffs(up, vp, 0.0, -5.0, bg, params)
+        maps = _cmaps(up, vp, bg, params)
         s = state_integrals(up, vp, bg)
-        assert cc.q1 == pytest.approx(s.j1, rel=1e-8)
+        assert maps.q1(math.exp(-5.0)) == pytest.approx(s.j1, rel=1e-8)
 
     def test_oracle_quadrature(self, setup, rng):
         dom, bg, params = setup
         up, vp = smooth_random(dom, rng, 0.4), smooth_random(dom, rng, 0.4)
         c1, c2 = -0.3, -0.1
-        cc = constraint_coeffs(up, vp, c1, c2, bg, params)
+        maps = _cmaps(up, vp, bg, params)
         gam = gamma(params)
         # independent term-by-term quadrature
         q1 = (1 - gam) * integrate_values(np.exp(bg.u0 + up), dom) \
             + gam * math.exp(c2) * integrate_values(np.exp(bg.u0 + up + vp), dom)
         q2 = (1 - gam) * integrate_values(np.exp(vp), dom) \
             + gam * math.exp(c1) * integrate_values(np.exp(bg.u0 + up + vp), dom)
-        assert cc.q1 == pytest.approx(q1, rel=1e-12)
-        assert cc.q2 == pytest.approx(q2, rel=1e-12)
+        assert maps.q1(math.exp(c2)) == pytest.approx(q1, rel=1e-12)
+        assert maps.q2(math.exp(c1)) == pytest.approx(q2, rel=1e-12)
 
 
 class TestAdmissible:
@@ -239,6 +238,8 @@ class TestRootProperties:
         maps = _cmaps(up, vp, bg, params)
         roots = {}
         for saddle, sign in ((False, 1.0), (True, -1.0)):
+            lo, hi = maps.bracket(saddle)
+            assert maps.f(lo, sign) <= 0.0 <= maps.f(hi, sign)
             c1, c2, x, it = _solve_c_branch(maps, saddle=saddle)
             assert it <= 60
             # the upper root's round-off scale is the sum of the first
