@@ -15,7 +15,6 @@ read-only across threads.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -272,11 +271,28 @@ def box_dirichlet_ring(f: np.ndarray, rf: np.ndarray, g: np.ndarray, rg: np.ndar
     return _box_dirichlet_padded(box_pad_with_ring(f, rf), box_pad_with_ring(g, rg), domain)
 
 
-@lru_cache(maxsize=32)
-def _dst_eigs(n1: int, n2: int, h1: float, h2: float) -> np.ndarray:
+def _coeff_key(c) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
+    """A scalar or per-field coefficient as a hashable (shape, values) pair."""
+    return np.shape(c), tuple(np.ravel(c).tolist())
+
+
+@lru_cache(maxsize=4)
+def _dst_symbol(n1: int, n2: int, h1: float, h2: float, c_lap: tuple,
+                c_id: tuple) -> np.ndarray:
+    """c_lap*λ + c_id over the type-I sine modes λ of -Δ_5, one plane per field.
+
+    Coefficients come as ``_coeff_key`` pairs.  Few symbols are kept: one
+    N=1024 symbol for three fields is 25 MB.  The cached array is shared by
+    every caller, so it is read-only.
+    """
     lam1 = (4.0 / h1**2) * np.sin(np.pi * (np.arange(n1) + 1) / (2.0 * (n1 + 1))) ** 2
     lam2 = (4.0 / h2**2) * np.sin(np.pi * (np.arange(n2) + 1) / (2.0 * (n2 + 1))) ** 2
-    return lam1[:, None] + lam2[None, :]
+    lam = lam1[:, None] + lam2[None, :]
+    (lap_shape, lap), (id_shape, cid) = c_lap, c_id
+    symbol = (np.reshape(lap, lap_shape + (1, 1)) * lam
+              + np.reshape(cid, id_shape + (1, 1)))
+    symbol.flags.writeable = False
+    return symbol
 
 
 def box_shifted_inverse(values: np.ndarray, domain: GridDomain, c_lap,
@@ -287,11 +303,10 @@ def box_shifted_inverse(values: np.ndarray, domain: GridDomain, c_lap,
     be arrays with one coefficient per field; every field is transformed in
     the same batched sine-transform pair.
     """
-    lam = _dst_eigs(domain.n1, domain.n2, domain.h1, domain.h2)
-    c_lap = np.reshape(c_lap, np.shape(c_lap) + (1, 1))
-    c_id = np.reshape(c_id, np.shape(c_id) + (1, 1))
+    symbol = _dst_symbol(domain.n1, domain.n2, domain.h1, domain.h2,
+                         _coeff_key(c_lap), _coeff_key(c_id))
     vh = dstn(values, type=1, norm="ortho", axes=(-2, -1))
-    vh /= c_lap * lam + c_id
+    vh /= symbol
     return idstn(vh, type=1, norm="ortho", axes=(-2, -1), overwrite_x=True)
 
 
@@ -351,12 +366,17 @@ def read_field(path) -> ScalarField:
 
 
 def write_csv(path, field: ScalarField) -> None:
-    """Write (x, y, value) rows for external plotting."""
+    """Write (x, y, value) rows for external plotting.
+
+    The header ``x,y,value`` comes first, then one row per node in row-major
+    order (i, then j).  Every number is its shortest round-trip ``repr`` and
+    every line ends in CRLF, as ``csv.writer`` writes them.  Each coordinate
+    is formatted once, and the values one grid row at a time.
+    """
     xg, yg = field.domain.coords()
+    ys = [repr(y) + "," for y in yg[0].tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "value"])
-        for i in range(field.domain.n1):
-            for j in range(field.domain.n2):
-                writer.writerow([repr(float(xg[i, j])), repr(float(yg[i, j])),
-                                 repr(float(field.values[i, j]))])
+        fh.write("x,y,value\r\n")
+        for x, row in zip(xg[:, 0].tolist(), field.values):
+            head = repr(x) + ","
+            fh.write("".join([f"{head}{y}{v!r}\r\n" for y, v in zip(ys, row.tolist())]))

@@ -6,6 +6,10 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
+# One plane state holds (M+1)·n² float64 values; at the default 512² grid
+# that is 2 GiB for M = 1023, before any of the solver's working copies.
+MAX_SPECIES = 1023
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -28,6 +32,10 @@ class ModelParams:
             raise ConfigError("alpha and beta must be positive")
         if self.species < 1:
             raise ConfigError("species count must be at least 1")
+        if self.species > MAX_SPECIES:
+            raise ConfigError(
+                f"species count {self.species} exceeds {MAX_SPECIES}: one plane state of "
+                f"(species+1)·n² float64 values would pass 2 GiB at the default 512² grid")
         if not self.lambda_bg > 0:
             raise ConfigError("background regularization lambda must be positive")
         if not self.sigma > 1:

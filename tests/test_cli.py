@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from csvortex.cli import main
 from csvortex.config import RunOpts, load_config
+from csvortex.errors import ConfigError
 from csvortex.fields import read_field, write_field
+from csvortex.model import MAX_SPECIES
 
 
 def write_cfg(path, cfg):
@@ -177,6 +179,20 @@ class TestConfigErrors:
         p = write_cfg(tmp_path / "c.json", cfg)
         assert main(["solve-plane", "--config", p, "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().out
+
+    def test_species_count_bounded_before_allocation(self, plane_cfg, tmp_path, capsys):
+        # one vortex list per species used to be built before any bound, so a
+        # garbled count ran for minutes and exhausted memory
+        cfg = json.loads(open(plane_cfg).read())
+        cfg["params"]["species"] = MAX_SPECIES
+        assert load_config(write_cfg(tmp_path / "max.json", cfg)).params.species == MAX_SPECIES
+        for species in (MAX_SPECIES + 1, 10**6):
+            cfg["params"]["species"] = species
+            p = write_cfg(tmp_path / f"{species}.json", cfg)
+            with pytest.raises(ConfigError, match="species count"):
+                load_config(p)
+            assert main(["solve-plane", "--config", p, "--out", str(tmp_path / "o")]) == 1
+            assert "config error" in capsys.readouterr().out
 
     @settings(max_examples=150, deadline=None)
     @given(content=_garbled_configs(),

@@ -1,14 +1,19 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dstn, idstn
 from scipy.integrate import quad
 
 from csvortex.errors import DomainError
 from csvortex.fields import (
     GridDomain,
     ScalarField,
+    box_shifted_inverse,
     dirichlet_inner_values,
     integrate_values,
     laplacian4_values,
@@ -191,6 +196,75 @@ class TestPoisson:
         assert abs(u.mean()) < 1e-14
 
 
+class TestBoxShiftedInverse:
+    @staticmethod
+    def direct(values, dom, c_lap, c_id):
+        """(c_lap*(-Δ_5) + c_id)^(-1) with the sine-mode eigenvalues built here."""
+        lam = [(4.0 / h**2) * np.sin(np.pi * np.arange(1, n + 1) / (2.0 * (n + 1))) ** 2
+               for n, h in ((dom.n1, dom.h1), (dom.n2, dom.h2))]
+        lam = lam[0][:, None] + lam[1][None, :]
+        c_lap = np.reshape(c_lap, np.shape(c_lap) + (1, 1))
+        c_id = np.reshape(c_id, np.shape(c_id) + (1, 1))
+        vh = dstn(values, type=1, norm="ortho", axes=(-2, -1))
+        return idstn(vh / (c_lap * lam + c_id), type=1, norm="ortho", axes=(-2, -1))
+
+    def test_cached_symbol_never_stale(self, rng):
+        # more coefficient sets than the symbol cache holds, visited twice, so
+        # both cache hits and evictions are exercised; a key that dropped the
+        # grid, a coefficient's shape or the order of c_lap and c_id would
+        # return another set's symbol here
+        values = rng.standard_normal((3, 32, 32))
+        per_field = np.array([0.5, 1.0, 2.0])
+        coeffs = [
+            (0.7, 3.0),
+            (3.0, 0.7),
+            (per_field, np.array([1.0, 4.0, 9.0])),
+            (1.0, 0.0),  # the background's Poisson solve
+            (per_field, np.array([1.0, 4.0, 9.5])),
+            (0.7, np.array([3.0, 3.0, 3.5])),
+        ]
+        for dom in (GridDomain.box(5.0, 32), GridDomain.box(7.0, 32)):
+            for c_lap, c_id in coeffs * 2:
+                out = box_shifted_inverse(values, dom, c_lap, c_id)
+                expect = self.direct(values, dom, c_lap, c_id)
+                np.testing.assert_allclose(out, expect, rtol=1e-13,
+                                           atol=1e-13 * np.max(np.abs(expect)))
+
+
+def _csv_oracle(field):
+    """The reference u.csv bytes: csv.writer rows of repr'd floats."""
+    xg, yg = field.domain.coords()
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["x", "y", "value"])
+    for i in range(field.domain.n1):
+        for j in range(field.domain.n2):
+            writer.writerow([repr(float(xg[i, j])), repr(float(yg[i, j])),
+                             repr(float(field.values[i, j]))])
+    return buf.getvalue().encode()
+
+
+_SPECIAL_VALUES = (np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.5e-310, 1e16, 1e-5)
+_EVEN_SIZES = st.integers(8, 24).map(lambda k: 2 * k)
+
+
+@st.composite
+def _fields(draw):
+    """A box field or a torus field (non-square when n1 != n2) of random values,
+    with each special value planted at a random node."""
+    if draw(st.sampled_from(("box", "torus"))) == "box":
+        dom = GridDomain.box(draw(st.floats(1e-3, 1e4)), draw(_EVEN_SIZES))
+    else:
+        n1, n2 = draw(_EVEN_SIZES), draw(_EVEN_SIZES)
+        h = draw(st.floats(1e-4, 1e2))  # the binary header needs square cells
+        dom = GridDomain.torus(h * n1, h * n2, n1, n2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(dom.shape) * 10.0 ** rng.integers(-30, 30, dom.shape)
+    nodes = rng.choice(values.size, len(_SPECIAL_VALUES), replace=False)
+    values.flat[nodes] = _SPECIAL_VALUES
+    return ScalarField(dom, values)
+
+
 class TestSerialization:
     def test_binary_roundtrip_torus(self, rng, tmp_path):
         dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 32, 32)
@@ -214,6 +288,24 @@ class TestSerialization:
         assert back.domain.extent1 == pytest.approx(5.0)
         np.testing.assert_array_equal(back.values, f.values)
 
+    @settings(max_examples=30, deadline=None)
+    @given(field=_fields())
+    def test_binary_roundtrip_property(self, field, tmp_path_factory):
+        path = tmp_path_factory.mktemp("rt") / "field.bin"
+        write_field(path, field)
+        back = read_field(path)
+        assert back.values.tobytes() == field.values.tobytes()
+        dom = field.domain
+        stored = float(np.float32(dom.extent1))
+        if dom.kind == "torus":
+            expect = GridDomain.torus(stored, stored * dom.n2 / dom.n1, dom.n1, dom.n2)
+        else:
+            expect = GridDomain.box(stored, dom.n1)
+        assert back.domain == expect
+        for got, want in ((back.domain.extent1, dom.extent1),
+                          (back.domain.extent2, dom.extent2)):
+            assert got == pytest.approx(want, rel=2.0**-23)
+
     def test_truncated_payload_rejected(self, rng, tmp_path):
         dom = GridDomain.box(5.0, 16)
         path = tmp_path / "field.bin"
@@ -232,3 +324,10 @@ class TestSerialization:
         assert len(lines) == 1 + 16 * 16
         x, y, v = (float(t) for t in lines[1].split(","))
         assert v == pytest.approx(x + y)
+
+    @settings(max_examples=30, deadline=None)
+    @given(field=_fields())
+    def test_csv_bytes_match_csv_writer(self, field, tmp_path_factory):
+        path = tmp_path_factory.mktemp("csv") / "f.csv"
+        write_csv(path, field)
+        assert path.read_bytes() == _csv_oracle(field)
