@@ -54,7 +54,6 @@ from .torus import (
     Feasibility,
     TorusSolveOpts,
     TorusState,
-    admissible,
     feasibility,
     gamma,
     minimize_torus,

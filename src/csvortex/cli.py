@@ -129,7 +129,7 @@ def _field_report(cfg: RunConfig, op, mode: str, fields) -> diag.SolveReport:
     rep.feasibility_margin = feasibility(params, bg.n, domain.area).margin
     rep.quantized = diag.quantized_integrals_torus(big_u, big_v, params, domain, bg.n)
     rep.pde_residual_fourth = pde_residual_fourth_torus(
-        u, v, bg, params, exclude=vortex_node_mask(cfg.vortices, domain, halo=3))
+        u, v, op, exclude=vortex_node_mask(cfg.vortices, domain, halo=3))
     rep.max_principle = diag.max_principle_check(big_u, big_v, exclude=mask)
     m1, m2 = admissibility_margins(state.u_prime, state.v_prime, bg, params)
     rep.extra.update(admissible_margin_1=m1, admissible_margin_2=m2,

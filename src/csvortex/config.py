@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from .background import VortexSet
 from .errors import ConfigError
-from .fields import GridDomain
+from .fields import GridDomain, _kind_code
 from .model import ModelParams
 
 SCHEMA_VERSION = 1
@@ -154,6 +154,7 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
             nn = [int(overrides["grid"])] * 2
         domain = GridDomain.torus(float(periods[0]), float(periods[1]),
                                   int(nn[0]), int(nn[1]))
+        _kind_code(domain)  # cells the field files cannot store: refused before any solve
     vortices.validate_in(domain)
 
     o = raw.get("opts", {})

@@ -46,6 +46,7 @@ class BoundaryTrappingError(CsvortexError):
     """Descent step length underflowed against the admissible-set boundary.
 
     Signature of the coupling alpha being below the multiplicity threshold.
+    constraint names the inequality that rejected the last trial step.
     """
 
     def __init__(self, message, constraint=None):

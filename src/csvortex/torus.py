@@ -4,12 +4,15 @@ mountain-pass second solution.
 Working variables: the substitution U = u0/2 + (u+v)/2, V = u0/2 + (u-v)/2
 turns the original pair (U, V) into smooth unknowns (u, v), decomposed into
 mean-zero parts and constants, u = u' + c1, v = v' + c2.  On the admissible
-set (two integral inequalities) the constants solve a pair of quadratic
-constraint equations, each branch of which has a unique consistent root,
-found here by safeguarded Newton inside a sign-change bracket.  Both
-solutions are minima of a reduced functional, the constants eliminated
-through one branch, and are found by one solve (_branch_solve: L-BFGS, then
-a Newton/MINRES polish).  The first solution minimizes J, with the upper
+set (two integral inequalities, each the discriminant of its quadratic at
+zero coupling) the constants solve a pair of quadratic constraint equations,
+each branch of which has a unique consistent root, found here by safeguarded
+Newton inside a sign-change bracket; _CMaps holds this algebra for one
+mean-zero state.  Both solutions are minima of a reduced functional, the
+constants eliminated through one branch, and are found by one solve
+(_branch_solve: L-BFGS, then a Newton/MINRES polish on the Schur Hessian,
+whose 2x2 block in the constants is the integrals of the pointwise Hessian
+coefficients).  The first solution minimizes J, with the upper
 roots, over the admissible set, from Tarantello's screened seed, which lies
 inside that set.  The second is a mountain-pass saddle of the full
 functional I: eliminating the constants through the saddle branch (lower
@@ -106,27 +109,8 @@ def state_integrals(u_prime: np.ndarray, v_prime: np.ndarray,
     )
 
 
-def _margins(s: StateIntegrals, n: int, params: ModelParams) -> Tuple[float, float]:
-    gam = gamma(params)
-    ab = params.alpha * params.beta
-    thr = 8.0 * math.pi * n / ((1.0 - gam) ** 2 * ab)
-    return (s.j1**2 - thr * s.e1, s.j2**2 - gam * thr * s.e2)
-
-
-def admissibility_margins(u_prime: np.ndarray, v_prime: np.ndarray,
-                          bg: BackgroundTorus, params: ModelParams) -> Tuple[float, float]:
-    """Left-minus-right of the two admissibility inequalities (>= 0 inside)."""
-    return _margins(state_integrals(u_prime, v_prime, bg), bg.n, params)
-
-
-def admissible(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTorus,
-               params: ModelParams) -> bool:
-    m1, m2 = admissibility_margins(u_prime, v_prime, bg, params)
-    return m1 >= 0.0 and m2 >= 0.0
-
-
 # ---------------------------------------------------------------------------
-# constants from the constraints: the scalar root problem
+# the constraint algebra of one mean-zero state
 # ---------------------------------------------------------------------------
 
 
@@ -141,21 +125,56 @@ class CSolve:
 
 
 class _CMaps:
-    """g1, g2 and F(X) = X - g1(g2(X)) for a fixed admissible state.
+    """The constraint algebra of one mean-zero state (u', v').
 
+    With X1 = e^{c1}, X2 = e^{c2} and the integrals s of state_integrals, the
+    constraints are the quadratics e1 X1² - q1(X2) X1 + 2πn/(αβ) = 0 and
+    e2 X2² - q2(X1) X2 + 2γπn/(αβ) = 0, where q1 = (1-γ) j1 + γ g X2 and
+    q2 = (1-γ) j2 + γ g X1; their discriminants are q1² - d1 and q2² - d2.
     g2 is always the upper root of the second quadratic; g1 takes the upper
     (sign +1) or lower (sign -1) root of the first.  The lower root is formed
     as d/(2e(q + √(q² - d))), the product of the roots over the upper one,
     so it does not cancel.
+
+    margins are the two admissibility margins (>= 0 inside the admissible
+    set).  margin_k (1-γ)² = q_k(0)² - d_k: each is the discriminant of its
+    quadratic at zero coupling, and q_k only grows with the other root, so
+    nonnegative margins keep both quadratics solvable on either branch.
     """
 
-    def __init__(self, s: StateIntegrals, gam: float, n: int, alphabeta: float):
-        self.s = s
-        self.gam = gam
-        self.d1 = 8.0 * math.pi * n / alphabeta * s.e1
-        self.d2 = 8.0 * self.gam * math.pi * n / alphabeta * s.e2
-        self.n = n
-        self.ab = alphabeta
+    def __init__(self, u_prime: np.ndarray, v_prime: np.ndarray,
+                 bg: BackgroundTorus, params: ModelParams):
+        s = self.s = state_integrals(u_prime, v_prime, bg)
+        gam = self.gam = gamma(params)
+        ab = self.ab = params.alpha * params.beta
+        n = self.n = bg.n
+        self.d1 = 8.0 * math.pi * n / ab * s.e1
+        self.d2 = 8.0 * gam * math.pi * n / ab * s.e2
+        thr = 8.0 * math.pi * n / ((1.0 - gam) ** 2 * ab)
+        self.margins = (s.j1**2 - thr * s.e1, s.j2**2 - gam * thr * s.e2)
+
+    def require_admissible(self) -> None:
+        """Raise AdmissibilityError naming the first violated inequality."""
+        m1, m2 = self.margins
+        if not (m1 >= 0.0 and m2 >= 0.0):
+            which = "first" if m1 < 0 else "second"
+            raise AdmissibilityError(
+                f"state violates the {which} admissibility inequality "
+                f"(margins {m1:.3e}, {m2:.3e})", constraint=which)
+
+    def solve(self, saddle: bool, newton: bool = True) -> CSolve:
+        """The branch root (_solve_c_branch) and the relative residuals of
+        both quadratics there; AdmissibilityError outside the admissible set."""
+        self.require_admissible()
+        c1, c2, x1, it = _solve_c_branch(self, saddle, newton)
+        x2 = math.exp(c2)
+        s = self.s
+        t1 = (x1 * x1 * s.e1, -x1 * self.q1(x2), 2.0 * math.pi * self.n / self.ab)
+        t2 = (x2 * x2 * s.e2, -x2 * self.q2(x1),
+              2.0 * self.gam * math.pi * self.n / self.ab)
+        r1 = abs(sum(t1)) / max(max(abs(v) for v in t1), 1e-300)
+        r2 = abs(sum(t2)) / max(max(abs(v) for v in t2), 1e-300)
+        return CSolve(c1, c2, x1, r1, r2, it)
 
     @staticmethod
     def _sqrt_disc(q: float, d: float) -> float:
@@ -170,7 +189,7 @@ class _CMaps:
 
     @staticmethod
     def _root(q: float, r: float, d: float, e: float, sign: float) -> float:
-        """Root of e X² - q X + d/4 with r = √(q² - d): upper or lower."""
+        """Root of e X² - q X + d/(4e) with r = √(q² - d): upper or lower."""
         if sign > 0.0:
             return (q + r) / (2.0 * e)
         return d / (2.0 * e * (q + r))
@@ -238,18 +257,6 @@ class _CMaps:
         return lo, hi
 
 
-def _cmaps(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTorus,
-           params: ModelParams) -> _CMaps:
-    s = state_integrals(u_prime, v_prime, bg)
-    m1, m2 = _margins(s, bg.n, params)
-    if not (m1 >= 0.0 and m2 >= 0.0):
-        which = "first" if m1 < 0 else "second"
-        raise AdmissibilityError(
-            f"state violates the {which} admissibility inequality "
-            f"(margins {m1:.3e}, {m2:.3e})", constraint=which)
-    return _CMaps(s, gamma(params), bg.n, params.alpha * params.beta)
-
-
 def _solve_c_branch(maps: _CMaps, saddle: bool,
                     newton: bool = True) -> Tuple[float, float, float, int]:
     """Root of the branch fixed-point equation; returns (c1, c2, X0, iters).
@@ -299,22 +306,14 @@ def solve_c(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTorus,
     """
     if method not in ("newton", "bisection"):
         raise ConfigError(f"unknown root method {method!r}")
-    maps = _cmaps(u_prime, v_prime, bg, params)
-    c1, c2, x, it = _solve_c_branch(maps, saddle=False, newton=method == "newton")
-    r1, r2 = constraint_residuals(maps, x, math.exp(c2))
-    return CSolve(c1, c2, x, r1, r2, it)
+    return _CMaps(u_prime, v_prime, bg, params).solve(saddle=False,
+                                                       newton=method == "newton")
 
 
-def constraint_residuals(maps: _CMaps, x1: float, x2: float) -> Tuple[float, float]:
-    """Relative residuals of the two constraint quadratics at (e^c1, e^c2)."""
-    s, gam = maps.s, maps.gam
-    q1 = maps.q1(x2)
-    q2 = maps.q2(x1)
-    t1 = (x1 * x1 * s.e1, -x1 * q1, 2.0 * math.pi * maps.n / maps.ab)
-    t2 = (x2 * x2 * s.e2, -x2 * q2, 2.0 * gam * math.pi * maps.n / maps.ab)
-    r1 = abs(sum(t1)) / max(max(abs(v) for v in t1), 1e-300)
-    r2 = abs(sum(t2)) / max(max(abs(v) for v in t2), 1e-300)
-    return r1, r2
+def admissibility_margins(u_prime: np.ndarray, v_prime: np.ndarray,
+                          bg: BackgroundTorus, params: ModelParams) -> Tuple[float, float]:
+    """Left-minus-right of the two admissibility inequalities (>= 0 inside)."""
+    return _CMaps(u_prime, v_prime, bg, params).margins
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +496,7 @@ class TorusOperator:
         return self._apply_symbol(wh, self._precond).ravel() / self.domain.cell_area
 
 
-def pde_residual_fourth_torus(u: np.ndarray, v: np.ndarray, bg: BackgroundTorus,
-                              params: ModelParams,
+def pde_residual_fourth_torus(u: np.ndarray, v: np.ndarray, op: TorusOperator,
                               exclude: Optional[np.ndarray] = None) -> float:
     """Residual of the transformed system under an independent 4th-order stencil.
 
@@ -508,8 +506,7 @@ def pde_residual_fourth_torus(u: np.ndarray, v: np.ndarray, bg: BackgroundTorus,
     """
     from .fields import laplacian4_values
 
-    op = TorusOperator(bg, params)
-    p = params
+    p = op.params
     P, R = op._pr(u, v)
     common = 2.0 * p.alpha * (P + R - 2.0)
     diff = 2.0 * p.beta * (P - R)
@@ -586,44 +583,44 @@ class _BranchReduced:
 
     def __init__(self, op: TorusOperator, saddle: bool = False):
         self.op = op
-        self.bg = op.bg
-        self.params = op.params
         self.saddle = saddle
-        # (u', v', maps, c1, c2, X0, root iterations) of the last state whose
-        # constants were solved: the line search asks feasible() and then
-        # fun_grad() at one trial point, and MINRES asks hess_vec() many times
-        # at one Newton iterate
+        # (u', v', maps, CSolve) of the last state whose constants were
+        # solved: the line search asks feasible() and then fun_grad() at one
+        # trial point, and MINRES asks hess_vec() many times at one Newton
+        # iterate
         self._memo: Optional[tuple] = None
         # (memo, pointwise Hessian coefficients, 2x2 Hessian in the constants)
         # at that state, shared by the products there
         self._hess: Optional[tuple] = None
+        # the inequality (AdmissibilityError.constraint) of the last rejection
+        self.rejected: Optional[str] = None
 
     def split(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         u, v = self.op.unpack(x)
         return _project0(u), _project0(v)
 
-    def _solve(self, up: np.ndarray,
-               vp: np.ndarray) -> Tuple[_CMaps, float, float, float, int]:
-        """(maps, c1, c2, X0, iterations) of the branch root at (u', v')."""
+    def _solve(self, up: np.ndarray, vp: np.ndarray) -> Tuple[_CMaps, CSolve]:
+        """The constraint algebra at (u', v') and its root on this branch."""
         memo = self._memo
         if memo is not None and np.array_equal(memo[0], up) and np.array_equal(memo[1], vp):
             return memo[2:]
-        maps = _cmaps(up, vp, self.bg, self.params)
-        self._memo = (up.copy(), vp.copy(), maps) + _solve_c_branch(maps, saddle=self.saddle)
+        maps = _CMaps(up, vp, self.op.bg, self.op.params)
+        self._memo = (up.copy(), vp.copy(), maps, maps.solve(self.saddle))
         return self._memo[2:]
 
     def feasible(self, x: np.ndarray) -> bool:
         """Admissible, with constants on this branch (solved once, remembered)."""
         try:
             self._solve(*self.split(x))
-        except AdmissibilityError:
+        except AdmissibilityError as err:
+            self.rejected = err.constraint
             return False
         return True
 
     def lift(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         up, vp = self.split(x)
-        c1, c2 = self._solve(up, vp)[1:3]
-        return up + c1, vp + c2
+        cs = self._solve(up, vp)[1]
+        return up + cs.c1, vp + cs.c2
 
     def fun_grad(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
         u, v = self.lift(x)
@@ -634,31 +631,24 @@ class _BranchReduced:
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self.fun_grad(x)[1]
 
-    def _c_hessian(self, maps: _CMaps, c1: float, c2: float) -> np.ndarray:
-        s, gam = maps.s, maps.gam
-        x1, x2 = math.exp(c1), math.exp(c2)
-        scale = 2.0 * (self.params.alpha + self.params.beta)
-        h11 = scale * (2.0 * x1 * x1 * s.e1 - x1 * maps.q1(x2))
-        h22 = scale * (2.0 * x2 * x2 * s.e2 - x2 * maps.q2(x1))
-        h12 = scale * gam * x1 * x2 * s.g
-        return np.array([[h11, h12], [h12, h22]])
-
     def hess_vec(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Schur-reduced second variation via implicit differentiation.
 
-        The pointwise coefficients and the constants' 2x2 Hessian are formed
-        once per state and shared by every product there.
+        The Laplacian annihilates constants, so the constants' 2x2 Hessian is
+        the integrals of the pointwise coefficients.  Both are formed once per
+        state and shared by every product there.
         """
+        dom = self.op.domain
         up, vp = self.split(x)
-        maps, c1, c2 = self._solve(up, vp)[:3]
+        cs = self._solve(up, vp)[1]
         if self._hess is None or self._hess[0] is not self._memo:
-            self._hess = (self._memo, self.op.hess_coeffs(up + c1, vp + c2),
-                          self._c_hessian(maps, c1, c2))
+            coeffs = self.op.hess_coeffs(up + cs.c1, vp + cs.c2)
+            huu, huv, hvv = (integrate_values(h, dom) for h in coeffs)
+            self._hess = (self._memo, coeffs, np.array([[huu, huv], [huv, hvv]]))
         _, coeffs, hc = self._hess
         du, dv = self.op.unpack(w)
         hu, hv = self.op.hess_apply(coeffs, du, dv)
-        rhs = -np.array([integrate_values(hu, self.op.domain),
-                         integrate_values(hv, self.op.domain)])
+        rhs = -np.array([integrate_values(hu, dom), integrate_values(hv, dom)])
         det = hc[0, 0] * hc[1, 1] - hc[0, 1] * hc[1, 0]
         if abs(det) < 1e-14 * (abs(hc[0, 0] * hc[1, 1]) + 1.0):
             dc = np.zeros(2)
@@ -669,7 +659,7 @@ class _BranchReduced:
         huu, huv, hvv = coeffs
         hu = hu + huu * dc[0] + huv * dc[1]
         hv = hv + huv * dc[0] + hvv * dc[1]
-        return self.op.pack(_project0(hu), _project0(hv)) * self.op.domain.cell_area
+        return self.op.pack(_project0(hu), _project0(hv)) * dom.cell_area
 
 
 # ---------------------------------------------------------------------------
@@ -726,8 +716,8 @@ def reduced_energy_J(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTor
     """
     p = params
     dom = bg.domain
-    cs = solve_c(u_prime, v_prime, bg, params)
-    s = state_integrals(u_prime, v_prime, bg)
+    maps = _CMaps(u_prime, v_prime, bg, params)
+    cs, s = maps.solve(saddle=False), maps.s
     a = 0.5 * (1.0 / p.alpha + 1.0 / p.beta)
     b = 0.5 * (1.0 / p.alpha - 1.0 / p.beta)
     val = a * 0.5 * (dirichlet_inner_values(u_prime, u_prime, dom)
@@ -775,8 +765,9 @@ def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: TorusSolveOpts,
     as it stands.  The constants sit on red's branch root at every iterate,
     and the returned state's residuals (info["c_solve"]) are those of that
     root.  A descent trapped at the admissible-set boundary raises
-    BoundaryTrappingError; a polish that misses opts.tol on the full
-    gradient raises NonConvergenceError carrying the state.
+    BoundaryTrappingError naming the inequality that rejected its last step
+    and describing the last accepted iterate; a polish that misses opts.tol
+    on the full gradient raises NonConvergenceError carrying the state.
     """
     op = red.op
     dom = op.domain
@@ -787,14 +778,21 @@ def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: TorusSolveOpts,
     if res.boundary_trapped and not res.converged:
         hint = "" if red.saddle else (
             "; alpha is likely below the existence threshold for this vortex number")
+        maps, cs = red._solve(*red.split(res.x))
+        q1 = maps.q1(math.exp(cs.c2))
         raise BoundaryTrappingError(
-            f"{what} trapped at the admissible-set boundary after "
-            f"{res.iterations} iterations ({res.message}){hint}")
+            f"{what} trapped at the admissible-set boundary by the {red.rejected} "
+            f"admissibility inequality after {res.iterations} iterations "
+            f"({res.message}); at the last accepted iterate: margins {maps.margins[0]:.3e}, "
+            f"{maps.margins[1]:.3e} (j1² = {maps.s.j1 ** 2:.1e}), real discriminant "
+            f"q1(X2)² - d1 at {(q1 * q1 - maps.d1) / (q1 * q1):.1%} of q1(X2)², reduced "
+            f"gradient max-norm {float(np.max(np.abs(res.g))) / dom.cell_area:.3e}{hint}",
+            constraint=red.rejected)
     pol = newton_polish(red.grad, red.hess_vec, res.x, precond=op.precond_flat,
                         tol_inf=opts.tol * dom.cell_area, max_iter=_NEWTON_MAX_ITER)
     up, vp = red.split(pol.x)
-    maps, c1, c2, root, root_iters = red._solve(up, vp)
-    u, v = up + c1, vp + c2
+    cs = red._solve(up, vp)[1]
+    u, v = up + cs.c1, vp + cs.c2
     state = TorusState.from_full(u, v, dom)
     gu, gv = op.gradient(u, v)
     grad_inf = max(float(np.max(np.abs(gu))), float(np.max(np.abs(gv))))
@@ -802,7 +800,6 @@ def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: TorusSolveOpts,
         raise NonConvergenceError(
             f"{what} stalled at gradient max-norm {grad_inf:.3e} "
             f"(target {opts.tol:.3e})", state=state, grad_norm=grad_inf)
-    r1, r2 = constraint_residuals(maps, root, math.exp(c2))
     energy = op.energy(u, v)
     return state, {
         "energy_I": energy,
@@ -811,7 +808,7 @@ def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: TorusSolveOpts,
         "iterations": res.iterations + pol.iterations,
         "minres_unconverged": pol.minres_unconverged,
         "minres_iters": pol.minres_iters,
-        "c_solve": CSolve(c1, c2, root, r1, r2, root_iters),
+        "c_solve": cs,
         "c1": state.c1,
         "c2": state.c2,
         "clamp_hit": op.clamp_hit,
@@ -841,17 +838,17 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
             margin=feas.margin)
     op = TorusOperator(bg, params)
 
-    up0 = _project0(tarantello_init(params, bg, opts.lam_t))
-    vp0 = np.zeros(domain.shape)
-    if not admissible(up0, vp0, bg, params):
-        m1, m2 = admissibility_margins(up0, vp0, bg, params)
+    # red remembers the seed's constants for the descent's first evaluation
+    red = _BranchReduced(op, saddle=False)
+    x0 = op.pack(_project0(tarantello_init(params, bg, opts.lam_t)), np.zeros(domain.shape))
+    try:
+        red.lift(x0)
+    except AdmissibilityError as err:
         raise AdmissibilityError(
-            "the screened seed is outside the admissible set "
-            f"(margins {m1:.3e}, {m2:.3e}); try a larger lam_t",
-            constraint="first" if m1 < 0 else "second")
+            f"the screened seed is outside the admissible set ({err}); "
+            "try a larger lam_t", constraint=err.constraint) from err
 
-    state, info = _branch_solve(_BranchReduced(op, saddle=False), op.pack(up0, vp0),
-                                opts, opts.tol * _LBFGS_HANDOVER)
+    state, info = _branch_solve(red, x0, opts, opts.tol * _LBFGS_HANDOVER)
     info.update({
         "bg": bg,
         "operator": op,

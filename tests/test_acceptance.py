@@ -37,8 +37,8 @@ from csvortex.plane import (
 from csvortex.torus import (
     TorusOperator,
     TorusSolveOpts,
-    _cmaps,
-    admissible,
+    _CMaps,
+    admissibility_margins,
     minimize_torus,
     mountain_pass,
     reconstruct_original,
@@ -253,7 +253,7 @@ def test_criterion_5_constraint_closure():
     while drawn < 20:
         up = smooth_random(dom, rng, 0.6)
         vp = smooth_random(dom, rng, 0.6)
-        if not admissible(up, vp, bg, params):
+        if min(admissibility_margins(up, vp, bg, params)) < 0.0:
             continue
         drawn += 1
         csn = solve_c(up, vp, bg, params, method="newton")
@@ -267,7 +267,7 @@ def test_criterion_5_constraint_closure():
             - gam * integrate_values((P - 1) * R, dom) + 2 * gam * np.pi * bg.n / ab
         worst_res = max(worst_res, abs(r1), abs(r2))
     # F(X)/X monotone over 50 sampled pairs on the last admissible state
-    maps = _cmaps(up, vp, bg, params)
+    maps = _CMaps(up, vp, bg, params)
     xs = np.sort(rng.uniform(0.02, 10.0, size=100))
     ratios = [maps.f(x) / x for x in xs]
     pairs_ok = all(r1 < r2 for r1, r2 in zip(ratios, ratios[1:]))

@@ -130,6 +130,24 @@ class TestConfigErrors:
         p = write_cfg(tmp_path / "c.json", cfg)
         assert main(["solve-torus", "--config", p]) == 1
 
+    def test_non_square_torus_cells_refused_before_the_solve(self, torus_cfg, tmp_path,
+                                                             capsys, monkeypatch):
+        import csvortex.cli as cli_mod
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(cli_mod, "minimize_torus", unreachable)
+        cfg = json.loads(open(torus_cfg).read())
+        cfg["domain"] = {"kind": "torus", "periods": [6.283185307179586, 12.566370614359172],
+                         "n": [32, 32]}
+        p = write_cfg(tmp_path / "aspect.json", cfg)
+        assert main(["solve-torus", "--config", p, "--out", str(tmp_path / "o")]) == 1
+        assert "cell aspect must be uniform" in capsys.readouterr().out
+        # the same cell with square grid cells parses
+        cfg["domain"]["n"] = [32, 64]
+        assert load_config(write_cfg(tmp_path / "square.json", cfg)).domain.shape == (32, 64)
+
 
     @pytest.mark.parametrize("garble", [
         {"vortices": [3]},

@@ -13,10 +13,9 @@ from csvortex.fields import GridDomain, integrate_values
 from csvortex.model import ModelParams
 from csvortex.torus import (
     TorusOperator,
-    _cmaps,
+    _CMaps,
     _solve_c_branch,
     admissibility_margins,
-    admissible,
     feasibility,
     gamma,
     reduced_energy_J,
@@ -40,7 +39,7 @@ def admissible_random(dom, bg, params, rng, amp=0.5):
     for _ in range(50):
         up = smooth_random(dom, rng, amp)
         vp = smooth_random(dom, rng, amp)
-        if admissible(up, vp, bg, params):
+        if min(admissibility_margins(up, vp, bg, params)) >= 0.0:
             return up, vp
     raise RuntimeError("could not draw an admissible state")
 
@@ -87,7 +86,7 @@ class TestConstraintCoeffs:
         bg = torus_background(VortexSet((tuple(),)), dom)
         params = ModelParams(1.0, 3.0, sigma=4.0)
         z = np.zeros(dom.shape)
-        maps = _cmaps(z, z, bg, params)
+        maps = _CMaps(z, z, bg, params)
         assert maps.q1(1.0) == pytest.approx(dom.area, rel=1e-12)
         assert maps.q2(1.0) == pytest.approx(dom.area, rel=1e-12)
         assert maps.gam == pytest.approx(0.5)
@@ -96,7 +95,7 @@ class TestConstraintCoeffs:
         dom, bg, _ = setup
         up, vp = smooth_random(dom, rng, 0.3), smooth_random(dom, rng, 0.3)
         params = ModelParams(30.0, 30.0 * (1 + 1e-9), sigma=2.0)
-        maps = _cmaps(up, vp, bg, params)
+        maps = _CMaps(up, vp, bg, params)
         s = state_integrals(up, vp, bg)
         assert maps.q1(math.exp(-5.0)) == pytest.approx(s.j1, rel=1e-8)
 
@@ -104,7 +103,7 @@ class TestConstraintCoeffs:
         dom, bg, params = setup
         up, vp = smooth_random(dom, rng, 0.4), smooth_random(dom, rng, 0.4)
         c1, c2 = -0.3, -0.1
-        maps = _cmaps(up, vp, bg, params)
+        maps = _CMaps(up, vp, bg, params)
         gam = gamma(params)
         # independent term-by-term quadrature
         q1 = (1 - gam) * integrate_values(np.exp(bg.u0 + up), dom) \
@@ -121,7 +120,7 @@ class TestAdmissible:
         bg = torus_background(VortexSet((tuple(),)), dom)
         params = ModelParams(0.01, 0.02, sigma=3.0)
         up, vp = smooth_random(dom, rng, 2.0), smooth_random(dom, rng, 2.0)
-        assert admissible(up, vp, bg, params)
+        assert min(admissibility_margins(up, vp, bg, params)) >= 0.0
 
     def test_flat_state_closed_form(self, setup):
         dom, bg, params = setup
@@ -189,7 +188,7 @@ class TestSolveC:
     def test_f_over_x_monotone(self, setup, rng):
         dom, bg, params = setup
         up, vp = admissible_random(dom, bg, params, rng)
-        maps = _cmaps(up, vp, bg, params)
+        maps = _CMaps(up, vp, bg, params)
         xs = np.sort(rng.uniform(0.02, 8.0, size=100))
         vals = [maps.f(x) / x for x in xs]
         assert all(v1 < v2 for v1, v2 in zip(vals, vals[1:]))
@@ -197,7 +196,7 @@ class TestSolveC:
     def test_g_maps_increasing(self, setup, rng):
         dom, bg, params = setup
         up, vp = admissible_random(dom, bg, params, rng)
-        maps = _cmaps(up, vp, bg, params)
+        maps = _CMaps(up, vp, bg, params)
         xs = np.linspace(0.05, 5.0, 40)
         g1s = [maps.g1(x) for x in xs]
         g2s = [maps.g2(x) for x in xs]
@@ -218,7 +217,7 @@ class TestSolveC:
         dom, bg, _ = setup
         tight = ModelParams(alpha=0.30, beta=0.33, sigma=2.0)
         z = np.zeros(dom.shape)
-        assert not admissible(z, z, bg, tight)
+        assert min(admissibility_margins(z, z, bg, tight)) < 0.0
         with pytest.raises(AdmissibilityError):
             solve_c(z, z, bg, tight)
 
@@ -234,8 +233,8 @@ class TestRootProperties:
         params = ModelParams(alpha=alpha, beta=alpha * ratio, sigma=5.0)
         rng = np.random.default_rng(seed)
         up, vp = smooth_random(dom, rng, amp), smooth_random(dom, rng, amp)
-        assume(admissible(up, vp, bg, params))
-        maps = _cmaps(up, vp, bg, params)
+        assume(min(admissibility_margins(up, vp, bg, params)) >= 0.0)
+        maps = _CMaps(up, vp, bg, params)
         roots = {}
         for saddle, sign in ((False, 1.0), (True, -1.0)):
             lo, hi = maps.bracket(saddle)
@@ -261,7 +260,7 @@ class TestRootProperties:
         dom, bg, _ = setup
         params = ModelParams(alpha=10.0, beta=40.0, sigma=5.0)
         z = np.zeros(dom.shape)
-        maps = _cmaps(z, z, bg, params)
+        maps = _CMaps(z, z, bg, params)
         # the bracket is closed-form: no nested upper-branch solve
         calls = []
 

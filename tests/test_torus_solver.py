@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import csvortex.torus as torus_mod
@@ -21,7 +21,7 @@ from csvortex.model import ModelParams
 from csvortex.torus import (
     TorusOperator,
     TorusSolveOpts,
-    admissible,
+    admissibility_margins,
     feasibility,
     minimize_torus,
     mountain_pass,
@@ -145,6 +145,42 @@ class TestEnergyGradient:
         assert np.max(np.abs(fd - hv)) <= 1e-6 * np.max(np.abs(hv))
 
 
+class TestReducedFunctional:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([3.0, 30.0]),
+           count=st.integers(1, 3), amp=st.floats(0.0, 1.0))
+    def test_gradient_and_hessian_fourth_order_differences(self, seed, alpha, count,
+                                                           amp):
+        # on both branches: the gradient is the derivative of the reduced
+        # energy, and hess_vec, Schur block included, that of the gradient
+        dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 32, 32)
+        rng = np.random.default_rng(seed)
+        params = ModelParams(alpha=alpha, beta=1.5 * alpha, sigma=2.0)
+        centres = [tuple(rng.uniform(0.0, 2 * np.pi, 2)) for _ in range(count)]
+        bg = torus_background(VortexSet.single(centres), dom)
+        up, vp = smooth_random(dom, rng, amp), smooth_random(dom, rng, amp)
+        assume(min(admissibility_margins(up, vp, bg, params)) >= 0.0)
+        eps, t = np.finfo(float).eps, 1e-3
+
+        def fourth(fn, x, d):
+            return (8.0 * (fn(x + t * d) - fn(x - t * d))
+                    - (fn(x + 2 * t * d) - fn(x - 2 * t * d))) / (12.0 * t)
+
+        for saddle in (False, True):
+            red = torus_mod._BranchReduced(TorusOperator(bg, params), saddle=saddle)
+            x = red.op.pack(up, vp)
+            d = red.op.pack(smooth_random(dom, rng, 1.0), smooth_random(dom, rng, 1.0))
+            f, g = red.fun_grad(x)
+            fd = fourth(lambda y: red.fun_grad(y)[0], x, d)
+            an = float(g @ d)
+            # the differences carry round-off of about eps·|f|/t
+            assert abs(fd - an) <= 1e-7 * abs(an) + eps * abs(f) / t
+            hv = red.hess_vec(x, d)
+            fdh = fourth(red.grad, x, d)
+            assert np.max(np.abs(fdh - hv)) <= (1e-8 * np.max(np.abs(hv))
+                                                + eps * np.max(np.abs(g)) / t)
+
+
 class TestPreconditioner:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), amp=st.floats(0.0, 3.0),
@@ -220,7 +256,7 @@ class TestTarantello:
         dom, _, bg, params = setup
         w = tarantello_init(params, bg)
         wp = w - w.mean()
-        assert admissible(wp, np.zeros(dom.shape), bg, params)
+        assert min(admissibility_margins(wp, np.zeros(dom.shape), bg, params)) >= 0.0
 
 
 class TestMinimizeTorus:
@@ -342,6 +378,9 @@ class TestMountainPass:
             mountain_pass(params, first, opts, bg=info["bg"])
         assert "saddle descent" in str(err.value)
         assert "threshold" not in str(err.value)
+        # every rejected trial step violates the first inequality
+        assert err.value.constraint == "first"
+        assert "first admissibility inequality" in str(err.value)
         cfg = {
             "schema_version": 1,
             "mode": "torus",
@@ -433,8 +472,8 @@ class TestSeedRejection:
         z = np.zeros(dom.shape)
         for a in np.linspace(0.65, 1.6, 40):
             cand = ModelParams(alpha=a, beta=1.2 * a, sigma=2.0)
-            if feasibility(cand, bg.n, dom.area).feasible and not admissible(
-                    z, z, bg, cand):
+            if feasibility(cand, bg.n, dom.area).feasible and min(
+                    admissibility_margins(z, z, bg, cand)) < 0.0:
                 params = cand
                 break
         if params is None:
