@@ -16,8 +16,10 @@ required at the admissible-set boundary of the constrained torus problem.
 ``newton_polish`` drives the gradient to a tight max-norm tolerance with a
 damped Newton iteration whose linear systems are solved by preconditioned
 MINRES; the Hessian may be indefinite, so the same routine refines both
-minima and mountain-pass saddle points.  Inner solves that stop short of their
-tolerance are still tried as steps, and are counted in
+minima and mountain-pass saddle points.  Each inner solve is sized to the
+tolerance still to be met, never tighter than the outer step needs
+(Eisenstat and Walker 1996).  Inner solves that stop short of their
+tolerance are still tried as steps, kept if the merit falls, and counted in
 ``OptResult.minres_unconverged``; ``OptResult.minres_iters`` counts the inner
 MINRES iterations.
 """
@@ -33,6 +35,10 @@ from scipy.sparse.linalg import LinearOperator, minres
 
 
 _HISTORY = 12  # L-BFGS correction pairs kept
+# newton_polish's MINRES forcing term: the larger of _FORCING_GAIN·‖g‖₂ and
+# _FORCING_TARGET·tol_inf/(‖g‖∞·√shortfall), clipped to [_RTOL_MIN, _RTOL_MAX]
+_FORCING_GAIN, _FORCING_TARGET = 1e-2, 0.1
+_RTOL_MIN, _RTOL_MAX = 1e-12, 1e-2
 
 
 class LineSearchError(RuntimeError):
@@ -262,6 +268,7 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
 
 
 def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
+                  g0: Optional[np.ndarray] = None,
                   precond: Optional[Callable] = None,
                   tol_inf: float = 1e-10,
                   max_iter: int = 60,
@@ -270,13 +277,31 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
 
     The merit function is the gradient 2-norm, so the iteration also converges
     to saddle points; ``precond`` must apply an SPD approximate inverse.
+    ``g0``, if given, is grad(x0), which the caller already holds.
+
+    Each inner solve is only as accurate as the outer step needs (Eisenstat
+    and Walker 1996).  MINRES gets the larger of _FORCING_GAIN·‖g‖₂, for fast
+    local convergence, and _FORCING_TARGET·tol_inf/‖g‖∞, the reduction that
+    meets the target with a margin of ten.  scipy's MINRES stops on
+    ‖r‖/(‖A‖‖y‖ + ‖b‖), so it may deliver far less reduction than rtol: the
+    target term is divided by the square root of the shortfall of the last
+    full step, the merit reduction it achieved over the rtol it asked for (at
+    least 1).  Only the square root, because the shortfall grows with the
+    length of the inner solve.
+
+    Policy for inner solves that miss rtol (counted in ``minres_unconverged``):
+    their steps are treated like any other, kept when the merit falls by the
+    sufficient-decrease factor, halved when it does not.  If halving fails, a
+    preconditioned steepest-descent step is tried, and if that fails the
+    polish stops unconverged.  Every accepted merit is below the one before.
     """
     x = np.asarray(x0, dtype=float).copy()
-    g = grad(x)
+    g = grad(x) if g0 is None else g0
     n = x.size
     merits = [float(np.linalg.norm(g))]
     unconverged = 0
     inner = 0
+    shortfall = 1.0
 
     def count(xk: np.ndarray) -> None:
         nonlocal inner
@@ -290,7 +315,8 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
                              minres_iters=inner)
         H = LinearOperator((n, n), matvec=lambda v: hess_vec(x, v))
         M = LinearOperator((n, n), matvec=precond) if precond is not None else None
-        rtol = float(np.clip(merits[-1] * 1e-2, 1e-12, 1e-4))
+        target = _FORCING_TARGET * tol_inf / (ginf * np.sqrt(shortfall))
+        rtol = float(np.clip(max(_FORCING_GAIN * merits[-1], target), _RTOL_MIN, _RTOL_MAX))
         delta, status = minres(H, -g, rtol=rtol, maxiter=minres_maxiter, M=M,
                                callback=count)
         if status != 0:
@@ -304,6 +330,8 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
             if np.all(np.isfinite(gt)) and float(np.linalg.norm(gt)) < (1.0 - 1e-4 * t) * m0:
                 x, g = xt, gt
                 merits.append(float(np.linalg.norm(g)))
+                if t == 1.0:
+                    shortfall = max(1.0, merits[-1] / (m0 * rtol))
                 accepted = True
                 break
             t *= 0.5

@@ -74,7 +74,9 @@ class PlaneState:
                                  domain, species)
 
 
-_LBFGS_HANDOVER = 1e3  # L-BFGS hands over to Newton at this multiple of tol
+# L-BFGS hands over to Newton at this multiple of tol, before its line searches
+# reach the energy's round-off; Newton/MINRES is cheaper for the rest
+_LBFGS_HANDOVER = 1e5
 
 
 @dataclass(frozen=True)
@@ -331,7 +333,7 @@ def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
     iterations = res.iterations
     minres_unconverged = minres_iters = 0
     if float(np.max(np.abs(res.g))) > tol_flat:
-        pol = newton_polish(op.grad_flat, op.hess_vec_flat, res.x,
+        pol = newton_polish(op.grad_flat, op.hess_vec_flat, res.x, g0=res.g,
                             precond=op.precond_flat, tol_inf=tol_flat)
         iterations += pol.iterations
         minres_unconverged = pol.minres_unconverged

@@ -788,7 +788,7 @@ def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: TorusSolveOpts,
             f"q1(X2)² - d1 at {(q1 * q1 - maps.d1) / (q1 * q1):.1%} of q1(X2)², reduced "
             f"gradient max-norm {float(np.max(np.abs(res.g))) / dom.cell_area:.3e}{hint}",
             constraint=red.rejected)
-    pol = newton_polish(red.grad, red.hess_vec, res.x, precond=op.precond_flat,
+    pol = newton_polish(red.grad, red.hess_vec, res.x, g0=res.g, precond=op.precond_flat,
                         tol_inf=opts.tol * dom.cell_area, max_iter=_NEWTON_MAX_ITER)
     up, vp = red.split(pol.x)
     cs = red._solve(up, vp)[1]

@@ -13,6 +13,8 @@ from csvortex.errors import DomainError
 from csvortex.fields import (
     GridDomain,
     ScalarField,
+    box_dirichlet_ring,
+    box_laplacian_ring,
     box_shifted_inverse,
     dirichlet_inner_values,
     integrate_values,
@@ -126,6 +128,49 @@ class TestDirichletInner:
         lhs = dirichlet_inner_values(f, g, dom)
         rhs = -integrate_values(f * laplacian_values(g, dom), dom)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(("box", "torus")),
+           n1=st.integers(8, 16).map(lambda k: 2 * k),
+           n2=st.integers(8, 16).map(lambda k: 2 * k), extent=st.floats(1e-2, 1e2),
+           scale=st.floats(1e-6, 1e6))
+    def test_adjointness_property(self, seed, kind, n1, n2, extent, scale):
+        # Σ f·(-Δg)·h² = ∫∇f·∇g on random fields; the bound is relative to the
+        # summed magnitudes of the terms (of order ‖f‖‖Δg‖h²), so a sum that
+        # cancels to near zero still gets a round-off floor
+        rng = np.random.default_rng(seed)
+        if kind == "box":
+            dom = GridDomain.box(extent, n1)
+        else:
+            dom = GridDomain.torus(extent * n1, extent * n2, n1, n2)
+        f = scale * rng.standard_normal(dom.shape)
+        g = rng.standard_normal(dom.shape)
+        terms = -f * laplacian_values(g, dom) * dom.cell_area
+        bound = 1e-12 * float(np.sum(np.abs(terms)))
+        assert abs(dirichlet_inner_values(f, g, dom) - float(np.sum(terms))) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 16).map(lambda k: 2 * k),
+           extent=st.floats(1e-2, 1e2), scale=st.floats(1e-6, 1e6))
+    def test_ring_adjointness_property(self, seed, n, extent, scale):
+        # with ghost rings rf, rg: the ring Dirichlet form is -Σ f·Δ_ring g·h²
+        # plus, over each ghost, rf·(rg - g at the adjacent node)·(h⊥/h∥)
+        rng = np.random.default_rng(seed)
+        dom = GridDomain.box(extent, n)
+        f = scale * rng.standard_normal(dom.shape)
+        g = rng.standard_normal(dom.shape)
+        rf = scale * rng.standard_normal((n + 2, n + 2))
+        rg = rng.standard_normal((n + 2, n + 2))
+        rx, ry = dom.h2 / dom.h1, dom.h1 / dom.h2
+        ghost = np.concatenate([
+            rf[0, 1:-1] * (rg[0, 1:-1] - g[0, :]) * rx,
+            rf[-1, 1:-1] * (rg[-1, 1:-1] - g[-1, :]) * rx,
+            rf[1:-1, 0] * (rg[1:-1, 0] - g[:, 0]) * ry,
+            rf[1:-1, -1] * (rg[1:-1, -1] - g[:, -1]) * ry])
+        terms = np.concatenate([
+            (-f * box_laplacian_ring(g, rg, dom) * dom.cell_area).ravel(), ghost])
+        bound = 1e-12 * float(np.sum(np.abs(terms)))
+        assert abs(box_dirichlet_ring(f, rf, g, rg, dom) - float(np.sum(terms))) <= bound
 
     def test_symmetry(self, rng, torus64):
         f = rng.standard_normal(torus64.shape)

@@ -185,3 +185,29 @@ class TestNewtonPolish:
         # every inner iteration is counted: the capped solves run 2 each
         assert capped.minres_iters == 6
         assert full.minres_iters > full.iterations
+        # steps from unconverged solves are kept only where the merit falls
+        assert len(capped.energies) == capped.iterations + 1
+        assert all(m1 < m0 for m0, m1 in zip(capped.energies, capped.energies[1:]))
+
+    def test_inner_solve_sized_by_target(self, rng):
+        # a looser target must buy fewer MINRES iterations; the gradient
+        # carries a small flat scale, as the solvers' cell-area-weighted ones do
+        n, s = 200, 1e-6
+        d = rng.uniform(0.5, 50.0, size=n)
+        b = rng.standard_normal(n)
+
+        def grad(x):
+            return s * (d * x - b + 0.1 * x**3)
+
+        def hess_vec(x, v):
+            return s * (d + 0.3 * x**2) * v
+
+        root = newton_polish(grad, hess_vec, b / d, tol_inf=1e-14 * s).x
+        x0 = root + 1e-6 * rng.standard_normal(n)
+        g0 = float(np.max(np.abs(grad(x0))))
+        loose = newton_polish(grad, hess_vec, x0, tol_inf=1e-3 * g0)
+        tight = newton_polish(grad, hess_vec, x0, tol_inf=1e-7 * g0)
+        assert loose.converged and tight.converged
+        assert np.max(np.abs(loose.g)) <= 1e-3 * g0
+        assert np.max(np.abs(tight.g)) <= 1e-7 * g0
+        assert loose.minres_iters < tight.minres_iters

@@ -274,6 +274,24 @@ class TestSolvePlane:
         assert info["minres_iters"] > 0
         assert len(calls) <= info["iterations"] + info["minres_iters"] + 3
 
+    def test_tight_tolerance_wastes_no_line_search(self, monkeypatch):
+        # at tol 1e-12, L-BFGS must hand over before its line searches stop
+        # resolving the energy: about one evaluation per iteration
+        calls = []
+        evaluate = PlaneOperator.fun_grad_flat
+
+        def counted(self, x):
+            calls.append(1)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(PlaneOperator, "fun_grad_flat", counted)
+        dom = GridDomain.box(8.0, 64)
+        params = ModelParams(alpha=0.5, beta=2.0, species=1, lambda_bg=10.0)
+        _, info = solve_plane(params, VortexSet.single([(0.0, 0.0)]), dom,
+                              PlaneSolveOpts(tol=1e-12))
+        assert info["grad_inf"] <= 1e-12
+        assert len(calls) <= 1.5 * info["iterations"] + 2
+
     def test_zero_vortex_residual_is_roundoff(self):
         dom = GridDomain.box(6.0, 32)
         params = ModelParams(alpha=1.0, beta=1.0, species=1)
