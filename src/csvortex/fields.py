@@ -156,23 +156,26 @@ def laplacian_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
     """
     if domain.kind == "torus":
         return np.real(ifftn(-_k2(domain) * fftn(values)))
-    ring = ((0, 0),) * (values.ndim - 2) + ((1, 1), (1, 1))
-    return _box_laplacian_padded(np.pad(values, ring), domain)
+    p = np.zeros(values.shape[:-2] + (domain.n1 + 2, domain.n2 + 2))
+    p[..., 1:-1, 1:-1] = values
+    return _box_laplacian_padded(p, domain)
 
 
 def _box_laplacian_padded(p: np.ndarray, domain: GridDomain) -> np.ndarray:
     """5-point Laplacian of the interior of p, whose outer ring holds the ghosts.
 
-    Acts on the trailing two axes.
+    Acts on the trailing two axes.  Six array passes: three neighbour sums in
+    units of 1/h2^2, two for the centre term and one for the weight 1/h2^2;
+    off the square one more rescales the axis-0 pair by (h2/h1)^2.
     """
-    c = p[..., 1:-1, 1:-1]
-    out = p[..., 2:, 1:-1] - 2.0 * c
-    out += p[..., :-2, 1:-1]
-    out /= domain.h1**2
-    dyy = p[..., 1:-1, 2:] - 2.0 * c
-    dyy += p[..., 1:-1, :-2]
-    dyy /= domain.h2**2
-    out += dyy
+    w1, w2 = 1.0 / domain.h1**2, 1.0 / domain.h2**2
+    out = np.add(p[..., :-2, 1:-1], p[..., 2:, 1:-1])
+    if w1 != w2:
+        out *= w1 / w2
+    out += p[..., 1:-1, :-2]
+    out += p[..., 1:-1, 2:]
+    out -= (2.0 + 2.0 * w1 / w2) * p[..., 1:-1, 1:-1]
+    out *= w2
     return out
 
 
@@ -251,8 +254,15 @@ def poisson_solve_torus(rhs: np.ndarray, domain: GridDomain) -> np.ndarray:
 
 
 def box_pad_with_ring(values: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    """Embed values into a padded array whose outer ring carries ``ring`` data."""
-    p = ring.copy()
+    """Embed values into a padded array whose outer ring carries ``ring`` data.
+
+    Only the ring's edges are read; its interior is ignored.
+    """
+    p = np.empty(ring.shape)
+    p[..., 0, :] = ring[..., 0, :]
+    p[..., -1, :] = ring[..., -1, :]
+    p[..., 1:-1, 0] = ring[..., 1:-1, 0]
+    p[..., 1:-1, -1] = ring[..., 1:-1, -1]
     p[..., 1:-1, 1:-1] = values
     return p
 

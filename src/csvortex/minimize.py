@@ -2,9 +2,9 @@
 
 ``minimize_lbfgs`` is a limited-memory quasi-Newton loop with a strong-Wolfe
 line search.  Its direction comes from the compact form of the inverse
-Hessian (Byrd, Nocedal and Schnabel 1994): matrix-vector products with two
-fixed buffers of kept pairs and one small triangular solve, and one
-application of the preconditioner per iteration.  Accepted energies never
+Hessian (Byrd, Nocedal and Schnabel 1994): four sweeps of two fixed buffers
+of kept pairs, one small triangular solve, and one application of the
+preconditioner per iteration.  Accepted energies never
 increase, and they decrease strictly wherever the decrease is resolvable:
 once the predicted decrease of a step falls below 64 ulps of the energy, the
 line search accepts on the approximate-Wolfe slope test of Hager and Zhang
@@ -153,6 +153,16 @@ class _Pairs:
     where R is the upper triangle of SᵀY and D its diagonal.  The pairs live
     in two fixed (_HISTORY, n) buffers, S and PY = P·Y, filled in order and
     then overwritten oldest first; SᵀY and YᵀPY are kept by buffer slot.
+
+    A direction sweeps the buffers four times: Sᵀg and (PY)ᵀg, kept by slot,
+    and the two products that assemble -H g.  The column a new pair adds to
+    SᵀY and YᵀPY costs no sweep of its own.  Its y is g - g_prev, so
+    s_i·y = s_i·g - s_i·g_prev and (P y_i)·y = (P y_i)·g - (P y_i)·g_prev: the
+    difference of the kept products at consecutive gradients.  ``push``
+    computes only the new diagonal entries s·y and y·P y; the next
+    ``direction``, at the gradient g the pair ends at, fills in the rest.
+    Every direction refreshes the kept products of all kept pairs, so after
+    ``clear`` none from before it is ever read.
     """
 
     def __init__(self, n: int):
@@ -160,12 +170,15 @@ class _Pairs:
         self.py = np.zeros((_HISTORY, n))
         self.sy = np.zeros((_HISTORY, _HISTORY))   # s_i·y_j, by slot
         self.ypy = np.zeros((_HISTORY, _HISTORY))  # y_i·P y_j, by slot
+        self.sg = np.zeros(_HISTORY)               # s_i·g at the last direction
+        self.pyg = np.zeros(_HISTORY)              # (P y_i)·g at the last direction
         self.clear()
 
     def clear(self) -> None:
-        self.k = 0      # pairs kept
-        self.head = 0   # slot of the oldest pair once the buffers are full
+        self.k = 0          # pairs kept
+        self.head = 0       # slot of the oldest pair once the buffers are full
         self.gamma = 1.0
+        self.fresh = None   # slot whose column waits for the next direction
 
     def push(self, s: np.ndarray, y: np.ndarray, py: np.ndarray) -> None:
         if self.k < _HISTORY:
@@ -174,12 +187,12 @@ class _Pairs:
         else:
             slot = self.head
             self.head = (self.head + 1) % _HISTORY
-        k = self.k
         self.s[slot] = s
         self.py[slot] = py
-        self.sy[:k, slot] = self.s[:k] @ y
-        self.ypy[:k, slot] = self.ypy[slot, :k] = self.py[:k] @ y
-        self.gamma = float(self.sy[slot, slot]) / max(float(self.ypy[slot, slot]), 1e-300)
+        self.sy[slot, slot] = sy = float(np.dot(s, y))
+        self.ypy[slot, slot] = ypy = float(np.dot(y, py))
+        self.gamma = sy / max(ypy, 1e-300)
+        self.fresh = slot
 
     def direction(self, g: np.ndarray, pg: np.ndarray) -> np.ndarray:
         """-H g, given P g."""
@@ -187,11 +200,21 @@ class _Pairs:
         k = self.k
         if k == 0:
             return d
+        sg = self.s[:k] @ g
+        pyg = self.py[:k] @ g
+        if self.fresh is not None:
+            j = self.fresh
+            old = np.arange(k) != j
+            self.sy[:k, j][old] = sg[old] - self.sg[:k][old]
+            self.ypy[:k, j][old] = self.ypy[j, :k][old] = pyg[old] - self.pyg[:k][old]
+            self.fresh = None
+        self.sg[:k] = sg
+        self.pyg[:k] = pyg
         order = (self.head + np.arange(k)) % _HISTORY  # slots, oldest first
         cols = np.ix_(order, order)
         r = np.triu(self.sy[cols])
-        a = (self.s[:k] @ g)[order]
-        b = (self.py[:k] @ g)[order]
+        a = sg[order]
+        b = pyg[order]
         p = solve_triangular(r, a)
         w = np.diag(r) * p + self.gamma * (self.ypy[cols] @ p - b)
         q = solve_triangular(r, w, trans="T")

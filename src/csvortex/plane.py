@@ -18,7 +18,10 @@ preconditioner.
 
 Minimization: preconditioned L-BFGS (Wolfe steps, energies never
 increasing) from the zero state, followed by a Newton/MINRES polish that
-drives the gradient max-norm to the requested tolerance.
+drives the gradient max-norm to the requested tolerance.  Each Hessian
+product of the polish is one stencil of the direction on a zero ghost ring
+and about eight array passes against the pointwise reaction matrix, which
+is computed once per Newton iterate.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .background import BackgroundPlane, VortexSet, plane_background, vortex_node_mask
 from .errors import DomainError, NonConvergenceError, NonFiniteFieldError
 # bench/spans.py traces the kernels through the names bound here, including
-# box_dirichlet_ring, which the fused evaluation no longer calls
+# box_dirichlet_ring and laplacian_values, which the operator no longer calls
 from .fields import (  # noqa: F401
     EXP_CLAMP,
     GridDomain,
@@ -97,9 +100,10 @@ class PlaneOperator:
         Σ_edges (p_a - p_b)^2 = -Σ_interior p·(h^2 Δ_5 p) + Σ_ghosts g·(g - p_next),
 
     where p_next is the interior node beside ghost g.  The Hessian action
-    remembers its exponential blocks at the last state it saw (exact
-    equality), so every MINRES product at one Newton iterate shares one
-    exponential pass.
+    memoizes the pointwise reaction matrix (1 + 3M planes) at the last state
+    it saw (exact equality), so every MINRES product at one Newton iterate
+    shares one exponential pass and costs one stencil on a zero ring plus
+    about eight array passes.
     """
 
     def __init__(self, bg: BackgroundPlane, params: ModelParams):
@@ -117,6 +121,7 @@ class PlaneOperator:
         np.negative(bg.u0_pad_stack, out=ring[1:])
         ring[:, 1:-1, 1:-1] = 0.0
         self.ring = ring
+        self._zero_ring = np.zeros_like(ring)  # homogeneous ghosts of directions
         # the energy holds (M/α)|∇f|^2 + (1/β)Σ|∇f_i|^2 and the linear terms
         # (2M/α) f Σ_i h_i + (2/β) Σ f_i h_i, whose weights are the sources
         c_dir = np.array([m / a] + [1.0 / b] * m)
@@ -139,7 +144,7 @@ class PlaneOperator:
         self._p_lap = 2.0 * c_dir * dom.cell_area
         self._p_id = np.array([8.0 * a * m] + [8.0 * b] * m) * dom.cell_area
         self.clamp_hit = False
-        self._memo: Optional[tuple] = None  # (x, blocks) of the last Hessian state
+        self._memo: Optional[tuple] = None  # (x, reaction matrix) of the last Hessian state
 
     # -- pointwise exponential blocks ------------------------------------
     def _blocks(self, X: np.ndarray):
@@ -204,28 +209,49 @@ class PlaneOperator:
             raise NonFiniteFieldError("non-finite gradient value", node=node)
         return val, G
 
-    def _hess(self, x: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Second variation at flat state x applied to a direction stack V.
+    def _reaction_matrix(self, X: np.ndarray):
+        """The pointwise second variation of the reaction terms at state X.
 
-        Directions carry homogeneous ghost data.
+        At each node it is the symmetric (M+1)×(M+1) matrix
+        [[a00, a0ᵀ], [a0, diag(b) + (2α/M)·dm dmᵀ]], returned as the planes
+        (a00, a0, b, dm): 1 + 3M planes in all.
         """
         p = self.params
         m = p.species
+        dp, dm, sum_b = self._blocks(X)
+        ka = 2.0 * p.alpha / m
+        coupling = ka * (2.0 * sum_b - 2.0 * m)  # (2α/M)(sum_a + sum_b)
+        a00 = coupling * sum_b
+        a00 += (4.0 * p.beta) * np.einsum("kij,kij->ij", dm, dm)
+        a0 = (4.0 * p.beta) * dp
+        a0 += coupling
+        a0 *= dm
+        b = (ka * (sum_b - 2.0 * m)) * dp
+        b += (2.0 * p.beta) * (dp * dp + dm * dm)
+        return a00, a0, b, dm
+
+    def _hess(self, x: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Second variation at flat state x applied to a direction stack V.
+
+        Directions carry homogeneous ghost data.  The reaction matrix is
+        memoized per state, so each product is one stencil and about eight
+        array passes.
+        """
         memo = self._memo
         if memo is None or not np.array_equal(memo[0], x):
-            dp, dm, sum_b = self._blocks(x.reshape(self.shape))
-            memo = self._memo = (x.copy(), dp, dm, sum_b - 2.0 * m, sum_b)
-        _, dp, dm, sum_a, sum_b = memo
+            memo = self._memo = (x.copy(),
+                                 self._reaction_matrix(x.reshape(self.shape)))
+        a00, a0, b, dm = memo[1]
         df, dF = V[0], V[1:]
-        d_sum = np.einsum("kij,kij->ij", dm, dF) + sum_b * df
-        dmin = dm * df + dp * dF
-        dplus = dp * df + dm * dF
-        H = laplacian_values(V, self.domain)
+        H = box_laplacian_ring(V, self._zero_ring, self.domain)
         H *= -2.0 * self._c_dir
-        H[0] += (2.0 * p.alpha / m) * d_sum * (sum_a + sum_b) \
-            + (4.0 * p.beta) * np.einsum("kij,kij->ij", dm, dmin)
-        H[1:] += (2.0 * p.alpha / m) * (d_sum * dm + sum_a * dmin) \
-            + (2.0 * p.beta) * (dmin * dp + dm * dplus)
+        H[0] += a00 * df
+        H[0] += np.einsum("kij,kij->ij", a0, dF)
+        rank1 = np.einsum("kij,kij->ij", dm, dF)
+        rank1 *= 2.0 * self.params.alpha / self.params.species
+        H[1:] += a0 * df
+        H[1:] += b * dF
+        H[1:] += dm * rank1
         return H
 
     # -- the PlaneState interface ------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -72,6 +73,26 @@ class TestLaplacian:
         f = rng.standard_normal(dom.shape)
         expect = (dense @ f.ravel()).reshape(n, n)
         assert np.max(np.abs(laplacian_values(f, dom) - expect)) < 1e-12
+
+    @pytest.mark.parametrize("n1, n2", [(32, 32), (32, 48), (48, 32)])
+    def test_box_stencil_matches_node_loop(self, n1, n2, rng):
+        # GridDomain.box is always square, but a box of n1 != n2 nodes has
+        # h1 != h2, and the stencil weighs each axis by its own 1/h^2
+        dom = GridDomain("box", n1, n2, 3.0, 3.0)
+        values = rng.standard_normal((2, n1, n2))
+        ring = rng.standard_normal((2, n1 + 2, n2 + 2))  # only its edges are ghosts
+        w1, w2 = 1.0 / dom.h1**2, 1.0 / dom.h2**2
+        for lap, ghosts in ((box_laplacian_ring(values, ring, dom), ring),
+                            (laplacian_values(values, dom), np.zeros_like(ring))):
+            for k in range(2):
+                p = ghosts[k].copy()
+                p[1:-1, 1:-1] = values[k]
+                for i in range(1, n1 + 1):
+                    for j in range(1, n2 + 1):
+                        terms = (w1 * p[i - 1, j], w1 * p[i + 1, j], -2.0 * w1 * p[i, j],
+                                 w2 * p[i, j - 1], w2 * p[i, j + 1], -2.0 * w2 * p[i, j])
+                        bound = 1e-13 * sum(abs(t) for t in terms)
+                        assert abs(lap[k, i - 1, j - 1] - math.fsum(terms)) <= bound
 
     def test_divergence_theorem_torus(self, torus64, rng):
         lap = laplacian_values(smooth_random(torus64, rng, mean_zero=False), torus64)

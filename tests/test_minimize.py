@@ -140,6 +140,68 @@ class TestCompactForm:
         assert len(steps) >= 2
 
 
+class TestPairsBookkeeping:
+    """The by-slot SᵀY and YᵀPY against direct products of the kept pairs."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 100),
+           flip=st.integers(_HISTORY + 3, 2 * _HISTORY), skip=st.integers(2, 2 * _HISTORY + 3))
+    def test_kept_products_match_direct(self, seed, n, flip, skip):
+        # the ring wraps before the forced clear() at iteration `flip` and
+        # again after it; the step of iteration `skip` fails the curvature test
+        rng = np.random.default_rng(seed)
+        a = _spd(rng, n, 1e4)
+        p = _spd(rng, n, 10.0)
+        b = rng.standard_normal(n)
+        kept = []   # (s, y, P y) of the pairs _Pairs should hold, oldest first
+        seen = {"directions": 0, "pairs": 0, "checked": 0, "clears": 0}
+        curvature_pair = minimize_mod._curvature_pair
+
+        def skipping(s, y):
+            seen["pairs"] += 1
+            return None if seen["pairs"] == skip else curvature_pair(s, y)
+
+        class Checked(minimize_mod._Pairs):
+            def clear(self):
+                kept.clear()
+                seen["clears"] += 1
+                super().clear()
+
+            def push(self, s, y, py):
+                kept.append((s.copy(), y.copy(), py.copy()))
+                del kept[:-_HISTORY]
+                super().push(s, y, py)
+
+            def direction(self, g, pg):
+                d = super().direction(g, pg)
+                seen["directions"] += 1
+                assert self.k == len(kept)
+                if kept:
+                    order = (self.head + np.arange(self.k)) % _HISTORY
+                    S, Y, PY = (np.array(m) for m in zip(*kept))
+                    norm = np.linalg.norm
+                    sy_bound = 1e-10 * np.outer(norm(S, axis=1), norm(Y, axis=1))
+                    ypy_bound = 1e-10 * np.outer(norm(Y, axis=1), norm(PY, axis=1))
+                    sy = self.sy[np.ix_(order, order)]
+                    ypy = self.ypy[np.ix_(order, order)]
+                    assert np.all(np.triu(np.abs(sy - S @ Y.T) - sy_bound) <= 0)
+                    assert np.all(np.abs(ypy - Y @ PY.T) <= ypy_bound)
+                    seen["checked"] += 1
+                # a non-descent direction makes minimize_lbfgs clear the pairs
+                return -d if seen["directions"] == flip else d
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(minimize_mod, "_Pairs", Checked)
+            mp.setattr(minimize_mod, "_curvature_pair", skipping)
+            res = minimize_lbfgs(lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b),
+                                 np.zeros(n), precond=lambda v: p @ v,
+                                 tol_inf=1e-300, max_iter=flip + _HISTORY + 3)
+        assert res.iterations == flip + _HISTORY + 3, res.message
+        assert seen["pairs"] >= skip
+        assert seen["clears"] == 2  # the one in __init__ and the forced one
+        assert seen["checked"] >= 2 * _HISTORY + 3
+
+
 class TestNewtonPolish:
     def test_reaches_root(self, rng):
         d = rng.uniform(0.5, 5.0, size=30)

@@ -123,6 +123,22 @@ class TestPlaneGradient:
         hv = op.hess_vec_flat(x, d)
         assert np.max(np.abs(fd - hv)) <= 1e-6 * np.max(np.abs(hv))
 
+    def test_hessian_memo_follows_the_state(self, small_setup, rng):
+        # the reaction matrix is memoized per state: a product at another state
+        # in between must not leak into a later product at the first
+        dom, _, params, bg = small_setup
+        op = PlaneOperator(bg, params)
+        x = random_state(dom, rng, 2).pack()
+        x2 = random_state(dom, rng, 2).pack()
+        v = rng.standard_normal(x.size)
+        first = op.hess_vec_flat(x, v)
+        second = op.hess_vec_flat(x2, v)
+        third = op.hess_vec_flat(x.copy(), v)
+        fresh = PlaneOperator(bg, params).hess_vec_flat(x, v)
+        assert np.array_equal(first, fresh)
+        assert np.array_equal(second, PlaneOperator(bg, params).hess_vec_flat(x2, v))
+        assert np.array_equal(third, fresh)
+
 
 def random_problem(seed, species):
     """Random couplings, vortices and smooth state on a small box."""
