@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.fft import fftn, ifftn
+from scipy.fft import irfftn, rfftn
 
 from .errors import ConfigError, DomainError
-from .fields import GridDomain, laplacian_values, poisson_solve_torus
+from .fields import GridDomain, _torus_k2, laplacian_values, poisson_solve_torus
 
 Point = Tuple[float, float, int]  # (x, y, multiplicity)
 
@@ -226,12 +226,11 @@ def torus_background(vortices: VortexSet, domain: GridDomain) -> BackgroundTorus
         i = int(round(x / domain.h1)) % domain.n1
         j = int(round(y / domain.h2)) % domain.n2
         load[i, j] += 8.0 * np.pi * m / domain.cell_area
-    kx = 2.0 * np.pi * np.fft.fftfreq(domain.n1, d=domain.h1)
-    ky = 2.0 * np.pi * np.fft.fftfreq(domain.n2, d=domain.h2)
-    s1 = _LOAD_WIDTH_CELLS * domain.h1
-    s2 = _LOAD_WIDTH_CELLS * domain.h2
-    damp = np.exp(-(kx[:, None] ** 2 * s1**2 + ky[None, :] ** 2 * s2**2) / 2.0)
-    load = np.real(ifftn(fftn(load) * damp))
+    # the Gaussian is _LOAD_WIDTH_CELLS wide on each axis: its exponent is
+    # |k|² of the unit-spaced grid, whose wavenumbers are k·h per axis
+    unit_k2 = _torus_k2(domain.n1, domain.n2, float(domain.n1), float(domain.n2))[0]
+    damp = np.exp(-0.5 * _LOAD_WIDTH_CELLS**2 * unit_k2)
+    load = irfftn(rfftn(load) * damp, s=domain.shape)
     u0 = poisson_solve_torus(load, domain)
     return BackgroundTorus(domain, n, u0, load)
 

@@ -4,7 +4,9 @@ Two domain kinds are supported:
 
 - ``torus``: a doubly periodic cell [0, L1) x [0, L2), nodes x_i = i*L1/N1.
   Derivatives are spectral (Fourier multipliers), so the Laplacian annihilates
-  constants exactly and Poisson problems invert in one FFT pair.
+  constants exactly and Poisson problems invert in one FFT pair.  Fields are
+  real, so every transform is a real one (``rfftn``/``irfftn``) on the kept
+  half spectrum, shape (N1, N2/2 + 1).
 - ``box``: the square [-L, L]^2 truncating the plane, cell-centered nodes
   x_i = -L + (i+1/2)*h with h = 2L/N.  Derivatives are 2nd-order finite
   differences with zero Dirichlet ghost values just outside the grid.
@@ -21,7 +23,7 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.fft import dstn, fftn, idstn, ifftn
+from scipy.fft import dstn, idstn, irfftn, rfftn
 
 from .errors import DomainError
 
@@ -139,14 +141,31 @@ class ScalarField:
 
 
 @lru_cache(maxsize=32)
-def _torus_k2(n1: int, n2: int, l1: float, l2: float) -> np.ndarray:
+def _torus_k2(n1: int, n2: int, l1: float, l2: float) -> Tuple[np.ndarray, np.ndarray]:
+    """|k|² on the half spectrum rfftn keeps, shape (n1, n2//2 + 1), and |k|²
+    times the Hermitian weights: 1 on columns 0 and n2/2, which the half
+    holds once, and 2 on the others, which stand for a conjugate pair too.
+    With the weights, a sum over the half equals the full-spectrum sum of any
+    quantity even in k.  Both arrays are shared by every caller: read-only.
+    """
     kx = 2.0 * np.pi * np.fft.fftfreq(n1, d=l1 / n1)
-    ky = 2.0 * np.pi * np.fft.fftfreq(n2, d=l2 / n2)
-    return kx[:, None] ** 2 + ky[None, :] ** 2
+    ky = 2.0 * np.pi * np.fft.rfftfreq(n2, d=l2 / n2)
+    k2 = kx[:, None] ** 2 + ky[None, :] ** 2
+    k2w = 2.0 * k2
+    k2w[:, 0] = k2[:, 0]
+    k2w[:, -1] = k2[:, -1]
+    k2.flags.writeable = k2w.flags.writeable = False
+    return k2, k2w
 
 
 def _k2(domain: GridDomain) -> np.ndarray:
-    return _torus_k2(domain.n1, domain.n2, domain.extent1, domain.extent2)
+    """|k|² on the kept half spectrum of a torus domain."""
+    return _torus_k2(domain.n1, domain.n2, domain.extent1, domain.extent2)[0]
+
+
+def _k2_weighted(domain: GridDomain) -> np.ndarray:
+    """|k|² times the Hermitian weights of the kept half spectrum."""
+    return _torus_k2(domain.n1, domain.n2, domain.extent1, domain.extent2)[1]
 
 
 def laplacian_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
@@ -155,7 +174,7 @@ def laplacian_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
     On the box, leading axes index a stack of fields.
     """
     if domain.kind == "torus":
-        return np.real(ifftn(-_k2(domain) * fftn(values)))
+        return irfftn(-_k2(domain) * rfftn(values), s=domain.shape)
     p = np.zeros(values.shape[:-2] + (domain.n1 + 2, domain.n2 + 2))
     p[..., 1:-1, 1:-1] = values
     return _box_laplacian_padded(p, domain)
@@ -216,9 +235,9 @@ def dirichlet_inner_values(f: np.ndarray, g: np.ndarray, domain: GridDomain) -> 
     """∫ ∇f·∇g: spectral on the torus, forward differences with zero ghosts on
     the box; exactly adjoint to laplacian_values (-∫ f Δg to round-off)."""
     if domain.kind == "torus":
-        fh = fftn(f)
-        gh = fftn(g)
-        s = np.sum(_k2(domain) * np.real(fh * np.conj(gh)))
+        fh = rfftn(f)
+        gh = rfftn(g)
+        s = np.sum(_k2_weighted(domain) * np.real(fh * np.conj(gh)))
         return float(s) * domain.cell_area / (domain.n1 * domain.n2)
     return _box_dirichlet_padded(np.pad(f, 1), np.pad(g, 1), domain)
 
@@ -243,9 +262,9 @@ def poisson_solve_torus(rhs: np.ndarray, domain: GridDomain) -> np.ndarray:
         raise DomainError("spectral Poisson solve requires a torus domain")
     k2 = _k2(domain).copy()
     k2[0, 0] = 1.0
-    uh = fftn(rhs) / (-k2)
+    uh = rfftn(rhs) / (-k2)
     uh[0, 0] = 0.0
-    return np.real(ifftn(uh))
+    return irfftn(uh, s=domain.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +342,9 @@ def box_shifted_inverse(values: np.ndarray, domain: GridDomain, c_lap,
 def torus_shifted_inverse(values: np.ndarray, domain: GridDomain, c_lap: float,
                           c_id: float) -> np.ndarray:
     """Apply (c_lap*(-Δ_spec) + c_id)^(-1) on the torus."""
-    vh = fftn(values)
+    vh = rfftn(values)
     vh /= c_lap * _k2(domain) + c_id
-    return np.real(ifftn(vh))
+    return irfftn(vh, s=domain.shape, overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------

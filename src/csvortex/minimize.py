@@ -14,31 +14,35 @@ line search reject them and halve the step — the rejection semantics
 required at the admissible-set boundary of the constrained torus problem.
 
 ``newton_polish`` drives the gradient to a tight max-norm tolerance with a
-damped Newton iteration whose linear systems are solved by preconditioned
-MINRES; the Hessian may be indefinite, so the same routine refines both
-minima and mountain-pass saddle points.  Each inner solve is sized to the
+damped Newton iteration whose linear systems are solved by ``minres``, the
+preconditioned MINRES recurrence of Paige and Saunders (1975) on plain
+callables; the Hessian may be indefinite, so the same routine refines both
+minima and mountain-pass saddle points.  ``minres`` stops on the
+preconditioned residual the recurrence holds, ‖r‖_P <= rtol·‖b‖_P, so each
+inner solve delivers the reduction it was asked for, and each is sized to the
 tolerance still to be met, never tighter than the outer step needs
 (Eisenstat and Walker 1996).  Inner solves that stop short of their
-tolerance are still tried as steps, kept if the merit falls, and counted in
-``OptResult.minres_unconverged``; ``OptResult.minres_iters`` counts the inner
-MINRES iterations.
+tolerance, or break down, are still tried as steps, kept if the merit falls,
+and counted in ``OptResult.minres_unconverged``; ``OptResult.minres_iters``
+counts the inner MINRES iterations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.sparse.linalg import LinearOperator, minres
 
 
 _HISTORY = 12  # L-BFGS correction pairs kept
 # newton_polish's MINRES forcing term: the larger of _FORCING_GAIN·‖g‖₂ and
-# _FORCING_TARGET·tol_inf/(‖g‖∞·√shortfall), clipped to [_RTOL_MIN, _RTOL_MAX]
+# _FORCING_TARGET·tol_inf/‖g‖∞, clipped to [_RTOL_MIN, _RTOL_MAX]
 _FORCING_GAIN, _FORCING_TARGET = 1e-2, 0.1
 _RTOL_MIN, _RTOL_MAX = 1e-12, 1e-2
+_EPS = float(np.finfo(float).eps)
 
 
 class LineSearchError(RuntimeError):
@@ -290,6 +294,81 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
                      "" if converged else "iteration budget exhausted", boundary)
 
 
+def minres(A: Callable, b: np.ndarray, *, rtol: float, maxiter: int,
+           M: Optional[Callable] = None,
+           callback: Optional[Callable] = None):
+    """Preconditioned MINRES (Paige and Saunders 1975) for A x = b from x = 0.
+
+    A is symmetric, possibly indefinite or singular; M applies an SPD
+    preconditioner P (the identity if None).  Both are plain callables that
+    return fresh arrays, which the recurrence then updates in place; its own
+    vectors (x, two search directions, one scratch) are allocated once per
+    solve.  ``callback(x)`` runs once per iteration.  Returns (x, info):
+
+    - info 0: the preconditioned residual φ̄ = ‖b - A x‖_P, which the
+      recurrence holds, fell to rtol·‖b‖_P; or, for a singular A, the
+      least-squares test ‖A r‖/(‖A‖‖r‖) <= rtol passed, ‖A‖ estimated from
+      the Lanczos tridiagonal; or b = 0, and x = 0.
+    - info ``maxiter``: the cap bit first.
+    - info -1: breakdown, x the last finite iterate.  bᵀPb or a Lanczos β²
+      was negative or not finite: P is not SPD, or A returned non-finite
+      values.  A zero β² is not a breakdown: the Krylov space is invariant,
+      φ̄ falls to zero and x is exact.
+    """
+    apply_m = M if M is not None else np.copy
+    n = b.size
+    x = np.zeros(n)
+    y = apply_m(b)
+    beta1 = float(np.dot(b, y))
+    if not 0.0 < beta1 < math.inf:
+        return x, 0 if beta1 == 0.0 else -1
+    beta1 = math.sqrt(beta1)
+    r1 = r2 = b          # read only: the Lanczos vectors A and M hand back replace them
+    w_old, w, tmp = np.zeros(n), np.zeros(n), np.empty(n)
+    oldb, beta, tnorm2 = 0.0, beta1, 0.0
+    dbar = epsln = sn = 0.0
+    cs, phibar = -1.0, beta1
+    for itn in range(1, maxiter + 1):
+        v = y
+        v *= 1.0 / beta
+        y = A(v)
+        if itn > 1:
+            y -= np.multiply(r1, beta / oldb, out=tmp)
+        alfa = float(np.dot(v, y))
+        y -= np.multiply(r2, alfa / beta, out=tmp)
+        r1, r2 = r2, y
+        y = apply_m(r2)
+        oldb = beta
+        beta2 = float(np.dot(r2, y))
+        if not 0.0 <= beta2 < math.inf:
+            return x, -1
+        beta = math.sqrt(beta2)
+        tnorm2 += alfa * alfa + oldb * oldb + beta2
+        # apply the previous plane rotation, then form the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.hypot(gbar, dbar)        # ‖A r_{k-1}‖/‖r_{k-1}‖
+        gamma = max(math.hypot(gbar, beta), _EPS)
+        cs, sn = gbar / gamma, beta / gamma
+        phi = cs * phibar
+        phibar *= sn
+        # w_k = (v - ε w_{k-2} - δ w_{k-1})/γ, formed in w_{k-2}'s buffer
+        w_old *= -oldeps
+        w_old += v
+        w_old -= np.multiply(w, delta, out=tmp)
+        w_old *= 1.0 / gamma
+        w_old, w = w, w_old
+        x += np.multiply(w, phi, out=tmp)
+        if callback is not None:
+            callback(x)
+        if phibar <= rtol * beta1 or root <= rtol * math.sqrt(tnorm2):
+            return x, 0
+    return x, maxiter
+
+
 def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
                   g0: Optional[np.ndarray] = None,
                   precond: Optional[Callable] = None,
@@ -303,28 +382,26 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
     ``g0``, if given, is grad(x0), which the caller already holds.
 
     Each inner solve is only as accurate as the outer step needs (Eisenstat
-    and Walker 1996).  MINRES gets the larger of _FORCING_GAIN·‖g‖₂, for fast
-    local convergence, and _FORCING_TARGET·tol_inf/‖g‖∞, the reduction that
-    meets the target with a margin of ten.  scipy's MINRES stops on
-    ‖r‖/(‖A‖‖y‖ + ‖b‖), so it may deliver far less reduction than rtol: the
-    target term is divided by the square root of the shortfall of the last
-    full step, the merit reduction it achieved over the rtol it asked for (at
-    least 1).  Only the square root, because the shortfall grows with the
-    length of the inner solve.
+    and Walker 1996).  ``minres`` gets the larger of _FORCING_GAIN·‖g‖₂, for
+    fast local convergence, and _FORCING_TARGET·tol_inf/‖g‖∞, the reduction
+    that meets the target with a margin of ten; it stops on ‖r‖_P/‖b‖_P, so
+    that is the reduction it delivers.  Each Hessian product is one MINRES
+    iteration, and so is each preconditioner application but the one that
+    starts a solve (and the one of a steepest-descent fallback).
 
-    Policy for inner solves that miss rtol (counted in ``minres_unconverged``):
-    their steps are treated like any other, kept when the merit falls by the
-    sufficient-decrease factor, halved when it does not.  If halving fails, a
-    preconditioned steepest-descent step is tried, and if that fails the
-    polish stops unconverged.  Every accepted merit is below the one before.
+    Policy for inner solves that miss rtol or break down (counted in
+    ``minres_unconverged``): their steps are treated like any other, kept
+    when the merit falls by the sufficient-decrease factor, halved when it
+    does not.  If halving fails, or the solve broke down before its first
+    step, a preconditioned steepest-descent step is tried, and if that fails
+    the polish stops unconverged.  Every accepted merit is below the one
+    before.
     """
     x = np.asarray(x0, dtype=float).copy()
     g = grad(x) if g0 is None else g0
-    n = x.size
     merits = [float(np.linalg.norm(g))]
     unconverged = 0
     inner = 0
-    shortfall = 1.0
 
     def count(xk: np.ndarray) -> None:
         nonlocal inner
@@ -336,16 +413,14 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
             return OptResult(x, np.nan, g, it - 1, True, merits,
                              "residual tolerance met", minres_unconverged=unconverged,
                              minres_iters=inner)
-        H = LinearOperator((n, n), matvec=lambda v: hess_vec(x, v))
-        M = LinearOperator((n, n), matvec=precond) if precond is not None else None
-        target = _FORCING_TARGET * tol_inf / (ginf * np.sqrt(shortfall))
+        target = _FORCING_TARGET * tol_inf / ginf
         rtol = float(np.clip(max(_FORCING_GAIN * merits[-1], target), _RTOL_MIN, _RTOL_MAX))
-        delta, status = minres(H, -g, rtol=rtol, maxiter=minres_maxiter, M=M,
-                               callback=count)
+        delta, status = minres(lambda v: hess_vec(x, v), -g, rtol=rtol,
+                               maxiter=minres_maxiter, M=precond, callback=count)
         if status != 0:
             unconverged += 1
         m0 = merits[-1]
-        t = 1.0
+        t = 1.0 if np.any(delta) else 0.0
         accepted = False
         while t >= 1e-8:
             xt = x + t * delta
@@ -353,8 +428,6 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
             if np.all(np.isfinite(gt)) and float(np.linalg.norm(gt)) < (1.0 - 1e-4 * t) * m0:
                 x, g = xt, gt
                 merits.append(float(np.linalg.norm(g)))
-                if t == 1.0:
-                    shortfall = max(1.0, merits[-1] / (m0 * rtol))
                 accepted = True
                 break
             t *= 0.5

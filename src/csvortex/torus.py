@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.fft import fftn, ifftn
+from scipy.fft import irfftn, rfftn
 
 from .background import BackgroundTorus, VortexSet, torus_background, vortex_node_mask
 from .errors import (
@@ -46,6 +46,7 @@ from .fields import (
     EXP_CLAMP,
     GridDomain,
     _k2,
+    _k2_weighted,
     dirichlet_inner_values,
     exp_clip,
     integrate_values,
@@ -329,9 +330,12 @@ _SYMBOL_FLOOR = 1e-8
 class TorusOperator:
     """Discrete functional I on full fields (u, v) = (u'+c1, v'+c2).
 
-    Every evaluation transforms the pair (u, v) once, in one batched FFT: the
-    Dirichlet energy and the stiffness terms -aΔu - bΔv, -bΔu - aΔv are both
-    read off (û, v̂), and the stiffness terms come back in one inverse FFT.
+    Every evaluation transforms the pair (u, v) once, in one batched real
+    FFT: the Dirichlet energy and the stiffness terms -aΔu - bΔv, -bΔu - aΔv
+    are both read off (û, v̂), and the stiffness terms come back in one
+    inverse real FFT.  The fields are real, so the spectra are the half rfftn
+    keeps, (2, n1, n2/2 + 1), and every symbol lives on that half; the
+    Dirichlet energy sums it with the Hermitian weights of fields._k2_weighted.
 
     The preconditioner is a frozen-coefficient inverse Hessian, a symmetric
     2x2 symbol per Fourier mode (see _inverse_symbol).  It starts at the
@@ -353,7 +357,7 @@ class TorusOperator:
         # stiffness terms, and the preconditioner, frozen at the vacuum Hessian
         # coefficients (h_uu, h_uv, h_vv) = (2(α+β), 2(α-β), 2(α+β))
         k2 = _k2(self.domain)
-        self.k2 = k2
+        self._k2w = _k2_weighted(self.domain)
         self._stiff = (self.a * k2, self.b * k2, self.a * k2)
         self._vacuum = (2.0 * (p.alpha + p.beta), 2.0 * (p.alpha - p.beta),
                         2.0 * (p.alpha + p.beta))
@@ -396,17 +400,16 @@ class TorusOperator:
 
     @staticmethod
     def _spectra(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """(û, v̂) stacked on a leading axis, from one batched FFT."""
-        return fftn(np.stack((u, v)), axes=(1, 2))
+        """Half spectra (û, v̂) stacked on a leading axis, from one batched rfftn."""
+        return rfftn(np.stack((u, v)), axes=(1, 2))
 
-    @staticmethod
-    def _apply_symbol(wh: np.ndarray, symbol) -> np.ndarray:
-        """Inverse FFT of [[s11, s12], [s12, s22]] (û, v̂), both rows in one batch."""
+    def _apply_symbol(self, wh: np.ndarray, symbol) -> np.ndarray:
+        """Inverse real FFT of [[s11, s12], [s12, s22]] (û, v̂), both rows in one batch."""
         s11, s12, s22 = symbol
         out = np.empty_like(wh)
         out[0] = s11 * wh[0] + s12 * wh[1]
         out[1] = s12 * wh[0] + s22 * wh[1]
-        return np.real(ifftn(out, axes=(1, 2)))
+        return irfftn(out, s=self.domain.shape, axes=(1, 2), overwrite_x=True)
 
     def _dirichlet(self, wh: np.ndarray) -> float:
         """a/2 (∫|∇u|² + ∫|∇v|²) + b ∫∇u·∇v from (û, v̂)."""
@@ -414,7 +417,7 @@ class TorusOperator:
         dens = self.a * 0.5 * (np.real(uh * np.conj(uh)) + np.real(vh * np.conj(vh))) \
             + self.b * np.real(uh * np.conj(vh))
         dom = self.domain
-        return float(np.sum(self.k2 * dens)) * dom.cell_area / (dom.n1 * dom.n2)
+        return float(np.sum(self._k2w * dens)) * dom.cell_area / (dom.n1 * dom.n2)
 
     def _potential(self, u: np.ndarray, v: np.ndarray, P: np.ndarray,
                    R: np.ndarray) -> float:
@@ -492,7 +495,7 @@ class TorusOperator:
         The vacuum Hessian's exact inverse until precondition_at freezes the
         symbol at a state.
         """
-        wh = fftn(w.reshape((2,) + self.domain.shape), axes=(1, 2))
+        wh = rfftn(w.reshape((2,) + self.domain.shape), axes=(1, 2))
         return self._apply_symbol(wh, self._precond).ravel() / self.domain.cell_area
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.fft import fftn, ifftn
 
-from csvortex.fields import GridDomain, _k2
+from csvortex.fields import GridDomain
 
 
 @pytest.fixture
@@ -20,12 +20,18 @@ def box32():
     return GridDomain.box(6.0, 32)
 
 
+def full_k2(domain):
+    """|k|² on the full torus spectrum, shape (n1, n2): the reference grid."""
+    kx = 2.0 * np.pi * np.fft.fftfreq(domain.n1, d=domain.h1)
+    ky = 2.0 * np.pi * np.fft.fftfreq(domain.n2, d=domain.h2)
+    return kx[:, None] ** 2 + ky[None, :] ** 2
+
+
 def smooth_random(domain, rng, amp=0.5, mean_zero=True):
     """Band-limited random field: spectrally smoothed white noise."""
     arr = rng.standard_normal(domain.shape)
     if domain.kind == "torus":
-        k2 = _k2(domain)
-        arr = np.real(ifftn(fftn(arr) * np.exp(-k2)))
+        arr = np.real(ifftn(fftn(arr) * np.exp(-full_k2(domain))))
     else:
         from scipy.ndimage import gaussian_filter
 

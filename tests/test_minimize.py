@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csvortex.minimize as minimize_mod
-from csvortex.minimize import _HISTORY, minimize_lbfgs, newton_polish
+from csvortex.minimize import _HISTORY, minimize_lbfgs, minres, newton_polish
 
 
 def quad_problem(n, rng):
@@ -273,3 +273,132 @@ class TestNewtonPolish:
         assert np.max(np.abs(loose.g)) <= 1e-3 * g0
         assert np.max(np.abs(tight.g)) <= 1e-7 * g0
         assert loose.minres_iters < tight.minres_iters
+
+    def test_every_product_is_a_krylov_iteration(self, rng):
+        # each Hessian product is one MINRES iteration, and each preconditioner
+        # application one too, plus the one per Newton step that starts a solve
+        n = 60
+        d = rng.uniform(0.5, 50.0, size=n)
+        p = 1.0 / (d * rng.uniform(0.5, 2.0, size=n))
+        b = rng.standard_normal(n)
+        calls = {"hess_vec": 0, "precond": 0}
+
+        def grad(x):
+            return d * x - b + 0.1 * x**3
+
+        def hess_vec(x, v):
+            calls["hess_vec"] += 1
+            return (d + 0.3 * x**2) * v
+
+        def precond(v):
+            calls["precond"] += 1
+            return p * v
+
+        res = newton_polish(grad, hess_vec, np.zeros(n), precond=precond,
+                            tol_inf=1e-12)
+        assert res.converged and res.iterations >= 2
+        assert calls["hess_vec"] == res.minres_iters
+        assert calls["precond"] == res.minres_iters + res.iterations
+
+    def test_breakdown_ends_unconverged_without_raising(self, rng):
+        # a negative-definite preconditioner and a Hessian returning NaN both
+        # break MINRES down; the polish counts it and falls back
+        n = 20
+        d = rng.uniform(0.5, 50.0, size=n)
+        b = rng.standard_normal(n)
+
+        def grad(x):
+            return d * x - b
+
+        def hess_vec(x, v):
+            return d * v
+
+        neg = newton_polish(grad, hess_vec, np.zeros(n), precond=lambda v: -v / d,
+                            tol_inf=1e-12, max_iter=5)
+        assert not neg.converged and neg.minres_unconverged >= 1
+        nan = newton_polish(grad, lambda x, v: np.full_like(v, np.nan), np.zeros(n),
+                            tol_inf=1e-12, max_iter=5)
+        assert not nan.converged and nan.minres_unconverged == nan.iterations == 5
+        assert np.all(np.isfinite(nan.x))
+        assert all(m1 < m0 for m0, m1 in zip(nan.energies, nan.energies[1:]))
+
+
+def _symmetric_system(n, seed):
+    """Symmetric, possibly indefinite A with |eigenvalues| in [0.5, 5], an SPD
+    diagonal P with entries in [0.5, 2], and b: P^(1/2) A P^(1/2) has
+    condition number at most 40."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 5.0, n)
+    return (q * lam) @ q.T, rng.uniform(0.5, 2.0, n), rng.standard_normal(n)
+
+
+class TestMinres:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           rtol=st.floats(1e-10, 1e-3))
+    def test_stops_on_the_preconditioned_residual(self, n, seed, rtol):
+        # below rtol = 1e-3 the least-squares exit cannot fire first on these
+        # well-conditioned draws, so info 0 means the residual test passed
+        a, p, b = _symmetric_system(n, seed)
+        products, steps = [0], [0]
+
+        def apply_a(v):
+            products[0] += 1
+            return a @ v
+
+        def count(xk):
+            steps[0] += 1
+
+        x, info = minres(apply_a, b, rtol=rtol, maxiter=10 * n + 10,
+                         M=lambda r: p * r, callback=count)
+        assert info == 0
+        r = b - a @ x
+        assert np.sqrt(r @ (p * r)) <= 1.01 * rtol * np.sqrt(b @ (p * b))
+        # one callback per iteration, and one product of A per iteration
+        assert steps[0] == products[0] >= 1
+        if steps[0] > 1:
+            cap = steps[0] - 1
+            calls = []
+            xc, info = minres(lambda v: a @ v, b, rtol=rtol, maxiter=cap,
+                              M=lambda r: p * r, callback=calls.append)
+            assert info == cap and len(calls) == cap
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_tight_solve_matches_dense(self, n, seed):
+        a, p, b = _symmetric_system(n, seed)
+        x, info = minres(lambda v: a @ v, b, rtol=1e-12, maxiter=10 * n + 10,
+                         M=lambda r: p * r)
+        want = np.linalg.solve(a, b)
+        assert info == 0
+        assert np.linalg.norm(x - want) <= 1e-8 * np.linalg.norm(want)
+
+    def test_least_squares_exit_on_nearly_singular_system(self):
+        # b leans on an eigenvalue of 1e-13: the residual test cannot pass in
+        # a short solve, and the ‖A r‖ test ends it near the least-squares
+        # solution instead of chasing that mode to a huge x
+        lam = np.linspace(1.0, 2.0, 49) * np.where(np.arange(49) % 2, 1.0, -1.0)
+        a = np.diag(np.append(lam, 1e-13))
+        b = np.ones(50)
+        steps = []
+        x, info = minres(lambda v: a @ v, b, rtol=1e-6, maxiter=500,
+                         callback=steps.append)
+        assert info == 0 and len(steps) < 50
+        assert np.max(np.abs(x[:49] * lam - 1.0)) <= 1e-5
+        assert abs(x[49]) <= 1.0
+        assert np.linalg.norm(b - a @ x) >= 0.99
+
+    def test_breakdown_is_a_status(self, rng):
+        a, p, b = _symmetric_system(10, 7)
+        calls = []
+        x, info = minres(lambda v: a @ v, b, rtol=1e-8, maxiter=50,
+                         M=lambda r: -p * r, callback=calls.append)
+        assert info == -1 and not calls and not np.any(x)
+        x, info = minres(lambda v: np.full_like(v, np.nan), b, rtol=1e-8,
+                         maxiter=50, M=lambda r: p * r)
+        assert info == -1 and np.all(np.isfinite(x))
+
+    def test_zero_right_hand_side(self):
+        x, info = minres(lambda v: 2.0 * v, np.zeros(5), rtol=1e-8, maxiter=5)
+        assert info == 0 and not np.any(x)

@@ -16,7 +16,14 @@ from csvortex.errors import (
     MountainPassCollapseError,
     NonConvergenceError,
 )
-from csvortex.fields import GridDomain, _k2, integrate_values, laplacian_values
+from csvortex.fields import (
+    GridDomain,
+    _k2,
+    dirichlet_inner_values,
+    integrate_values,
+    laplacian_values,
+    torus_shifted_inverse,
+)
 from csvortex.model import ModelParams
 from csvortex.torus import (
     TorusOperator,
@@ -30,7 +37,7 @@ from csvortex.torus import (
     tarantello_init,
 )
 
-from conftest import smooth_random
+from conftest import full_k2, smooth_random
 
 
 @pytest.fixture(scope="module")
@@ -201,10 +208,12 @@ class TestPreconditioner:
         assert np.dot(pa, a) > 0.0
 
     def test_vacuum_symbol(self, small):
-        # at P = R = 1 the frozen symbol is the exact inverse vacuum Hessian
+        # at P = R = 1 the frozen symbol is the exact inverse vacuum Hessian,
+        # compared on the kept half of the spectrum the operator holds
         dom, bg, params, _ = small
         op = TorusOperator(bg, params)
         k2 = _k2(dom)
+        assert k2.shape == op._precond[0].shape == (dom.n1, dom.n2 // 2 + 1)
         aa = op.a * k2 + 2.0 * (params.alpha + params.beta)
         bb = op.b * k2 + 2.0 * (params.alpha - params.beta)
         det = aa * aa - bb * bb
@@ -215,6 +224,104 @@ class TestPreconditioner:
         for symbol in (built, op._precond):
             for got, want in zip(symbol, exact):
                 assert np.max(np.abs(got - want) / scale) <= 1e-14
+
+
+class FullSpectrumOperator(TorusOperator):
+    """The reference: every transform on the full spectrum, by np.fft.fft2."""
+
+    def __init__(self, bg, params):
+        super().__init__(bg, params)
+        k2 = full_k2(self.domain)
+        self._k2_full = k2
+        self._stiff = (self.a * k2, self.b * k2, self.a * k2)
+        self._precond = self._inverse_symbol(*self._vacuum)
+
+    def _spectra(self, u, v):
+        return np.fft.fft2(np.stack((u, v)))
+
+    def _apply_symbol(self, wh, symbol):
+        s11, s12, s22 = symbol
+        out = np.stack((s11 * wh[0] + s12 * wh[1], s12 * wh[0] + s22 * wh[1]))
+        return np.real(np.fft.ifft2(out))
+
+    def _dirichlet(self, wh):
+        uh, vh = wh
+        dens = (0.5 * self.a * (np.abs(uh) ** 2 + np.abs(vh) ** 2)
+                + self.b * np.real(uh * np.conj(vh)))
+        dom = self.domain
+        return float(np.sum(self._k2_full * dens)) * dom.cell_area / (dom.n1 * dom.n2)
+
+    def precond_flat(self, w):
+        wh = np.fft.fft2(w.reshape((2,) + self.domain.shape))
+        return self._apply_symbol(wh, self._precond).ravel() / self.domain.cell_area
+
+
+@pytest.fixture(scope="module", params=[(32, 32, 2 * np.pi, 2 * np.pi),
+                                        (32, 48, 2 * np.pi, 5.0)],
+                ids=["32x32", "32x48"])
+def cell(request):
+    n1, n2, l1, l2 = request.param
+    dom = GridDomain.torus(l1, l2, n1, n2)
+    bg = torus_background(VortexSet.single([(1.0, 2.0), (4.0, 1.5)]), dom)
+    return dom, bg, ModelParams(alpha=30.0, beta=45.0, sigma=2.0)
+
+
+class TestHalfSpectrum:
+    """Half-spectrum transforms against a full-spectrum reference.
+
+    The fields are smooth plus a white-noise part, so the Nyquist column,
+    which the half spectrum holds once, carries weight.
+    """
+
+    @staticmethod
+    def _field(dom, rng, amp, rough):
+        return smooth_random(dom, rng, amp) + rough * rng.standard_normal(dom.shape)
+
+    @staticmethod
+    def _close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), amp=st.floats(0.0, 2.0),
+           rough=st.floats(0.0, 0.2))
+    def test_operator_matches_full_spectrum(self, cell, seed, amp, rough):
+        dom, bg, params = cell
+        rng = np.random.default_rng(seed)
+        u, v = (self._field(dom, rng, amp, rough) for _ in range(2))
+        du, dv = (self._field(dom, rng, 1.0, rough) for _ in range(2))
+        half, full = TorusOperator(bg, params), FullSpectrumOperator(bg, params)
+        e, e_ref = half.energy(u, v), full.energy(u, v)
+        assert abs(e - e_ref) <= 1e-12 * abs(e_ref)
+        for got, want in zip(half.gradient(u, v), full.gradient(u, v)):
+            self._close(got, want)
+        for got, want in zip(half.hess_vec(u, v, du, dv), full.hess_vec(u, v, du, dv)):
+            self._close(got, want)
+        w = rng.standard_normal(2 * dom.n1 * dom.n2)
+        self._close(half.precond_flat(w), full.precond_flat(w))
+        # and frozen away from the vacuum
+        half.precondition_at(u - 3.0, v)
+        full.precondition_at(u - 3.0, v)
+        self._close(half.precond_flat(w), full.precond_flat(w))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rough=st.floats(0.0, 1.0),
+           c_id=st.floats(0.1, 100.0))
+    def test_field_kernels_match_full_spectrum(self, cell, seed, rough, c_id):
+        dom, _, _ = cell
+        rng = np.random.default_rng(seed)
+        f, g = (self._field(dom, rng, 1.0, rough) for _ in range(2))
+        k2 = full_k2(dom)
+        fh, gh = np.fft.fft2(f), np.fft.fft2(g)
+        self._close(laplacian_values(f, dom), np.real(np.fft.ifft2(-k2 * fh)))
+        self._close(torus_shifted_inverse(f, dom, 0.5, c_id),
+                    np.real(np.fft.ifft2(fh / (0.5 * k2 + c_id))))
+
+        def dirichlet(ah, bh):
+            return float(np.sum(k2 * np.real(ah * np.conj(bh)))) * dom.cell_area / f.size
+
+        scale = np.sqrt(dirichlet(fh, fh) * dirichlet(gh, gh))
+        assert abs(dirichlet_inner_values(f, g, dom) - dirichlet(fh, gh)) <= 1e-12 * scale
+        assert abs(dirichlet_inner_values(f, f, dom) - dirichlet(fh, fh)) <= 1e-12 * dirichlet(fh, fh)
 
 
 class TestTarantello:
