@@ -70,7 +70,7 @@ def _write_rays_csv(path, fit: diag.DecayFit) -> None:
 
 
 def _read_values(path: str, domain: GridDomain) -> np.ndarray:
-    """Values of a stored field, after checking its header against the domain.
+    """Finite values of a stored field, after checking its header against the domain.
 
     The header stores the extent as float32, so extents are compared to
     float32 precision.
@@ -86,6 +86,11 @@ def _read_values(path: str, domain: GridDomain) -> np.ndarray:
             f"{got.extent1:g} x {got.extent2:g}, but the config asks for "
             f"{domain.n1}x{domain.n2} {domain.kind} of extent "
             f"{domain.extent1:g} x {domain.extent2:g}")
+    bad = np.argwhere(~np.isfinite(field.values))
+    if bad.size:
+        i, j = (int(k) for k in bad[0])
+        raise DomainError(
+            f"{path} holds a non-finite value {field.values[i, j]:g} at node ({i}, {j})")
     return field.values
 
 
@@ -187,8 +192,7 @@ def cmd_solve_plane(cfg: RunConfig) -> int:
 
 def cmd_solve_torus(cfg: RunConfig) -> int:
     out = resolve_out_dir(cfg.opts)
-    opts = TorusSolveOpts(tol=cfg.opts.tol, max_iter=cfg.opts.max_iter,
-                          lam_t=cfg.opts.lam_t)
+    opts = TorusSolveOpts(tol=cfg.opts.tol, max_iter=cfg.opts.max_iter)
 
     def finish(state: TorusState, info: dict, suffix: str, mode: str, name: str,
                **record) -> List[str]:

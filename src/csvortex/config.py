@@ -38,7 +38,6 @@ class RunOpts:
     tol: float = DEFAULTS["tol"]
     max_iter: int = DEFAULTS["max_iter"]
     second_solution: bool = False
-    lam_t: Optional[float] = None
     quantized_tol: Optional[float] = None
     out_dir: str = "."
 
@@ -163,7 +162,6 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
         max_iter=int(overrides.get("max_iter", o.get("max_iter", DEFAULTS["max_iter"]))),
         second_solution=bool(overrides.get("second_solution",
                                            o.get("second_solution", False))),
-        lam_t=(None if o.get("lam_t") is None else float(o["lam_t"])),
         quantized_tol=(None if o.get("quantized_tol") is None
                        else float(o["quantized_tol"])),
         out_dir=str(overrides.get("out", o.get("out_dir", "."))),

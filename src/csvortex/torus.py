@@ -678,14 +678,14 @@ def tarantello_init(params: ModelParams, bg: BackgroundTorus,
     u0 + w < 0; its mean-zero part seeds the constrained minimization.  The
     residual plays the gradient in newton_polish: its Jacobian
     Δ - lam_t e(2e-1) is symmetric, and (-Δ + lam_t)^{-1} preconditions it.
+    Newton stops at residual _SEED_TOL or after _SEED_MAX_ITER steps; a seed
+    that stalls above _SEED_TOL is returned as it stands.
     """
     if lam_t is None:
         lam_t = 4.0 * params.alpha * params.beta
     if lam_t <= 0:
-        raise ConfigError("lam_t must be positive")
+        raise ConfigError(f"the screened coefficient must be positive, got {lam_t!r}")
     dom = bg.domain
-    if bg.n == 0:
-        return np.zeros(dom.shape)
 
     def resid(wv: np.ndarray) -> np.ndarray:
         w = wv.reshape(dom.shape)
@@ -704,10 +704,6 @@ def tarantello_init(params: ModelParams, bg: BackgroundTorus,
     pol = newton_polish(resid, jac_vec, -bg.u0.ravel(), precond=precond,
                         tol_inf=_SEED_TOL, max_iter=_SEED_MAX_ITER,
                         minres_maxiter=600)
-    if not pol.converged:
-        raise NonConvergenceError(
-            f"screened seed did not reach residual {_SEED_TOL:g} ({pol.message}); "
-            "try a larger lam_t", grad_norm=float(np.max(np.abs(pol.g))))
     return pol.x.reshape(dom.shape)
 
 
@@ -753,9 +749,8 @@ _SEPARATION = 1e-3   # least Sobolev distance of the second solution from the fi
 
 @dataclass(frozen=True)
 class TorusSolveOpts:
-    tol: float = 1e-8
-    max_iter: int = 4000
-    lam_t: Optional[float] = None   # screened-seed coefficient; None: 4*alpha*beta
+    tol: float = 1e-8       # gradient max-norm target of each torus solve
+    max_iter: int = 4000    # L-BFGS iteration cap of each torus solve
 
 
 def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: TorusSolveOpts,
@@ -825,7 +820,9 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
     From the screened seed (u' from tarantello_init, v' = 0), minimizes the
     reduced energy J over mean-zero pairs, the constants on the upper-branch
     root at every iterate (_branch_solve: L-BFGS, then a Newton/MINRES
-    polish until the gradient max-norm meets opts.tol).  info["iterations"]
+    polish until the gradient max-norm meets opts.tol).  The seed's one gate
+    is the admissible set: outside it, AdmissibilityError names the inequality,
+    both margins and αβ|Ω|/(8πn).  info["iterations"]
     counts L-BFGS and Newton steps; info["energy_J"] is the closed-form
     reduced energy, an independent check of info["energy_I"].
     """
@@ -843,13 +840,14 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
 
     # red remembers the seed's constants for the descent's first evaluation
     red = _BranchReduced(op, saddle=False)
-    x0 = op.pack(_project0(tarantello_init(params, bg, opts.lam_t)), np.zeros(domain.shape))
+    x0 = op.pack(_project0(tarantello_init(params, bg)), np.zeros(domain.shape))
     try:
         red.lift(x0)
     except AdmissibilityError as err:
+        ratio = params.alpha * params.beta * domain.area / (8.0 * math.pi * bg.n)
         raise AdmissibilityError(
             f"the screened seed is outside the admissible set ({err}); "
-            "try a larger lam_t", constraint=err.constraint) from err
+            f"alpha*beta*|Omega|/(8*pi*n) = {ratio:.6g}", constraint=err.constraint) from err
 
     state, info = _branch_solve(red, x0, opts, opts.tol * _LBFGS_HANDOVER)
     info.update({

@@ -319,6 +319,23 @@ class TestPlanePipeline:
         assert main(["verify", "--config", plane_cfg, "--out", str(out)]) == 2
         assert "max_principle.u" in capsys.readouterr().out
 
+    def test_non_finite_field_exits_one(self, plane_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["solve-plane", "--config", plane_cfg, "--out", str(out)]) == 0
+        f = read_field(out / "f.bin")
+        vals = f.values.copy()
+        vals[3, 4] = float("nan")
+        write_field(out / "f.bin", type(f)(f.domain, vals))
+        u = read_field(out / "u.bin")
+        vals = u.values.copy()
+        vals[5, 6] = float("inf")
+        write_field(out / "u.bin", type(u)(u.domain, vals))
+        capsys.readouterr()
+        assert main(["verify", "--config", plane_cfg, "--out", str(out)]) == 1
+        assert "f.bin holds a non-finite value nan at node (3, 4)" in capsys.readouterr().out
+        assert main(["decay-fit", "--config", plane_cfg, "--out", str(out)]) == 1
+        assert "u.bin holds a non-finite value inf at node (5, 6)" in capsys.readouterr().out
+
     def test_missing_fields_exit_one(self, plane_cfg, tmp_path):
         out = tmp_path / "empty"
         out.mkdir()
@@ -398,6 +415,18 @@ class TestTorusPipeline:
         assert main(["verify", "--config", torus_cfg, "--out", str(out)]) == 2
         assert "pde_residual.same_operator" in capsys.readouterr().out
 
+    def test_non_finite_field_exits_one(self, torus_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["solve-torus", "--config", torus_cfg, "--out", str(out)]) == 0
+        f = read_field(out / "u.bin")
+        vals = f.values.copy()
+        vals[5, 7] = float("nan")
+        write_field(out / "u.bin", type(f)(f.domain, vals))
+        capsys.readouterr()
+        assert main(["verify", "--config", torus_cfg, "--out", str(out)]) == 1
+        assert "u.bin holds a non-finite value nan at node (5, 7)" in capsys.readouterr().out
+        assert not (out / "verify_report.txt").exists()
+
     @pytest.mark.slow
     def test_second_solution_run(self, torus_cfg, tmp_path):
         out = tmp_path / "run2"
@@ -415,9 +444,9 @@ class TestTorusPipeline:
         assert len(iterations) == 1 and int(iterations[0].split(" = ")[1]) > 0
 
     def test_retired_path_nodes_option_still_loads(self, tmp_path):
-        # opts.path_nodes, opts.seed, opts.separation and opts.residual_tol
-        # are no longer options; schema-v1 configs that set them still load,
-        # and the keys are ignored
+        # opts.path_nodes, opts.seed, opts.separation, opts.residual_tol and
+        # opts.lam_t are no longer options; schema-v1 configs that set them
+        # still load, and the keys are ignored
         cfg = {
             "schema_version": 1,
             "mode": "torus",
@@ -428,7 +457,7 @@ class TestTorusPipeline:
             "vortices": [{"species": 0, "x": 3.141592653589793,
                           "y": 3.141592653589793}],
             "opts": {"tol": 1e-9, "path_nodes": 17, "seed": "zero",
-                     "separation": 0.5, "residual_tol": 1e-3},
+                     "separation": 0.5, "residual_tol": 1e-3, "lam_t": 100.0},
         }
         p = write_cfg(tmp_path / "torus_v1.json", cfg)
         loaded = load_config(p)

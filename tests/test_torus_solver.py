@@ -11,10 +11,10 @@ from csvortex.background import VortexSet, torus_background
 from csvortex.cli import main
 from csvortex.diagnostics import max_principle_check, quantized_integrals_torus
 from csvortex.errors import (
+    AdmissibilityError,
     BoundaryTrappingError,
     InfeasibleError,
     MountainPassCollapseError,
-    NonConvergenceError,
 )
 from csvortex.fields import (
     GridDomain,
@@ -365,6 +365,15 @@ class TestTarantello:
         wp = w - w.mean()
         assert min(admissibility_margins(wp, np.zeros(dom.shape), bg, params)) >= 0.0
 
+    def test_stalled_seed_returned_as_it_stands(self):
+        # three vortices at one point, alpha=5: the screened Newton solve
+        # stops above its residual target, and its last iterate is the seed
+        dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 64, 64)
+        bg = torus_background(VortexSet.single([(1.0, 1.0)] * 3), dom)
+        w = tarantello_init(ModelParams(alpha=5.0, beta=7.5, sigma=2.0), bg)
+        assert w.shape == dom.shape
+        assert np.all(np.isfinite(w))
+
 
 class TestMinimizeTorus:
     def test_zero_vortices_zero_state(self):
@@ -585,8 +594,9 @@ class TestSeedRejection:
                 break
         if params is None:
             pytest.skip("no feasible-but-inadmissible coupling found on this grid")
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(AdmissibilityError) as exc:
             minimize_torus(params, vs, dom, TorusSolveOpts())
+        assert exc.value.constraint == "first"
         cfg = {
             "schema_version": 1,
             "mode": "torus",
@@ -600,3 +610,31 @@ class TestSeedRejection:
         path.write_text(json.dumps(cfg))
         assert main(["solve-torus", "--config", str(path),
                      "--out", str(tmp_path / "run")]) == 3
+
+    @pytest.mark.parametrize("points, alpha, energy", [
+        # three vortices at one point: the seed's Newton solve stalls above
+        # its residual target, and the descent starts from its last iterate
+        ([(1.0, 1.0)] * 3, 5.0, 66.88330311740161),
+        # one vortex just above the coupling where the seed leaves the set
+        ([(np.pi, np.pi)], 0.93, 2.706775039741865),
+    ], ids=["three_coincident_alpha5", "one_alpha0.93"])
+    def test_first_solution_from_the_seed(self, points, alpha, energy):
+        dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 64, 64)
+        params = ModelParams(alpha=alpha, beta=1.5 * alpha, sigma=2.0)
+        _, info = minimize_torus(params, VortexSet.single(points), dom, TorusSolveOpts(tol=1e-9))
+        assert info["grad_inf"] <= 1e-9
+        assert info["energy_I"] == pytest.approx(energy, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.8, 0.9])
+    def test_inadmissible_seed_names_the_inequality(self, alpha):
+        dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 64, 64)
+        vs = VortexSet.single([(np.pi, np.pi)])
+        params = ModelParams(alpha=alpha, beta=1.5 * alpha, sigma=2.0)
+        with pytest.raises(AdmissibilityError) as exc:
+            minimize_torus(params, vs, dom, TorusSolveOpts(tol=1e-9))
+        assert exc.value.constraint == "first"
+        ratio = params.alpha * params.beta * dom.area / (8 * np.pi)
+        msg = str(exc.value)
+        assert "first admissibility inequality" in msg
+        assert f"alpha*beta*|Omega|/(8*pi*n) = {ratio:.6g}" in msg
+        assert "lam_t" not in msg
