@@ -60,7 +60,6 @@ from .torus import (
     mountain_pass,
     reduced_energy_J,
     solve_c,
-    tarantello_init,
 )
 
 __version__ = "0.1.0"

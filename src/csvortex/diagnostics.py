@@ -252,12 +252,22 @@ class SolveReport:
         return "\n".join(self.lines(include_timing)) + "\n"
 
     def failures(self, quantized_tol: float, residual_tol: float) -> List[str]:
-        """Names of checks exceeding their tolerances (empty when all pass)."""
+        """Names of checks exceeding their tolerances (empty when all pass).
+
+        Checks fail unless they are met, so NaN fails.  A solution report
+        (one with quantized integrals) also fails where its energy, gradient
+        norm or same-operator residual is not finite.
+        """
         bad = []
         for q in self.quantized:
-            if q.rel_error > quantized_tol:
+            if not q.rel_error <= quantized_tol:
                 bad.append(f"quantized.{q.label}")
-        if not math.isnan(self.pde_residual_same) and self.pde_residual_same > residual_tol:
+        solution = bool(self.quantized)
+        for label, val in (("energy", self.energy), ("grad_norm", self.grad_norm)):
+            if solution and not math.isfinite(val):
+                bad.append(label)
+        res = self.pde_residual_same
+        if res > residual_tol or (solution and not math.isfinite(res)):
             bad.append("pde_residual.same_operator")
         for chk in self.max_principle:
             if chk.status == "fail":

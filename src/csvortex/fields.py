@@ -339,14 +339,6 @@ def box_shifted_inverse(values: np.ndarray, domain: GridDomain, c_lap,
     return idstn(vh, type=1, norm="ortho", axes=(-2, -1), overwrite_x=True)
 
 
-def torus_shifted_inverse(values: np.ndarray, domain: GridDomain, c_lap: float,
-                          c_id: float) -> np.ndarray:
-    """Apply (c_lap*(-Δ_spec) + c_id)^(-1) on the torus."""
-    vh = rfftn(values)
-    vh /= c_lap * _k2(domain) + c_id
-    return irfftn(vh, s=domain.shape, overwrite_x=True)
-
-
 # ---------------------------------------------------------------------------
 # serialization: flat binary with a 16-byte header, and CSV for plotting
 # ---------------------------------------------------------------------------

@@ -12,15 +12,15 @@ mean-zero state.  Both solutions are minima of a reduced functional, the
 constants eliminated through one branch, and are found by one solve
 (_branch_solve: L-BFGS, then a Newton/MINRES polish on the Schur Hessian,
 whose 2x2 block in the constants is the integrals of the pointwise Hessian
-coefficients).  The first solution minimizes J, with the upper
-roots, over the admissible set, from Tarantello's screened seed, which lies
-inside that set.  The second is a mountain-pass saddle of the full
-functional I: eliminating the constants through the saddle branch (lower
-root of the first quadratic) turns it into a plain minimum, reached from the
-barrier point -- the first solution's mean-zero part with the saddle-branch
-constants.  Both solves are preconditioned by a frozen-coefficient inverse
-Hessian, 2x2 per Fourier mode: frozen at the vacuum for the first, at the
-barrier point for the second.
+coefficients).  The first solution minimizes J, with the upper roots, over
+the admissible set, from the vacuum lift (u', v') = (-u0, 0), which lies
+inside that set whenever the set is nonempty.  The second is a mountain-pass
+saddle of the full functional I: eliminating the constants through the
+saddle branch (lower root of the first quadratic) turns it into a plain
+minimum, reached from the barrier point -- the first solution's mean-zero
+part with the saddle-branch constants.  Both solves are preconditioned by a
+frozen-coefficient inverse Hessian, 2x2 per Fourier mode: frozen at the
+vacuum for the first, at the barrier point for the second.
 """
 
 from __future__ import annotations
@@ -42,7 +42,9 @@ from .errors import (
     MountainPassCollapseError,
     NonConvergenceError,
 )
-from .fields import (
+# bench/spans.py traces the kernels through the names bound here, including
+# laplacian_values, which the solver no longer calls
+from .fields import (  # noqa: F401
     EXP_CLAMP,
     GridDomain,
     _k2,
@@ -51,7 +53,6 @@ from .fields import (
     exp_clip,
     integrate_values,
     laplacian_values,
-    torus_shifted_inverse,
 )
 from .minimize import minimize_lbfgs, newton_polish
 from .model import ModelParams
@@ -665,48 +666,6 @@ class _BranchReduced:
         return self.op.pack(_project0(hu), _project0(hv)) * dom.cell_area
 
 
-# ---------------------------------------------------------------------------
-# seeding: the screened scalar problem
-# ---------------------------------------------------------------------------
-
-
-def tarantello_init(params: ModelParams, bg: BackgroundTorus,
-                    lam_t: Optional[float] = None) -> np.ndarray:
-    """Solve Δw = lam_t e^{u0+w}(e^{u0+w}-1) + 8πn/|Ω| by damped Newton.
-
-    Starts from w = -u0 and converges to the screened ('large') solution with
-    u0 + w < 0; its mean-zero part seeds the constrained minimization.  The
-    residual plays the gradient in newton_polish: its Jacobian
-    Δ - lam_t e(2e-1) is symmetric, and (-Δ + lam_t)^{-1} preconditions it.
-    Newton stops at residual _SEED_TOL or after _SEED_MAX_ITER steps; a seed
-    that stalls above _SEED_TOL is returned as it stands.
-    """
-    if lam_t is None:
-        lam_t = 4.0 * params.alpha * params.beta
-    if lam_t <= 0:
-        raise ConfigError(f"the screened coefficient must be positive, got {lam_t!r}")
-    dom = bg.domain
-
-    def resid(wv: np.ndarray) -> np.ndarray:
-        w = wv.reshape(dom.shape)
-        e = exp_clip(bg.u0 + w)
-        return (laplacian_values(w, dom) - lam_t * e * (e - 1.0)
-                - 8.0 * math.pi * bg.n / dom.area).ravel()
-
-    def jac_vec(wv: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        e = exp_clip(bg.u0 + wv.reshape(dom.shape))
-        f = vec.reshape(dom.shape)
-        return (laplacian_values(f, dom) - lam_t * e * (2.0 * e - 1.0) * f).ravel()
-
-    def precond(vec: np.ndarray) -> np.ndarray:
-        return torus_shifted_inverse(vec.reshape(dom.shape), dom, 1.0, lam_t).ravel()
-
-    pol = newton_polish(resid, jac_vec, -bg.u0.ravel(), precond=precond,
-                        tol_inf=_SEED_TOL, max_iter=_SEED_MAX_ITER,
-                        minres_maxiter=600)
-    return pol.x.reshape(dom.shape)
-
-
 def reduced_energy_J(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTorus,
                      params: ModelParams) -> float:
     """Closed-form reduced energy after eliminating the constants.
@@ -735,7 +694,6 @@ def reduced_energy_J(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTor
 # ---------------------------------------------------------------------------
 
 
-_SEED_TOL, _SEED_MAX_ITER = 1e-9, 80  # the screened seed's Newton solve
 _LBFGS_HANDOVER = 1e4    # the first solution's L-BFGS hands over at this multiple of tol
 _NEWTON_MAX_ITER = 120   # Newton steps of either branch's polish
 _ENDPOINT_MARGIN = 1.0   # extra drop of the endpoint below the affine bound
@@ -817,14 +775,16 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
                    opts: TorusSolveOpts = TorusSolveOpts()):
     """Constrained first solution on the torus.
 
-    From the screened seed (u' from tarantello_init, v' = 0), minimizes the
+    From the vacuum lift (u', v') = (-u0 made mean-zero, 0), minimizes the
     reduced energy J over mean-zero pairs, the constants on the upper-branch
     root at every iterate (_branch_solve: L-BFGS, then a Newton/MINRES
-    polish until the gradient max-norm meets opts.tol).  The seed's one gate
-    is the admissible set: outside it, AdmissibilityError names the inequality,
-    both margins and αβ|Ω|/(8πn).  info["iterations"]
-    counts L-BFGS and Newton steps; info["energy_J"] is the closed-form
-    reduced energy, an independent check of info["energy_I"].
+    polish until the gradient max-norm meets opts.tol).  By Cauchy-Schwarz
+    (j1² <= |Ω| e1, j2² <= |Ω| e2, equal for constant e^{u0+u'}, e^{v'}) that
+    start maximizes both normalized margins margin_k/e_k, so it is admissible
+    exactly when the admissible set is nonempty, (1-γ)²αβ|Ω| >= 8πn; below
+    that, AdmissibilityError (constraint "first") reports the ratio.
+    info["iterations"] counts L-BFGS and Newton steps; info["energy_J"] is the
+    closed-form reduced energy, an independent check of info["energy_I"].
     """
     params.require_torus_mode()
     if domain.kind != "torus":
@@ -838,16 +798,17 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
             margin=feas.margin)
     op = TorusOperator(bg, params)
 
-    # red remembers the seed's constants for the descent's first evaluation
+    # red remembers the start's constants for the descent's first evaluation
     red = _BranchReduced(op, saddle=False)
-    x0 = op.pack(_project0(tarantello_init(params, bg)), np.zeros(domain.shape))
+    x0 = op.pack(_project0(-bg.u0), np.zeros(domain.shape))
     try:
         red.lift(x0)
     except AdmissibilityError as err:
-        ratio = params.alpha * params.beta * domain.area / (8.0 * math.pi * bg.n)
+        ratio = ((1.0 - gamma(params)) ** 2 * params.alpha * params.beta * domain.area
+                 / (8.0 * math.pi * bg.n))
         raise AdmissibilityError(
-            f"the screened seed is outside the admissible set ({err}); "
-            f"alpha*beta*|Omega|/(8*pi*n) = {ratio:.6g}", constraint=err.constraint) from err
+            f"the admissible set is empty: (1-gamma)^2*alpha*beta*|Omega|/(8*pi*n) = "
+            f"{ratio:.6g} < 1 ({err})", constraint="first") from err
 
     state, info = _branch_solve(red, x0, opts, opts.tol * _LBFGS_HANDOVER)
     info.update({

@@ -339,8 +339,8 @@ def test_criterion_8_large_alpha_limit(torus_family):
                           + integrate_values((R - 1.0) ** 2, TORUS_CELL))
     dec = deficits[30.0] > deficits[60.0] > deficits[120.0]
     small = deficits[120.0] <= 0.05 * TORUS_CELL.area
-    # the screened seed's work; from the zero state these took about 97, 165
-    # and 288 iterations
+    # from the vacuum lift (-u0, 0); from the zero state these took about 97,
+    # 165 and 288 iterations
     iters = {a: info["iterations"] for a, (_, _, info) in runs.items()}
     few = max(iters.values()) <= 10
     ok = dec and small and few and elapsed <= 600.0

@@ -376,7 +376,7 @@ class TestTorusPipeline:
         }
         p = write_cfg(tmp_path / "c.json", cfg)
         assert main(["solve-torus", "--config", p, "--out", str(tmp_path / "o")]) == 4
-        assert "margin" in capsys.readouterr().out or True
+        assert "alpha*beta*|Omega| - 8*pi*n = -5.39353" in capsys.readouterr().out
 
     def test_feasible_proceeds(self, tmp_path):
         # alpha*beta = 1 >= 8*pi/|Omega|: the gate opens and the solve runs
@@ -391,8 +391,7 @@ class TestTorusPipeline:
             "opts": {"tol": 1e-9},
         }
         p = write_cfg(tmp_path / "c.json", cfg)
-        code = main(["solve-torus", "--config", p, "--out", str(tmp_path / "o")])
-        assert code in (0, 3)  # must pass the gate; tight couplings may stall
+        assert main(["solve-torus", "--config", p, "--out", str(tmp_path / "o")]) == 0
 
     def test_first_solution_run(self, torus_cfg, tmp_path):
         out = tmp_path / "run"

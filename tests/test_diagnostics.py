@@ -162,3 +162,23 @@ class TestSolveReport:
         assert "max_principle.U" in bad
         rep2 = SolveReport(mode="torus")
         assert rep2.failures(0.01, 1e-6) == []
+
+    def test_failures_reject_nan(self):
+        from csvortex.diagnostics import QuantizedIntegral
+
+        def solution(value, computed):
+            rep = SolveReport(mode="torus")
+            rep.energy = rep.grad_norm = rep.pde_residual_same = value
+            rep.quantized = [QuantizedIntegral("first", computed, -4 * np.pi)]
+            return rep
+
+        assert solution(1e-9, -4 * np.pi).failures(0.01, 1e-6) == []
+        for value in (np.nan, np.inf):
+            assert solution(value, value).failures(0.01, 1e-6) == [
+                "quantized.first", "energy", "grad_norm", "pde_residual.same_operator"]
+        # a NaN flux alone fails, though its rel_error compares False with tol
+        rep = solution(1e-9, np.nan)
+        assert np.isnan(rep.quantized[0].rel_error)
+        assert rep.failures(0.01, 1e-6) == ["quantized.first"]
+        # the decay-fit report carries no quantized integrals and no residual
+        assert SolveReport(mode="decay-fit").failures(0.01, 1e-6) == []

@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 import csvortex.torus as torus_mod
 
 from csvortex.background import VortexSet, torus_background
-from csvortex.errors import AdmissibilityError, ConfigError
+from csvortex.errors import AdmissibilityError, BoundaryTrappingError, ConfigError
 from csvortex.fields import GridDomain, integrate_values
 from csvortex.model import ModelParams
 from csvortex.torus import (
     TorusOperator,
+    TorusSolveOpts,
     _CMaps,
     _solve_c_branch,
     admissibility_margins,
     feasibility,
     gamma,
+    minimize_torus,
     reduced_energy_J,
     solve_c,
     state_integrals,
@@ -272,6 +274,60 @@ class TestRootProperties:
         x = torus_mod._solve_c_branch(maps, saddle=True)[2]
         assert len(calls) == 1
         assert abs(maps.f(x, -1.0)) <= 8.0 * np.finfo(float).eps * x
+
+
+class TestVacuumLift:
+    """The first solution's start (u', v') = (-u0, 0), made mean-zero.
+
+    By Cauchy-Schwarz on the quadrature, j1² <= |Ω| e1 and j2² <= |Ω| e2,
+    with equality where e^{u0+u'} and e^{v'} are constant, so the start
+    maximizes margin_k/e_k: it is admissible exactly when the admissible set
+    is nonempty, (1-γ)²αβ|Ω| >= 8πn.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), amp=st.floats(0.0, 4.0),
+           near=st.booleans(), alpha=st.floats(0.3, 120.0),
+           ratio=st.floats(1.05, 4.0))
+    def test_start_maximizes_normalized_margins(self, setup, seed, amp, near,
+                                                alpha, ratio):
+        dom, bg, _ = setup
+        params = ModelParams(alpha=alpha, beta=alpha * ratio, sigma=5.0)
+        gam = gamma(params)
+        thr = 8 * np.pi * bg.n / ((1 - gam) ** 2 * params.alpha * params.beta)
+        best = (dom.area - thr, dom.area - gam * thr)
+        tol = 1e-12 * (dom.area + thr)
+
+        def normalized(up, vp):
+            s = state_integrals(up, vp, bg)
+            m1, m2 = admissibility_margins(up, vp, bg, params)
+            return m1 / s.e1, m2 / s.e2
+
+        lift = -bg.u0 + bg.u0.mean()
+        z = np.zeros(dom.shape)
+        for got, want in zip(normalized(lift, z), best):
+            assert abs(got - want) <= tol
+        rng = np.random.default_rng(seed)
+        up, vp = smooth_random(dom, rng, amp), smooth_random(dom, rng, amp)
+        if near:
+            up = up + lift
+        for got, top in zip(normalized(up, vp), best):
+            assert got <= top + tol
+
+    @pytest.mark.parametrize("alpha, error", [
+        (0.80, AdmissibilityError),     # ratio 0.965: the gate refuses the start
+        (0.85, BoundaryTrappingError),  # ratio 1.090: the descent runs
+    ])
+    def test_threshold_on_one_vortex_cell(self, alpha, error):
+        # β = 1.5α puts the threshold (1-γ)²αβ|Ω| = 8π at α ≈ 0.814
+        dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 64, 64)
+        params = ModelParams(alpha=alpha, beta=1.5 * alpha, sigma=2.0)
+        ratio = (1 - gamma(params)) ** 2 * params.alpha * params.beta * dom.area / (8 * np.pi)
+        assert (ratio < 1) == (error is AdmissibilityError)
+        with pytest.raises(error) as exc:
+            minimize_torus(params, VortexSet.single([(np.pi, np.pi)]), dom,
+                           TorusSolveOpts(tol=1e-9))
+        assert exc.value.constraint == "first"
 
 
 class TestQuantizedConstraintIdentity:

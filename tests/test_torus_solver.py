@@ -22,7 +22,6 @@ from csvortex.fields import (
     dirichlet_inner_values,
     integrate_values,
     laplacian_values,
-    torus_shifted_inverse,
 )
 from csvortex.model import ModelParams
 from csvortex.torus import (
@@ -30,11 +29,11 @@ from csvortex.torus import (
     TorusSolveOpts,
     admissibility_margins,
     feasibility,
+    gamma,
     minimize_torus,
     mountain_pass,
     reconstruct_original,
     solve_c,
-    tarantello_init,
 )
 
 from conftest import full_k2, smooth_random
@@ -304,17 +303,14 @@ class TestHalfSpectrum:
         self._close(half.precond_flat(w), full.precond_flat(w))
 
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), rough=st.floats(0.0, 1.0),
-           c_id=st.floats(0.1, 100.0))
-    def test_field_kernels_match_full_spectrum(self, cell, seed, rough, c_id):
+    @given(seed=st.integers(0, 2**32 - 1), rough=st.floats(0.0, 1.0))
+    def test_field_kernels_match_full_spectrum(self, cell, seed, rough):
         dom, _, _ = cell
         rng = np.random.default_rng(seed)
         f, g = (self._field(dom, rng, 1.0, rough) for _ in range(2))
         k2 = full_k2(dom)
         fh, gh = np.fft.fft2(f), np.fft.fft2(g)
         self._close(laplacian_values(f, dom), np.real(np.fft.ifft2(-k2 * fh)))
-        self._close(torus_shifted_inverse(f, dom, 0.5, c_id),
-                    np.real(np.fft.ifft2(fh / (0.5 * k2 + c_id))))
 
         def dirichlet(ah, bh):
             return float(np.sum(k2 * np.real(ah * np.conj(bh)))) * dom.cell_area / f.size
@@ -322,57 +318,6 @@ class TestHalfSpectrum:
         scale = np.sqrt(dirichlet(fh, fh) * dirichlet(gh, gh))
         assert abs(dirichlet_inner_values(f, g, dom) - dirichlet(fh, gh)) <= 1e-12 * scale
         assert abs(dirichlet_inner_values(f, f, dom) - dirichlet(fh, fh)) <= 1e-12 * dirichlet(fh, fh)
-
-
-class TestTarantello:
-    def test_zero_vortices_zero_solution(self):
-        dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 32, 32)
-        bg = torus_background(VortexSet((tuple(),)), dom)
-        params = ModelParams(1.0, 2.0, sigma=3.0)
-        w = tarantello_init(params, bg)
-        assert np.max(np.abs(w)) == 0.0
-
-    def test_residual_oracle(self, setup):
-        dom, _, bg, params = setup
-        lam_t = 4 * params.alpha * params.beta
-        w = tarantello_init(params, bg, lam_t)
-        e = np.exp(bg.u0 + w)
-        resid = laplacian_values(w, dom) - lam_t * e * (e - 1.0) \
-            - 8 * np.pi * bg.n / dom.area
-        assert np.max(np.abs(resid)) <= 1e-9
-
-    def test_screened_limit_monotone(self, setup):
-        # ∫ (e^{u0+w} - 1)^2 decreases as lam_t grows
-        dom, _, bg, params = setup
-        defs = []
-        for lam_t in (200.0, 1000.0, 5000.0):
-            w = tarantello_init(params, bg, lam_t)
-            e = np.exp(bg.u0 + w)
-            defs.append(integrate_values((e - 1.0) ** 2, dom))
-        assert defs[0] > defs[1] > defs[2]
-
-    def test_below_vacuum(self, setup):
-        # screened solution sits below the vacuum; far-field margins decay
-        # exponentially, so allow the round-off band
-        dom, _, bg, params = setup
-        w = tarantello_init(params, bg)
-        assert np.max(bg.u0 + w) <= 1e-9
-        assert np.min(bg.u0 + w) < -1e-3
-
-    def test_seed_is_admissible(self, setup):
-        dom, _, bg, params = setup
-        w = tarantello_init(params, bg)
-        wp = w - w.mean()
-        assert min(admissibility_margins(wp, np.zeros(dom.shape), bg, params)) >= 0.0
-
-    def test_stalled_seed_returned_as_it_stands(self):
-        # three vortices at one point, alpha=5: the screened Newton solve
-        # stops above its residual target, and its last iterate is the seed
-        dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 64, 64)
-        bg = torus_background(VortexSet.single([(1.0, 1.0)] * 3), dom)
-        w = tarantello_init(ModelParams(alpha=5.0, beta=7.5, sigma=2.0), bg)
-        assert w.shape == dom.shape
-        assert np.all(np.isfinite(w))
 
 
 class TestMinimizeTorus:
@@ -395,7 +340,7 @@ class TestMinimizeTorus:
         state, info = first_solution
         assert info["grad_inf"] <= 1e-10
         assert info["feasibility"].feasible
-        # from the screened seed; the zero state took 88 iterations here
+        # from the vacuum lift (-u0, 0); the zero state took 88 iterations here
         assert info["iterations"] <= 10
 
     def test_constants_nonpositive(self, first_solution):
@@ -612,10 +557,9 @@ class TestSeedRejection:
                      "--out", str(tmp_path / "run")]) == 3
 
     @pytest.mark.parametrize("points, alpha, energy", [
-        # three vortices at one point: the seed's Newton solve stalls above
-        # its residual target, and the descent starts from its last iterate
+        # three vortices at one point, where a screened seed once stalled
         ([(1.0, 1.0)] * 3, 5.0, 66.88330311740161),
-        # one vortex just above the coupling where the seed leaves the set
+        # one vortex just above the couplings whose descent is trapped
         ([(np.pi, np.pi)], 0.93, 2.706775039741865),
     ], ids=["three_coincident_alpha5", "one_alpha0.93"])
     def test_first_solution_from_the_seed(self, points, alpha, energy):
@@ -625,16 +569,40 @@ class TestSeedRejection:
         assert info["grad_inf"] <= 1e-9
         assert info["energy_I"] == pytest.approx(energy, rel=1e-9)
 
-    @pytest.mark.parametrize("alpha", [0.8, 0.9])
-    def test_inadmissible_seed_names_the_inequality(self, alpha):
+    @pytest.mark.parametrize("alpha, error", [
+        # (1-γ)²αβ|Ω|/(8πn) = 0.965: the admissible set is empty, and the
+        # vacuum lift, which maximizes both normalized margins, is refused
+        (0.8, AdmissibilityError),
+        # ratio 1.22: the start passes the gate, and the descent reaches the
+        # boundary of the set through the first inequality
+        (0.9, BoundaryTrappingError),
+    ], ids=["0.8", "0.9"])
+    def test_inadmissible_seed_names_the_inequality(self, alpha, error, tmp_path):
         dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 64, 64)
         vs = VortexSet.single([(np.pi, np.pi)])
         params = ModelParams(alpha=alpha, beta=1.5 * alpha, sigma=2.0)
-        with pytest.raises(AdmissibilityError) as exc:
+        with pytest.raises(error) as exc:
             minimize_torus(params, vs, dom, TorusSolveOpts(tol=1e-9))
         assert exc.value.constraint == "first"
-        ratio = params.alpha * params.beta * dom.area / (8 * np.pi)
         msg = str(exc.value)
-        assert "first admissibility inequality" in msg
-        assert f"alpha*beta*|Omega|/(8*pi*n) = {ratio:.6g}" in msg
-        assert "lam_t" not in msg
+        ratio = (1 - gamma(params)) ** 2 * params.alpha * params.beta * dom.area / (8 * np.pi)
+        if error is AdmissibilityError:
+            assert ratio < 1
+            assert "the admissible set is empty" in msg
+            assert f"(1-gamma)^2*alpha*beta*|Omega|/(8*pi*n) = {ratio:.6g} < 1" in msg
+        else:
+            assert ratio > 1
+            assert "first admissibility inequality" in msg
+        cfg = {
+            "schema_version": 1,
+            "mode": "torus",
+            "params": {"alpha": alpha, "beta": 1.5 * alpha, "sigma": 2.0},
+            "domain": {"kind": "torus", "periods": [2 * np.pi, 2 * np.pi],
+                       "n": [64, 64]},
+            "vortices": [{"species": 0, "x": np.pi, "y": np.pi}],
+            "opts": {"tol": 1e-9},
+        }
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve-torus", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 3
