@@ -59,7 +59,6 @@ from .torus import (
     minimize_torus,
     mountain_pass,
     reduced_energy_J,
-    solve_c,
 )
 
 __version__ = "0.1.0"

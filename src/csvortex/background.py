@@ -86,37 +86,31 @@ class VortexSet:
 class BackgroundPlane:
     """Per-species plane backgrounds u_i0, h_i plus their species sum.
 
-    Each profile is held once, as an (M, n1, n2) stack (``*_stack``); the
-    per-species tuples ``u0``, ``h``, ``u0_pad`` and ``u0_grid`` are views of
-    the stacks.  ``u0`` and ``h`` are the closed-form profiles sampled
-    nodally.  ``u0_pad`` holds the profiles on the grid padded by one ghost
-    ring: the plane solver lifts its Dirichlet data from that ring.
-    ``u0_grid`` is the discretely consistent counterpart of u0: the solution
-    of the 5-point system Δ u0_grid = -h + 4π δ_grid with the analytic ghost
-    data, where δ_grid is a bilinearly spread unit load at each vortex.  The
-    solver's exponentials and the reconstruction use u0_grid, so the
-    background's algebraic far-field tail cancels in the discrete equations
-    to round-off and the reconstructed u, u_j keep a clean exponential tail
-    (the analytic samples would leave an O(h^2/|x|^6) truncation wake
-    swamping it).
+    Each profile is one (M, n1, n2) array with the species on the leading
+    axis.  ``u0_pad`` holds the closed-form u_i0 sampled nodally on the grid
+    padded by one ghost ring (the plane solver lifts its Dirichlet data from
+    that ring), and ``u0`` is its interior view; ``h`` is the closed-form h_i
+    sampled nodally.  ``u0_grid`` is the discretely consistent counterpart
+    of u0: the solution of the 5-point system Δ u0_grid = -h + 4π δ_grid
+    with the analytic ghost data, where δ_grid is a bilinearly spread unit
+    load at each vortex.  The solver's exponentials and the reconstruction
+    use u0_grid, so the background's algebraic far-field tail cancels in the
+    discrete equations to round-off and the reconstructed u, u_j keep a clean
+    exponential tail (the analytic samples would leave an O(h^2/|x|^6)
+    truncation wake swamping it).
     """
 
     domain: GridDomain
     lam: float
-    u0_stack: np.ndarray = field(repr=False)       # u_i0 <= 0 everywhere
-    h_stack: np.ndarray = field(repr=False)        # h_i >= 0, ∫ h_i ~ 4π n_i
-    u0_pad_stack: np.ndarray = field(repr=False)   # (M, n1 + 2, n2 + 2)
-    u0_grid_stack: np.ndarray = field(repr=False)
-    u0: Tuple[np.ndarray, ...] = field(init=False, repr=False)
-    h: Tuple[np.ndarray, ...] = field(init=False, repr=False)
-    u0_pad: Tuple[np.ndarray, ...] = field(init=False, repr=False)
-    u0_grid: Tuple[np.ndarray, ...] = field(init=False, repr=False)
+    h: np.ndarray = field(repr=False)        # h_i >= 0, ∫ h_i ~ 4π n_i
+    u0_pad: np.ndarray = field(repr=False)   # (M, n1 + 2, n2 + 2); u_i0 <= 0
+    u0_grid: np.ndarray = field(repr=False)
+    u0: np.ndarray = field(init=False, repr=False)           # interior of u0_pad
     u0_grid_sum: np.ndarray = field(init=False, repr=False)  # Σ_k u0_grid_k
 
     def __post_init__(self):
-        for name in ("u0", "h", "u0_pad", "u0_grid"):
-            object.__setattr__(self, name, tuple(getattr(self, name + "_stack")))
-        object.__setattr__(self, "u0_grid_sum", np.sum(self.u0_grid_stack, axis=0))
+        object.__setattr__(self, "u0", self.u0_pad[:, 1:-1, 1:-1])
+        object.__setattr__(self, "u0_grid_sum", np.sum(self.u0_grid, axis=0))
 
 
 @dataclass(frozen=True)
@@ -160,8 +154,8 @@ def plane_background(vortices: VortexSet, lam: float, domain: GridDomain) -> Bac
             h_pad[k] += mult * 4.0 * lam / (lam + d2) ** 2
         load[k] = _cic_load(pts, domain)
     h = h_pad[:, 1:-1, 1:-1].copy()
-    return BackgroundPlane(domain, float(lam), u0_pad[:, 1:-1, 1:-1].copy(), h,
-                           u0_pad, _consistent_profiles(load, h, u0_pad, domain))
+    return BackgroundPlane(domain, float(lam), h, u0_pad,
+                           _consistent_profiles(load, h, u0_pad, domain))
 
 
 def _cic_load(pts, domain: GridDomain) -> np.ndarray:
@@ -192,14 +186,14 @@ def _consistent_profiles(load: np.ndarray, h: np.ndarray, u0_pad: np.ndarray,
     inside only by the discretization correction that keeps the 5-point
     identity exact at every node.
     """
-    from .fields import box_laplacian_ring, box_shifted_inverse
+    from .fields import box_laplacian_ring, box_shifted_inverse, box_symbol
 
     rhs = -h + 4.0 * np.pi * load
     ring = u0_pad.copy()
     ring[:, 1:-1, 1:-1] = 0.0
     ring_term = box_laplacian_ring(np.zeros(h.shape), ring, domain)
     # Δ0 x = rhs - ring_term  <=>  (-Δ0) x = ring_term - rhs
-    return box_shifted_inverse(ring_term - rhs, domain, 1.0, 0.0)
+    return box_shifted_inverse(ring_term - rhs, box_symbol(domain, 1.0, 0.0))
 
 
 def torus_background(vortices: VortexSet, domain: GridDomain) -> BackgroundTorus:

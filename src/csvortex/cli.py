@@ -31,6 +31,7 @@ from .errors import (
     InfeasibleError,
     MountainPassCollapseError,
     NonConvergenceError,
+    NonFiniteFieldError,
 )
 from .fields import GridDomain, ScalarField, read_field, write_csv, write_field
 from .plane import (
@@ -317,7 +318,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}")
         return EXIT_INFEASIBLE
-    except (NonConvergenceError, BoundaryTrappingError,
+    except (NonConvergenceError, NonFiniteFieldError, BoundaryTrappingError,
             MountainPassCollapseError, AdmissibilityError) as exc:
         print(f"solver failure: {exc}")
         return EXIT_NONCONVERGENCE

@@ -166,15 +166,17 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
                        else float(o["quantized_tol"])),
         out_dir=str(overrides.get("out", o.get("out_dir", "."))),
     )
-    if not opts.tol > 0:
-        raise ConfigError(f"tol must be positive, got {opts.tol!r}")
+    if not 0 < opts.tol < math.inf:
+        raise ConfigError(f"tol must be positive and finite, got {opts.tol!r}")
     if opts.max_iter < 1:
         raise ConfigError(f"max_iter must be at least 1, got {opts.max_iter!r}")
     if mode == "torus":
         params.require_torus_mode()
     center = raw.get("decay_center", [0.0, 0.0])
-    return RunConfig(mode, params, vortices, domain, opts,
-                     (float(center[0]), float(center[1])))
+    center = (float(center[0]), float(center[1]))
+    if not all(map(math.isfinite, center)):
+        raise ConfigError(f"decay_center must be finite, got {list(center)!r}")
+    return RunConfig(mode, params, vortices, domain, opts, center)
 
 
 def resolve_out_dir(opts: RunOpts) -> str:

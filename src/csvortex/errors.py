@@ -1,8 +1,13 @@
 """Exception hierarchy for solver and configuration failures.
 
-Exit-code mapping used by the command line front end:
-  ConfigError -> 1, DiagnosticFailure -> 2, NonConvergenceError -> 3,
-  InfeasibleError -> 4.
+Exit codes the command line front end gives each class (CsvortexError is
+only the base class):
+  1 ("config error"): ConfigError, DomainError ("error" when verify or
+    decay-fit cannot use a stored field);
+  2 ("diagnostic failure"): DiagnosticFailure;
+  3 ("solver failure"): NonConvergenceError, NonFiniteFieldError,
+    BoundaryTrappingError, MountainPassCollapseError, AdmissibilityError;
+  4 ("infeasible"): InfeasibleError.
 """
 
 

@@ -63,8 +63,8 @@ class GridDomain:
             raise DomainError("grid resolution must be at least 16 per axis")
         if self.n1 % 2 or self.n2 % 2:
             raise DomainError("grid resolution must be even per axis")
-        if self.extent1 <= 0 or self.extent2 <= 0:
-            raise DomainError("domain extents must be positive")
+        if not (0 < self.extent1 < np.inf and 0 < self.extent2 < np.inf):
+            raise DomainError("domain extents must be positive and finite")
         if self.kind == "box" and self.extent1 != self.extent2:
             raise DomainError("box domain is square: extents must match")
 
@@ -201,28 +201,21 @@ def _box_laplacian_padded(p: np.ndarray, domain: GridDomain) -> np.ndarray:
 def laplacian4_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
     """Independent 4th-order centered Laplacian, for discretization-error checks.
 
-    On the box the two outermost node rings are left zero (the stencil would
+    On the box the two outermost node rings are zeroed (the stencil would
     reach past the ghost ring); callers restrict their norms accordingly.
     """
-    c = (-1.0, 16.0, -30.0, 16.0, -1.0)
-    if domain.kind == "torus":
-        out = np.zeros_like(values)
-        for axis, h in ((0, domain.h1), (1, domain.h2)):
-            acc = np.zeros_like(values)
-            for k, w in zip((-2, -1, 0, 1, 2), c):
-                acc += w * np.roll(values, -k, axis=axis)
-            out += acc / (12.0 * h**2)
-        return out
-    p = np.pad(values, 2)
+    box = domain.kind == "box"
+    p = np.pad(values, 2, mode="constant" if box else "wrap")
     out = np.zeros_like(values)
     for axis, h in ((0, domain.h1), (1, domain.h2)):
         acc = np.zeros_like(values)
-        for k, w in zip((-2, -1, 0, 1, 2), c):
+        for k, w in zip((-2, -1, 0, 1, 2), (-1.0, 16.0, -30.0, 16.0, -1.0)):
             sl = [slice(2, -2), slice(2, -2)]
             sl[axis] = slice(2 + k, p.shape[axis] - 2 + k)
             acc += w * p[tuple(sl)]
         out += acc / (12.0 * h**2)
-    out[:2, :] = out[-2:, :] = out[:, :2] = out[:, -2:] = 0.0
+    if box:
+        out[:2, :] = out[-2:, :] = out[:, :2] = out[:, -2:] = 0.0
     return out
 
 
@@ -300,40 +293,26 @@ def box_dirichlet_ring(f: np.ndarray, rf: np.ndarray, g: np.ndarray, rg: np.ndar
     return _box_dirichlet_padded(box_pad_with_ring(f, rf), box_pad_with_ring(g, rg), domain)
 
 
-def _coeff_key(c) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
-    """A scalar or per-field coefficient as a hashable (shape, values) pair."""
-    return np.shape(c), tuple(np.ravel(c).tolist())
+def box_symbol(domain: GridDomain, c_lap, c_id) -> np.ndarray:
+    """c_lap*λ + c_id over the type-I sine modes λ of -Δ_5 on the box.
 
-
-@lru_cache(maxsize=4)
-def _dst_symbol(n1: int, n2: int, h1: float, h2: float, c_lap: tuple,
-                c_id: tuple) -> np.ndarray:
-    """c_lap*λ + c_id over the type-I sine modes λ of -Δ_5, one plane per field.
-
-    Coefficients come as ``_coeff_key`` pairs.  Few symbols are kept: one
-    N=1024 symbol for three fields is 25 MB.  The cached array is shared by
-    every caller, so it is read-only.
+    c_lap and c_id are scalars, or arrays with one coefficient per field; the
+    symbol then has one plane per field.
     """
-    lam1 = (4.0 / h1**2) * np.sin(np.pi * (np.arange(n1) + 1) / (2.0 * (n1 + 1))) ** 2
-    lam2 = (4.0 / h2**2) * np.sin(np.pi * (np.arange(n2) + 1) / (2.0 * (n2 + 1))) ** 2
+    lam1, lam2 = ((4.0 / h**2) * np.sin(np.pi * (np.arange(n) + 1) / (2.0 * (n + 1))) ** 2
+                  for n, h in ((domain.n1, domain.h1), (domain.n2, domain.h2)))
     lam = lam1[:, None] + lam2[None, :]
-    (lap_shape, lap), (id_shape, cid) = c_lap, c_id
-    symbol = (np.reshape(lap, lap_shape + (1, 1)) * lam
-              + np.reshape(cid, id_shape + (1, 1)))
-    symbol.flags.writeable = False
-    return symbol
+    return (np.reshape(c_lap, np.shape(c_lap) + (1, 1)) * lam
+            + np.reshape(c_id, np.shape(c_id) + (1, 1)))
 
 
-def box_shifted_inverse(values: np.ndarray, domain: GridDomain, c_lap,
-                        c_id) -> np.ndarray:
+def box_shifted_inverse(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """Apply (c_lap*(-Δ_5) + c_id)^(-1) via the sine transform (zero ghosts).
 
-    Acts on the trailing two axes.  For a stack of fields, c_lap and c_id may
-    be arrays with one coefficient per field; every field is transformed in
-    the same batched sine-transform pair.
+    ``symbol`` is box_symbol(domain, c_lap, c_id).  Acts on the trailing two
+    axes; a stack of fields, one symbol plane each, is transformed in one
+    batched sine-transform pair.
     """
-    symbol = _dst_symbol(domain.n1, domain.n2, domain.h1, domain.h2,
-                         _coeff_key(c_lap), _coeff_key(c_id))
     vh = dstn(values, type=1, norm="ortho", axes=(-2, -1))
     vh /= symbol
     return idstn(vh, type=1, norm="ortho", axes=(-2, -1), overwrite_x=True)

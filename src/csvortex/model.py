@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -28,16 +29,16 @@ class ModelParams:
     sigma: float = 2.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ConfigError("alpha and beta must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ConfigError("alpha and beta must be positive and finite")
         if self.species < 1:
             raise ConfigError("species count must be at least 1")
         if self.species > MAX_SPECIES:
             raise ConfigError(
                 f"species count {self.species} exceeds {MAX_SPECIES}: one plane state of "
                 f"(species+1)·n² float64 values would pass 2 GiB at the default 512² grid")
-        if not self.lambda_bg > 0:
-            raise ConfigError("background regularization lambda must be positive")
+        if not 0 < self.lambda_bg < math.inf:
+            raise ConfigError("background regularization lambda must be positive and finite")
         if not self.sigma > 1:
             raise ConfigError("sigma must exceed 1")
 

@@ -35,13 +35,14 @@ import numpy as np
 from .background import BackgroundPlane, VortexSet, plane_background, vortex_node_mask
 from .errors import DomainError, NonConvergenceError, NonFiniteFieldError
 # bench/spans.py traces the kernels through the names bound here, including
-# box_dirichlet_ring and laplacian_values, which the operator no longer calls
+# box_dirichlet_ring, which the operator no longer calls
 from .fields import (  # noqa: F401
     EXP_CLAMP,
     GridDomain,
     box_dirichlet_ring,
     box_laplacian_ring,
     box_shifted_inverse,
+    box_symbol,
     exp_clip,
     laplacian4_values,
     laplacian_values,
@@ -103,7 +104,7 @@ class PlaneOperator:
     memoizes the pointwise reaction matrix (1 + 3M planes) at the last state
     it saw (exact equality), so every MINRES product at one Newton iterate
     shares one exponential pass and costs one stencil on a zero ring plus
-    about eight array passes.
+    about eight array passes.  The preconditioner's sine symbol is built once.
     """
 
     def __init__(self, bg: BackgroundPlane, params: ModelParams):
@@ -117,18 +118,17 @@ class PlaneOperator:
         a, b = params.alpha, params.beta
         # ghost rings: -Σ_k u_k0 for f, -u_i0 for f_i, zero inside
         ring = np.empty((m + 1, dom.n1 + 2, dom.n2 + 2))
-        ring[0] = -np.sum(bg.u0_pad_stack, axis=0)
-        np.negative(bg.u0_pad_stack, out=ring[1:])
+        ring[0] = -np.sum(bg.u0_pad, axis=0)
+        np.negative(bg.u0_pad, out=ring[1:])
         ring[:, 1:-1, 1:-1] = 0.0
         self.ring = ring
-        self._zero_ring = np.zeros_like(ring)  # homogeneous ghosts of directions
         # the energy holds (M/α)|∇f|^2 + (1/β)Σ|∇f_i|^2 and the linear terms
         # (2M/α) f Σ_i h_i + (2/β) Σ f_i h_i, whose weights are the sources
         c_dir = np.array([m / a] + [1.0 / b] * m)
         self._c_dir = c_dir[:, None, None]
         self.source = np.empty(self.shape)
-        np.multiply(np.sum(bg.h_stack, axis=0), 2.0 * m / a, out=self.source[0])
-        np.multiply(bg.h_stack, 2.0 / b, out=self.source[1:])
+        np.multiply(np.sum(bg.h, axis=0), 2.0 * m / a, out=self.source[0])
+        np.multiply(bg.h, 2.0 / b, out=self.source[1:])
         # ghost edges of the summation by parts, weighted by c_dir: g·g is a
         # constant, -g·p_next a dot product with the boundary nodes of X
         h1, h2 = dom.h1, dom.h2
@@ -141,8 +141,8 @@ class PlaneOperator:
         self._ghost_energy = float(sum(np.vdot(g, w) for (_, g, _), (_, w)
                                        in zip(ghosts, self._ghosts)))
         # vacuum Hessian c_lap(-Δ) + c_id per field, in the flat inner product
-        self._p_lap = 2.0 * c_dir * dom.cell_area
-        self._p_id = np.array([8.0 * a * m] + [8.0 * b] * m) * dom.cell_area
+        self._symbol = box_symbol(dom, 2.0 * c_dir * dom.cell_area,
+                                  np.array([8.0 * a * m] + [8.0 * b] * m) * dom.cell_area)
         self.clamp_hit = False
         self._memo: Optional[tuple] = None  # (x, reaction matrix) of the last Hessian state
 
@@ -155,9 +155,9 @@ class PlaneOperator:
         """
         bg = self.bg
         c = bg.u0_grid_sum + X[0]
-        ea = c + bg.u0_grid_stack
+        ea = c + bg.u0_grid
         ea += X[1:]
-        eb = np.subtract(c, bg.u0_grid_stack)
+        eb = np.subtract(c, bg.u0_grid)
         eb -= X[1:]
         if np.max(ea) > EXP_CLAMP or np.max(eb) > EXP_CLAMP:
             self.clamp_hit = True
@@ -243,7 +243,7 @@ class PlaneOperator:
                                  self._reaction_matrix(x.reshape(self.shape)))
         a00, a0, b, dm = memo[1]
         df, dF = V[0], V[1:]
-        H = box_laplacian_ring(V, self._zero_ring, self.domain)
+        H = laplacian_values(V, self.domain)
         H *= -2.0 * self._c_dir
         H[0] += a00 * df
         H[0] += np.einsum("kij,kij->ij", a0, dF)
@@ -282,9 +282,7 @@ class PlaneOperator:
 
     def precond_flat(self, v: np.ndarray) -> np.ndarray:
         """Inverse of the vacuum Hessian: one batched sine-transform pair."""
-        out = box_shifted_inverse(v.reshape(self.shape), self.domain,
-                                  self._p_lap, self._p_id)
-        return out.ravel()
+        return box_shifted_inverse(v.reshape(self.shape), self._symbol).ravel()
 
 
 def reconstruct(state: PlaneState, bg: BackgroundPlane) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:

@@ -297,21 +297,6 @@ def _solve_c_branch(maps: _CMaps, saddle: bool,
     return math.log(x), math.log(maps.g2(x)), x, it
 
 
-def solve_c(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTorus,
-            params: ModelParams, method: str = "newton") -> CSolve:
-    """Solve the two constraint quadratics for (c1, c2).
-
-    Safeguarded Newton on F(X) = X - g1(g2(X)) (X = e^{c1}) inside the
-    closed-form sign-change bracket (_CMaps.bracket), using the closed-form
-    branch derivatives; method="bisection" bisects the same bracket instead.
-    F(X)/X is strictly increasing, so the root in the bracket is unique.
-    """
-    if method not in ("newton", "bisection"):
-        raise ConfigError(f"unknown root method {method!r}")
-    return _CMaps(u_prime, v_prime, bg, params).solve(saddle=False,
-                                                       newton=method == "newton")
-
-
 def admissibility_margins(u_prime: np.ndarray, v_prime: np.ndarray,
                           bg: BackgroundTorus, params: ModelParams) -> Tuple[float, float]:
     """Left-minus-right of the two admissibility inequalities (>= 0 inside)."""
@@ -765,8 +750,6 @@ def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: TorusSolveOpts,
         "minres_unconverged": pol.minres_unconverged,
         "minres_iters": pol.minres_iters,
         "c_solve": cs,
-        "c1": state.c1,
-        "c2": state.c2,
         "clamp_hit": op.clamp_hit,
     }
 
@@ -895,7 +878,6 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
         "energy_first": e_first,
         "separation": sep,
         "probe_margin": probe_margin,
-        "c_tilde": c_tilde,
         "endpoint_energy": e_end,
         "path_max_energy": path_max,
         # always empty; bench/workloads.py reads its length

@@ -42,7 +42,6 @@ from csvortex.torus import (
     minimize_torus,
     mountain_pass,
     reconstruct_original,
-    solve_c,
 )
 
 from conftest import smooth_random
@@ -256,8 +255,9 @@ def test_criterion_5_constraint_closure():
         if min(admissibility_margins(up, vp, bg, params)) < 0.0:
             continue
         drawn += 1
-        csn = solve_c(up, vp, bg, params, method="newton")
-        csb = solve_c(up, vp, bg, params, method="bisection")
+        maps = _CMaps(up, vp, bg, params)
+        csn = maps.solve(saddle=False, newton=True)
+        csb = maps.solve(saddle=False, newton=False)
         worst_agree = max(worst_agree, abs(csn.root - csb.root) / csn.root)
         P = np.exp(bg.u0 + up + csn.c1)
         R = np.exp(vp + csn.c2)
@@ -267,7 +267,6 @@ def test_criterion_5_constraint_closure():
             - gam * integrate_values((P - 1) * R, dom) + 2 * gam * np.pi * bg.n / ab
         worst_res = max(worst_res, abs(r1), abs(r2))
     # F(X)/X monotone over 50 sampled pairs on the last admissible state
-    maps = _CMaps(up, vp, bg, params)
     xs = np.sort(rng.uniform(0.02, 10.0, size=100))
     ratios = [maps.f(x) / x for x in xs]
     pairs_ok = all(r1 < r2 for r1, r2 in zip(ratios, ratios[1:]))

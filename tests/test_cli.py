@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tempfile
 
@@ -197,6 +198,33 @@ class TestConfigErrors:
         p = write_cfg(tmp_path / "c.json", cfg)
         assert main(["solve-plane", "--config", p, "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode, path, value, code", [
+        ("plane", ("params", "lambda_bg"), math.inf, 1),
+        ("plane", ("params", "alpha"), math.inf, 1),
+        ("plane", ("domain", "half_width"), math.inf, 1),
+        ("plane", ("opts", "tol"), math.inf, 1),
+        ("plane", ("decay_center",), [math.nan, 0.0], 1),
+        ("torus", ("domain", "periods"), [math.inf, math.inf], 1),
+        ("torus", ("opts", "tol"), math.inf, 1),
+        ("torus", ("decay_center",), [math.nan, 0.0], 1),
+        # finite, but the exponentials of the first evaluation overflow
+        ("plane", ("params", "lambda_bg"), 1e308, 3),
+        ("plane", ("params", "alpha"), 1e300, 3),
+    ], ids=["plane-lambda-inf", "plane-alpha-inf", "plane-half-width-inf", "plane-tol-inf",
+            "plane-center-nan", "torus-periods-inf", "torus-tol-inf", "torus-center-nan",
+            "plane-lambda-1e308", "plane-alpha-1e300"])
+    def test_non_finite_inputs_exit_typed(self, plane_cfg, torus_cfg, tmp_path, capsys,
+                                          mode, path, value, code):
+        cfg = json.loads(open(plane_cfg if mode == "plane" else torus_cfg).read())
+        block = cfg
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        p = write_cfg(tmp_path / "c.json", cfg)
+        assert main([f"solve-{mode}", "--config", p, "--out", str(tmp_path / "o")]) == code
+        prefix = "config error: " if code == 1 else "solver failure: "
+        assert capsys.readouterr().out.startswith(prefix)
 
     def test_species_count_bounded_before_allocation(self, plane_cfg, tmp_path, capsys):
         # one vortex list per species used to be built before any bound, so a

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from scipy.fft import dstn, idstn
 from scipy.integrate import quad
 
+from csvortex.background import VortexSet, plane_background
 from csvortex.errors import DomainError
 from csvortex.fields import (
     GridDomain,
     ScalarField,
     box_dirichlet_ring,
     box_laplacian_ring,
-    box_shifted_inverse,
     dirichlet_inner_values,
     integrate_values,
     laplacian4_values,
@@ -26,6 +26,8 @@ from csvortex.fields import (
     write_csv,
     write_field,
 )
+from csvortex.model import ModelParams
+from csvortex.plane import PlaneOperator
 from csvortex.torus import TorusState
 
 from conftest import smooth_random
@@ -107,6 +109,29 @@ class TestLaplacian:
         k = 2 * np.pi / torus64.extent1
         # 4th-order stencil symbol differs from -k^2 at O(h^4 k^6)
         assert np.max(np.abs(out + k**2 * f)) < 1e-4
+
+    @staticmethod
+    def rolled4(values, dom):
+        """The torus 4th-order stencil over np.roll shifts of the field."""
+        out = np.zeros_like(values)
+        for axis, h in ((0, dom.h1), (1, dom.h2)):
+            acc = np.zeros_like(values)
+            for k, w in zip((-2, -1, 0, 1, 2), (-1.0, 16.0, -30.0, 16.0, -1.0)):
+                acc += w * np.roll(values, -k, axis=axis)
+            out += acc / (12.0 * h**2)
+        return out
+
+    @settings(max_examples=30, deadline=None)
+    @given(n1=st.integers(8, 40).map(lambda k: 2 * k),
+           n2=st.integers(8, 40).map(lambda k: 2 * k),
+           l1=st.floats(0.1, 100.0), aspect=st.sampled_from([None, 0.37, 2.9]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fourth_order_torus_matches_rolled(self, n1, n2, l1, aspect, seed):
+        # aspect None gives square cells; otherwise h2 = aspect * h1
+        l2 = l1 * n2 / n1 * (1.0 if aspect is None else aspect)
+        dom = GridDomain.torus(l1, l2, n1, n2)
+        values = np.random.default_rng(seed).standard_normal(dom.shape)
+        assert np.array_equal(laplacian4_values(values, dom), self.rolled4(values, dom))
 
 
 class TestIntegrate:
@@ -274,27 +299,23 @@ class TestBoxShiftedInverse:
         vh = dstn(values, type=1, norm="ortho", axes=(-2, -1))
         return idstn(vh / (c_lap * lam + c_id), type=1, norm="ortho", axes=(-2, -1))
 
-    def test_cached_symbol_never_stale(self, rng):
-        # more coefficient sets than the symbol cache holds, visited twice, so
-        # both cache hits and evictions are exercised; a key that dropped the
-        # grid, a coefficient's shape or the order of c_lap and c_id would
-        # return another set's symbol here
-        values = rng.standard_normal((3, 32, 32))
-        per_field = np.array([0.5, 1.0, 2.0])
-        coeffs = [
-            (0.7, 3.0),
-            (3.0, 0.7),
-            (per_field, np.array([1.0, 4.0, 9.0])),
-            (1.0, 0.0),  # the background's Poisson solve
-            (per_field, np.array([1.0, 4.0, 9.5])),
-            (0.7, np.array([3.0, 3.0, 3.5])),
-        ]
-        for dom in (GridDomain.box(5.0, 32), GridDomain.box(7.0, 32)):
-            for c_lap, c_id in coeffs * 2:
-                out = box_shifted_inverse(values, dom, c_lap, c_id)
-                expect = self.direct(values, dom, c_lap, c_id)
-                np.testing.assert_allclose(out, expect, rtol=1e-13,
-                                           atol=1e-13 * np.max(np.abs(expect)))
+    @pytest.mark.parametrize("dom", [GridDomain.box(5.0, 32), GridDomain.box(7.0, 48)],
+                             ids=["L5_n32", "L7_n48"])
+    @pytest.mark.parametrize("species", [1, 2, 3])
+    def test_operator_precond_matches_direct(self, dom, species, rng):
+        # the plane operator's symbol: the vacuum Hessian of the energy, whose
+        # Dirichlet weights are M/α for f and 1/β for each f_i
+        a, b = 0.7, 1.3
+        params = ModelParams(alpha=a, beta=b, species=species)
+        bg = plane_background(VortexSet(((),) * species), params.lambda_bg, dom)
+        op = PlaneOperator(bg, params)
+        values = rng.standard_normal((species + 1,) + dom.shape)
+        c_lap = 2.0 * np.array([species / a] + [1.0 / b] * species) * dom.cell_area
+        c_id = np.array([8.0 * a * species] + [8.0 * b] * species) * dom.cell_area
+        out = op.precond_flat(values.ravel()).reshape(values.shape)
+        expect = self.direct(values, dom, c_lap, c_id)
+        np.testing.assert_allclose(out, expect, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(expect)))
 
 
 def _csv_oracle(field):

@@ -10,6 +10,7 @@ from csvortex.fields import (
     GridDomain,
     box_dirichlet_ring,
     box_shifted_inverse,
+    box_symbol,
     integrate_values,
 )
 from csvortex.model import ModelParams
@@ -206,9 +207,9 @@ class TestPlaneProperties:
         values = rng.standard_normal((species + 1,) + dom.shape)
         c_lap = rng.uniform(0.1, 3.0, species + 1)
         c_id = rng.uniform(0.0, 10.0, species + 1)
-        batched = box_shifted_inverse(values, dom, c_lap, c_id)
+        batched = box_shifted_inverse(values, box_symbol(dom, c_lap, c_id))
         for k in range(species + 1):
-            single = box_shifted_inverse(values[k], dom, c_lap[k], c_id[k])
+            single = box_shifted_inverse(values[k], box_symbol(dom, c_lap[k], c_id[k]))
             assert np.allclose(batched[k], single, rtol=1e-13,
                                atol=1e-13 * np.max(np.abs(single)))
 

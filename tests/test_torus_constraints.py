@@ -21,7 +21,6 @@ from csvortex.torus import (
     gamma,
     minimize_torus,
     reduced_energy_J,
-    solve_c,
     state_integrals,
 )
 
@@ -151,7 +150,7 @@ class TestSolveC:
         bg = torus_background(VortexSet((tuple(),)), dom)
         params = ModelParams(1.0, 2.0, sigma=3.0)
         z = np.zeros(dom.shape)
-        cs = solve_c(z, z, bg, params)
+        cs = _CMaps(z, z, bg, params).solve(saddle=False)
         assert cs.c1 == pytest.approx(0.0, abs=1e-14)
         assert cs.c2 == pytest.approx(0.0, abs=1e-14)
         assert cs.root == pytest.approx(1.0, rel=1e-14)
@@ -160,7 +159,7 @@ class TestSolveC:
         dom, bg, params = setup
         for _ in range(5):
             up, vp = admissible_random(dom, bg, params, rng)
-            cs = solve_c(up, vp, bg, params)
+            cs = _CMaps(up, vp, bg, params).solve(saddle=False)
             assert cs.residual_1 <= 1e-12
             assert cs.residual_2 <= 1e-12
 
@@ -170,7 +169,7 @@ class TestSolveC:
         gam = gamma(params)
         ab = params.alpha * params.beta
         up, vp = admissible_random(dom, bg, params, rng)
-        cs = solve_c(up, vp, bg, params)
+        cs = _CMaps(up, vp, bg, params).solve(saddle=False)
         P = np.exp(bg.u0 + up + cs.c1)
         R = np.exp(vp + cs.c2)
         r1 = integrate_values((P - 1) * P, dom) \
@@ -183,8 +182,9 @@ class TestSolveC:
     def test_bisection_newton_agreement(self, setup, rng):
         dom, bg, params = setup
         up, vp = admissible_random(dom, bg, params, rng)
-        a = solve_c(up, vp, bg, params, method="newton")
-        b = solve_c(up, vp, bg, params, method="bisection")
+        maps = _CMaps(up, vp, bg, params)
+        a = maps.solve(saddle=False, newton=True)
+        b = maps.solve(saddle=False, newton=False)
         assert abs(a.root - b.root) <= 1e-10 * a.root
 
     def test_f_over_x_monotone(self, setup, rng):
@@ -209,7 +209,7 @@ class TestSolveC:
         dom, bg, params = setup
         for _ in range(5):
             up, vp = admissible_random(dom, bg, params, rng)
-            cs = solve_c(up, vp, bg, params)
+            cs = _CMaps(up, vp, bg, params).solve(saddle=False)
             s = state_integrals(up, vp, bg)
             assert math.exp(cs.c1) * s.j1 <= dom.area * (1 + 1e-10)
             assert math.exp(cs.c2) * s.j2 <= dom.area * (1 + 1e-10)
@@ -221,7 +221,7 @@ class TestSolveC:
         z = np.zeros(dom.shape)
         assert min(admissibility_margins(z, z, bg, tight)) < 0.0
         with pytest.raises(AdmissibilityError):
-            solve_c(z, z, bg, tight)
+            _CMaps(z, z, bg, tight).solve(saddle=False)
 
 
 class TestRootProperties:
@@ -251,8 +251,8 @@ class TestRootProperties:
             assert c1 == math.log(x)
             roots[saddle] = x
         assert roots[True] < roots[False]
-        a = solve_c(up, vp, bg, params, method="newton")
-        b = solve_c(up, vp, bg, params, method="bisection")
+        a = maps.solve(saddle=False, newton=True)
+        b = maps.solve(saddle=False, newton=False)
         assert a.root == roots[False]
         assert abs(a.root - b.root) <= 1e-12 * a.root
 
@@ -337,7 +337,7 @@ class TestQuantizedConstraintIdentity:
         With r7, r8 the integral residuals of the two scalar constraints at
         any state (constrained or not), the flux integrals deviate from
         -4*pi*n by exactly alpha*(alpha+beta)*(r7+r8) and
-        beta*(alpha+beta)*(r7-r8); after solve_c both deviations collapse to
+        beta*(alpha+beta)*(r7-r8); after _CMaps.solve both deviations collapse to
         round-off.
         """
         from csvortex.diagnostics import quantized_integrals_torus
@@ -348,7 +348,7 @@ class TestQuantizedConstraintIdentity:
         a, b = params.alpha, params.beta
         ab = a * b
         up, vp = admissible_random(dom, bg, params, rng)
-        cs = solve_c(up, vp, bg, params)
+        cs = _CMaps(up, vp, bg, params).solve(saddle=False)
         for dc1, dc2 in ((0.0, 0.0), (0.05, -0.02), (-0.1, 0.07)):
             c1, c2 = cs.c1 + dc1, cs.c2 + dc2
             P = np.exp(bg.u0 + up + c1)
@@ -385,7 +385,7 @@ class TestReducedEnergy:
         op = TorusOperator(bg, params)
         for _ in range(5):
             up, vp = admissible_random(dom, bg, params, rng)
-            cs = solve_c(up, vp, bg, params)
+            cs = _CMaps(up, vp, bg, params).solve(saddle=False)
             full = op.energy(up + cs.c1, vp + cs.c2)
             red = reduced_energy_J(up, vp, bg, params)
             assert red == pytest.approx(full, abs=1e-10 * max(1.0, abs(full)))

@@ -27,13 +27,13 @@ from csvortex.model import ModelParams
 from csvortex.torus import (
     TorusOperator,
     TorusSolveOpts,
+    _CMaps,
     admissibility_margins,
     feasibility,
     gamma,
     minimize_torus,
     mountain_pass,
     reconstruct_original,
-    solve_c,
 )
 
 from conftest import full_k2, smooth_random
@@ -128,7 +128,7 @@ class TestEnergyGradient:
         dom, _, bg, params = setup
         up = smooth_random(dom, rng, 0.4)
         vp = smooth_random(dom, rng, 0.4)
-        cs = solve_c(up, vp, bg, params)
+        cs = _CMaps(up, vp, bg, params).solve(saddle=False)
         gu, gv = TorusOperator(bg, params).gradient(up + cs.c1, vp + cs.c2)
         scale = max(np.max(np.abs(gu)), 1.0) * dom.area
         assert abs(integrate_values(gu, dom)) <= 1e-10 * scale
@@ -522,65 +522,36 @@ class TestMountainPass:
             mountain_pass(params, state, TorusSolveOpts(), bg=info["bg"])
 
 
-class TestSeedRejection:
-    def test_inadmissible_zero_state_coupling_reported(self, tmp_path):
-        # near the feasibility edge the zero state leaves the admissible set;
-        # there the solve must fail with a typed error and exit code 3
-        dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 64, 64)
-        vs = VortexSet.single([(np.pi, np.pi)])
-        bg = torus_background(vs, dom)
-        params = None
-        z = np.zeros(dom.shape)
-        for a in np.linspace(0.65, 1.6, 40):
-            cand = ModelParams(alpha=a, beta=1.2 * a, sigma=2.0)
-            if feasibility(cand, bg.n, dom.area).feasible and min(
-                    admissibility_margins(z, z, bg, cand)) < 0.0:
-                params = cand
-                break
-        if params is None:
-            pytest.skip("no feasible-but-inadmissible coupling found on this grid")
-        with pytest.raises(AdmissibilityError) as exc:
-            minimize_torus(params, vs, dom, TorusSolveOpts())
-        assert exc.value.constraint == "first"
-        cfg = {
-            "schema_version": 1,
-            "mode": "torus",
-            "params": {"alpha": float(params.alpha), "beta": float(params.beta),
-                       "sigma": params.sigma},
-            "domain": {"kind": "torus", "periods": [2 * np.pi, 2 * np.pi],
-                       "n": [64, 64]},
-            "vortices": [{"species": 0, "x": np.pi, "y": np.pi}],
-        }
-        path = tmp_path / "edge.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["solve-torus", "--config", str(path),
-                     "--out", str(tmp_path / "run")]) == 3
-
+class TestFirstSolutionGate:
     @pytest.mark.parametrize("points, alpha, energy", [
         # three vortices at one point, where a screened seed once stalled
         ([(1.0, 1.0)] * 3, 5.0, 66.88330311740161),
         # one vortex just above the couplings whose descent is trapped
         ([(np.pi, np.pi)], 0.93, 2.706775039741865),
     ], ids=["three_coincident_alpha5", "one_alpha0.93"])
-    def test_first_solution_from_the_seed(self, points, alpha, energy):
+    def test_first_solution_from_the_vacuum_lift(self, points, alpha, energy):
         dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 64, 64)
         params = ModelParams(alpha=alpha, beta=1.5 * alpha, sigma=2.0)
         _, info = minimize_torus(params, VortexSet.single(points), dom, TorusSolveOpts(tol=1e-9))
         assert info["grad_inf"] <= 1e-9
         assert info["energy_I"] == pytest.approx(energy, rel=1e-9)
 
-    @pytest.mark.parametrize("alpha, error", [
+    @pytest.mark.parametrize("alpha, b_over_a, error", [
         # (1-γ)²αβ|Ω|/(8πn) = 0.965: the admissible set is empty, and the
         # vacuum lift, which maximizes both normalized margins, is refused
-        (0.8, AdmissibilityError),
+        (0.8, 1.5, AdmissibilityError),
         # ratio 1.22: the start passes the gate, and the descent reaches the
         # boundary of the set through the first inequality
-        (0.9, BoundaryTrappingError),
-    ], ids=["0.8", "0.9"])
-    def test_inadmissible_seed_names_the_inequality(self, alpha, error, tmp_path):
+        (0.9, 1.5, BoundaryTrappingError),
+        # β = 1.2α: the necessary condition holds (margin +1.52), but the
+        # ratio is 0.876, so the admissible set is empty
+        (0.75, 1.2, AdmissibilityError),
+    ], ids=["0.8", "0.9", "0.75-beta1.2"])
+    def test_refused_coupling_names_the_inequality(self, alpha, b_over_a, error, tmp_path):
         dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 64, 64)
         vs = VortexSet.single([(np.pi, np.pi)])
-        params = ModelParams(alpha=alpha, beta=1.5 * alpha, sigma=2.0)
+        params = ModelParams(alpha=alpha, beta=b_over_a * alpha, sigma=2.0)
+        assert feasibility(params, 1, dom.area).feasible
         with pytest.raises(error) as exc:
             minimize_torus(params, vs, dom, TorusSolveOpts(tol=1e-9))
         assert exc.value.constraint == "first"
@@ -596,7 +567,7 @@ class TestSeedRejection:
         cfg = {
             "schema_version": 1,
             "mode": "torus",
-            "params": {"alpha": alpha, "beta": 1.5 * alpha, "sigma": 2.0},
+            "params": {"alpha": alpha, "beta": b_over_a * alpha, "sigma": 2.0},
             "domain": {"kind": "torus", "periods": [2 * np.pi, 2 * np.pi],
                        "n": [64, 64]},
             "vortices": [{"species": 0, "x": np.pi, "y": np.pi}],
