@@ -25,7 +25,7 @@ from typing import Sequence, Tuple
 import numpy as np
 from scipy.fft import irfftn, rfftn
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NonFiniteFieldError
 from .fields import GridDomain, _torus_k2, laplacian_values, poisson_solve_torus
 
 Point = Tuple[float, float, int]  # (x, y, multiplicity)
@@ -154,8 +154,17 @@ def plane_background(vortices: VortexSet, lam: float, domain: GridDomain) -> Bac
             h_pad[k] += mult * 4.0 * lam / (lam + d2) ** 2
         load[k] = _cic_load(pts, domain)
     h = h_pad[:, 1:-1, 1:-1].copy()
-    return BackgroundPlane(domain, float(lam), h, u0_pad,
-                           _consistent_profiles(load, h, u0_pad, domain))
+    u0_grid = _consistent_profiles(load, h, u0_pad, domain)
+    # a finite lam can still overflow lam/d2 or (lam + d2)^2; nodes are
+    # grid indices, -1 and n on the ghost ring
+    for name, profile, pad in (("u_i0", u0_pad, 1), ("h_i", h, 0), ("u0_grid", u0_grid, 0)):
+        bad = np.argwhere(~np.isfinite(profile))
+        if bad.size:
+            node = tuple(int(k) - pad for k in bad[0][1:])
+            raise NonFiniteFieldError(
+                f"background profile {name} is not finite at node {node} "
+                f"for lambda_bg = {lam:g}", node=node)
+    return BackgroundPlane(domain, float(lam), h, u0_pad, u0_grid)
 
 
 def _cic_load(pts, domain: GridDomain) -> np.ndarray:

@@ -65,6 +65,18 @@ class GridDomain:
             raise DomainError("grid resolution must be even per axis")
         if not (0 < self.extent1 < np.inf and 0 < self.extent2 < np.inf):
             raise DomainError("domain extents must be positive and finite")
+        # the kernels square and invert the cell sizes and scale by the area;
+        # Python floats raise on some of these overflows instead of giving inf
+        try:
+            scales = (self.h1**2, self.h2**2, 1.0 / self.h1**2, 1.0 / self.h2**2,
+                      1.0 / self.cell_area, self.area)
+        except (OverflowError, ZeroDivisionError):
+            scales = (np.inf,)
+        if not all(0 < s < np.inf for s in scales):
+            raise DomainError(
+                f"domain extents {self.extent1:g} x {self.extent2:g} on a "
+                f"{self.n1}x{self.n2} grid give a cell size or area that float64 "
+                "cannot square, invert or hold")
         if self.kind == "box" and self.extent1 != self.extent2:
             raise DomainError("box domain is square: extents must match")
 
@@ -293,29 +305,35 @@ def box_dirichlet_ring(f: np.ndarray, rf: np.ndarray, g: np.ndarray, rg: np.ndar
     return _box_dirichlet_padded(box_pad_with_ring(f, rf), box_pad_with_ring(g, rg), domain)
 
 
-def box_symbol(domain: GridDomain, c_lap, c_id) -> np.ndarray:
-    """c_lap*λ + c_id over the type-I sine modes λ of -Δ_5 on the box.
+def box_symbol(domain: GridDomain, c_lap, c_id, _type: int = 1) -> np.ndarray:
+    """c_lap*λ + c_id over the sine modes λ of -Δ_5 on the box.
 
-    c_lap and c_id are scalars, or arrays with one coefficient per field; the
-    symbol then has one plane per field.
+    ``_type`` 1 gives the modes with zero ghosts, the exact -Δ_5 of the
+    solvers: λ_k = 4/h²·sin²(πk/(2(n+1))).  ``_type`` 2 gives them with
+    antisymmetric ghosts (ghost = -neighbour, Dirichlet at the wall face):
+    λ_k = 4/h²·sin²(πk/(2n)).  c_lap and c_id are scalars, or arrays with one
+    coefficient per field; the symbol then has one plane per field.
     """
-    lam1, lam2 = ((4.0 / h**2) * np.sin(np.pi * (np.arange(n) + 1) / (2.0 * (n + 1))) ** 2
+    lam1, lam2 = ((4.0 / h**2) * np.sin(np.pi * (np.arange(n) + 1)
+                                          / (2.0 * (n + 1 if _type == 1 else n))) ** 2
                   for n, h in ((domain.n1, domain.h1), (domain.n2, domain.h2)))
     lam = lam1[:, None] + lam2[None, :]
     return (np.reshape(c_lap, np.shape(c_lap) + (1, 1)) * lam
             + np.reshape(c_id, np.shape(c_id) + (1, 1)))
 
 
-def box_shifted_inverse(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Apply (c_lap*(-Δ_5) + c_id)^(-1) via the sine transform (zero ghosts).
+def box_shifted_inverse(values: np.ndarray, symbol: np.ndarray, _type: int = 1) -> np.ndarray:
+    """Apply (c_lap*(-Δ_5) + c_id)^(-1) via the sine transform.
 
-    ``symbol`` is box_symbol(domain, c_lap, c_id).  Acts on the trailing two
-    axes; a stack of fields, one symbol plane each, is transformed in one
-    batched sine-transform pair.
+    ``symbol`` is box_symbol(domain, c_lap, c_id, _type), and the sine
+    transform is of the same type: 1 inverts the operator with zero ghosts,
+    2 the one with antisymmetric ghosts.  Acts on the trailing two axes; a
+    stack of fields, one symbol plane each, is transformed in one batched
+    sine-transform pair.
     """
-    vh = dstn(values, type=1, norm="ortho", axes=(-2, -1))
+    vh = dstn(values, type=_type, norm="ortho", axes=(-2, -1))
     vh /= symbol
-    return idstn(vh, type=1, norm="ortho", axes=(-2, -1), overwrite_x=True)
+    return idstn(vh, type=_type, norm="ortho", axes=(-2, -1), overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------

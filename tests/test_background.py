@@ -7,7 +7,7 @@ from csvortex.background import (
     torus_background,
     vortex_node_mask,
 )
-from csvortex.errors import ConfigError, DomainError
+from csvortex.errors import ConfigError, DomainError, NonFiniteFieldError
 from csvortex.fields import (
     GridDomain,
     box_laplacian_ring,
@@ -89,6 +89,13 @@ class TestPlaneBackground:
         dom = GridDomain.box(8.0, 32)
         with pytest.raises(ConfigError):
             plane_background(VortexSet.single([(0.0, 0.0)]), -1.0, dom)
+
+    def test_overflowing_lambda_is_named(self):
+        # finite lambda_bg whose lam/d2 and (lam + d2)^2 overflow
+        dom = GridDomain.box(8.0, 64)
+        with pytest.raises(NonFiniteFieldError, match=r"lambda_bg = 1e\+308") as err:
+            plane_background(VortexSet.single([(0.0, 0.0)]), 1e308, dom)
+        assert err.value.node is not None
 
     def test_consistent_profile_residual(self):
         # Δ u0_grid + h - 4π δ_grid = 0 under the solver's ring operator

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csvortex.plane as plane
 from csvortex.cli import main
 from csvortex.config import RunOpts, load_config
 from csvortex.errors import ConfigError
@@ -208,11 +209,17 @@ class TestConfigErrors:
         ("torus", ("domain", "periods"), [math.inf, math.inf], 1),
         ("torus", ("opts", "tol"), math.inf, 1),
         ("torus", ("decay_center",), [math.nan, 0.0], 1),
-        # finite, but the exponentials of the first evaluation overflow
+        # finite, but the cell size cannot be squared or inverted
+        ("plane", ("domain", "half_width"), 1e300, 1),
+        ("plane", ("domain", "half_width"), 1e-300, 1),
+        ("torus", ("domain", "periods"), [1e300, 1e300], 1),
+        # finite, but the background profiles or the exponentials of the
+        # first evaluation overflow
         ("plane", ("params", "lambda_bg"), 1e308, 3),
         ("plane", ("params", "alpha"), 1e300, 3),
     ], ids=["plane-lambda-inf", "plane-alpha-inf", "plane-half-width-inf", "plane-tol-inf",
             "plane-center-nan", "torus-periods-inf", "torus-tol-inf", "torus-center-nan",
+            "plane-half-width-1e300", "plane-half-width-1e-300", "torus-periods-1e300",
             "plane-lambda-1e308", "plane-alpha-1e300"])
     def test_non_finite_inputs_exit_typed(self, plane_cfg, torus_cfg, tmp_path, capsys,
                                           mode, path, value, code):
@@ -225,6 +232,14 @@ class TestConfigErrors:
         assert main([f"solve-{mode}", "--config", p, "--out", str(tmp_path / "o")]) == code
         prefix = "config error: " if code == 1 else "solver failure: "
         assert capsys.readouterr().out.startswith(prefix)
+
+    def test_overflowing_background_names_lambda(self, plane_cfg, tmp_path, capsys):
+        cfg = json.loads(open(plane_cfg).read())
+        cfg["params"]["lambda_bg"] = 1e308
+        p = write_cfg(tmp_path / "c.json", cfg)
+        assert main(["solve-plane", "--config", p, "--out", str(tmp_path / "o")]) == 3
+        out = capsys.readouterr().out
+        assert "lambda_bg = 1e+308" in out and "background profile" in out
 
     def test_species_count_bounded_before_allocation(self, plane_cfg, tmp_path, capsys):
         # one vortex list per species used to be built before any bound, so a
@@ -309,8 +324,23 @@ class TestPlanePipeline:
         text = (out / "report.txt").read_text()
         assert "quantized.total.rel_error" in text
         assert "mode = plane" in text
-        for key in ("minres_iters", "minres_unconverged", "clamp_hit = False"):
+        for key in ("minres_iters", "minres_unconverged", "clamp_hit = False",
+                    "coarse_iterations = 0", "coarse_minres_iters = 0"):
             assert key in text
+
+    def test_report_counts_the_coarse_level(self, plane_cfg, tmp_path, monkeypatch):
+        # with the floor lowered, the 128² solve starts from the 64² solution,
+        # whose work the report counts beside the fine level's
+        monkeypatch.setattr(plane, "_COARSE_FLOOR", 64)
+        out = tmp_path / "run"
+        assert main(["solve-plane", "--config", plane_cfg, "--out", str(out),
+                     "--grid", "128"]) == 0
+        report = _report_values(out / "report.txt")
+        assert int(report["coarse_iterations"]) > 0
+        assert int(report["coarse_minres_iters"]) > 0
+        assert main(["verify", "--config", plane_cfg, "--out", str(out),
+                     "--grid", "128"]) == 0
+        assert b"coarse" not in (out / "verify_report.txt").read_bytes()
 
     def test_verify_roundtrip_and_idempotent(self, plane_cfg, tmp_path):
         out = tmp_path / "run"

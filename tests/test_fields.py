@@ -17,6 +17,8 @@ from csvortex.fields import (
     ScalarField,
     box_dirichlet_ring,
     box_laplacian_ring,
+    box_shifted_inverse,
+    box_symbol,
     dirichlet_inner_values,
     integrate_values,
     laplacian4_values,
@@ -51,6 +53,24 @@ class TestGridDomain:
     def test_positive_extent_guard(self):
         with pytest.raises(DomainError):
             GridDomain.box(-1.0, 32)
+
+    @pytest.mark.parametrize("make", [
+        lambda: GridDomain.box(1e300, 32),           # h² overflows
+        lambda: GridDomain.box(1e-300, 32),          # h² underflows to 0
+        lambda: GridDomain.box(1e155, 16),           # h² finite, |Ω| overflows
+        lambda: GridDomain.torus(1e300, 1e300, 32, 32),
+        lambda: GridDomain.torus(1e155, 1e155, 16, 16),
+        lambda: GridDomain.torus(1e-160, 1.0, 16, 16),  # 1/h1² overflows
+    ], ids=["box-1e300", "box-1e-300", "box-area", "torus-1e300", "torus-area",
+            "torus-thin-cell"])
+    def test_unrepresentable_scales_refused(self, make):
+        with pytest.raises(DomainError, match="cannot square, invert or hold"):
+            make()
+
+    def test_extreme_representable_extents_accepted(self):
+        for dom in (GridDomain.box(1e150, 512), GridDomain.box(1e-150, 16)):
+            scales = (dom.h1**2, 1.0 / dom.h1**2, 1.0 / dom.cell_area, dom.area)
+            assert all(np.isfinite(scales))
 
 
 class TestLaplacian:
@@ -290,7 +310,8 @@ class TestPoisson:
 class TestBoxShiftedInverse:
     @staticmethod
     def direct(values, dom, c_lap, c_id):
-        """(c_lap*(-Δ_5) + c_id)^(-1) with the sine-mode eigenvalues built here."""
+        """(c_lap*(-Δ_5) + c_id)^(-1), zero ghosts, with the type-I sine-mode
+        eigenvalues built here."""
         lam = [(4.0 / h**2) * np.sin(np.pi * np.arange(1, n + 1) / (2.0 * (n + 1))) ** 2
                for n, h in ((dom.n1, dom.h1), (dom.n2, dom.h2))]
         lam = lam[0][:, None] + lam[1][None, :]
@@ -299,12 +320,27 @@ class TestBoxShiftedInverse:
         vh = dstn(values, type=1, norm="ortho", axes=(-2, -1))
         return idstn(vh / (c_lap * lam + c_id), type=1, norm="ortho", axes=(-2, -1))
 
+    @staticmethod
+    def antisymmetric_operator(values, dom, c_lap, c_id):
+        """c_lap*(-Δ_5) + c_id with antisymmetric ghosts (ghost = -neighbour),
+        stencil written out here."""
+        p = np.pad(values, [(0, 0)] * (values.ndim - 2) + [(1, 1), (1, 1)])
+        p[..., 0, :], p[..., -1, :] = -p[..., 1, :], -p[..., -2, :]
+        p[..., :, 0], p[..., :, -1] = -p[..., :, 1], -p[..., :, -2]
+        c = p[..., 1:-1, 1:-1]
+        neg_lap = ((2.0 * c - p[..., :-2, 1:-1] - p[..., 2:, 1:-1]) / dom.h1**2
+                   + (2.0 * c - p[..., 1:-1, :-2] - p[..., 1:-1, 2:]) / dom.h2**2)
+        c_lap = np.reshape(c_lap, np.shape(c_lap) + (1, 1))
+        c_id = np.reshape(c_id, np.shape(c_id) + (1, 1))
+        return c_lap * neg_lap + c_id * values
+
     @pytest.mark.parametrize("dom", [GridDomain.box(5.0, 32), GridDomain.box(7.0, 48)],
                              ids=["L5_n32", "L7_n48"])
     @pytest.mark.parametrize("species", [1, 2, 3])
     def test_operator_precond_matches_direct(self, dom, species, rng):
-        # the plane operator's symbol: the vacuum Hessian of the energy, whose
-        # Dirichlet weights are M/α for f and 1/β for each f_i
+        # the plane operator's preconditioner inverts the vacuum Hessian with
+        # antisymmetric ghosts, whose Dirichlet weights are M/α for f and 1/β
+        # for each f_i: applying that operator to its output gives the input back
         a, b = 0.7, 1.3
         params = ModelParams(alpha=a, beta=b, species=species)
         bg = plane_background(VortexSet(((),) * species), params.lambda_bg, dom)
@@ -313,6 +349,22 @@ class TestBoxShiftedInverse:
         c_lap = 2.0 * np.array([species / a] + [1.0 / b] * species) * dom.cell_area
         c_id = np.array([8.0 * a * species] + [8.0 * b] * species) * dom.cell_area
         out = op.precond_flat(values.ravel()).reshape(values.shape)
+        back = self.antisymmetric_operator(out, dom, c_lap, c_id)
+        np.testing.assert_allclose(back, values, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(values)))
+        # symmetric, as L-BFGS and MINRES need
+        w = rng.standard_normal(values.size)
+        assert np.vdot(w, out.ravel()) == pytest.approx(
+            np.vdot(op.precond_flat(w), values.ravel()), rel=1e-12)
+
+    @pytest.mark.parametrize("dom", [GridDomain.box(5.0, 32), GridDomain.box(7.0, 48)],
+                             ids=["L5_n32", "L7_n48"])
+    def test_background_poisson_pair_is_type_one(self, dom, rng):
+        # the background's Poisson solve needs the exact zero-ghost inverse
+        # (test_background.py checks its 5-point residual): the default pair
+        values = rng.standard_normal((2,) + dom.shape)
+        c_lap, c_id = np.array([1.0, 0.3]), np.array([0.0, 2.0])
+        out = box_shifted_inverse(values, box_symbol(dom, c_lap, c_id))
         expect = self.direct(values, dom, c_lap, c_id)
         np.testing.assert_allclose(out, expect, rtol=1e-13,
                                    atol=1e-13 * np.max(np.abs(expect)))
