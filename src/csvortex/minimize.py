@@ -45,11 +45,6 @@ _RTOL_MIN, _RTOL_MAX = 1e-12, 1e-2
 _EPS = float(np.finfo(float).eps)
 
 
-def _resolution(f: float) -> float:
-    """The smallest energy change trusted as a real change: 64 ulps of f."""
-    return 64.0 * float(np.spacing(abs(f)))
-
-
 class LineSearchError(RuntimeError):
     def __init__(self, message, feasibility_blocked=False):
         super().__init__(message)
@@ -80,7 +75,7 @@ class _Wolfe:
         self.fun_grad = fun_grad
         self.x, self.f0, self.d = x, f0, d
         self.gd0 = float(np.dot(g0, d))
-        self.resolvable = _resolution(f0)
+        self.resolvable = 64.0 * float(np.spacing(abs(f0)))
         self.feasible = feasible
         self.evals = 0
         self.saw_infeasible = False
@@ -247,20 +242,13 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
                    precond: Optional[Callable] = None,
                    feasible: Optional[Callable] = None,
                    tol_inf: float = 1e-8,
-                   max_iter: int = 2000,
-                   stop_unresolved: bool = False) -> OptResult:
+                   max_iter: int = 2000) -> OptResult:
     """Preconditioned L-BFGS with Wolfe steps; energies never increase.
 
     Converges when the gradient max-norm drops to ``tol_inf``.  ``precond``
     applies a fixed symmetric positive-definite initial inverse Hessian P; it
     is applied once per iteration, to the new gradient, and P y comes from
     the difference of consecutive preconditioned gradients.
-
-    With ``stop_unresolved`` the loop also stops, unconverged, once -gᵀd, the
-    decrease a full step predicts, is below 64 ulps of f: the energies can no
-    longer rank trial points, and where summation round-off makes them noisy
-    the line search would halve its way to a collapsed interval.  A caller
-    with a Newton phase hands over there.
     """
     apply_p = precond if precond is not None else (lambda v: v.copy())
     x = np.asarray(x0, dtype=float).copy()
@@ -281,14 +269,9 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
             pending = None
         pg = pg_new
         d = pairs.direction(g, pg)
-        gd = float(np.dot(g, d))
-        if gd >= 0:
+        if float(np.dot(g, d)) >= 0:
             pairs.clear()
             d = -pg
-            gd = -float(np.dot(g, pg))
-        if stop_unresolved and -gd < _resolution(f):
-            return OptResult(x, f, g, it - 1, False, energies,
-                             "energy cannot resolve the step", boundary)
         try:
             t, f_new, g_new, x_new = _Wolfe(fun_grad, x, f, g, d, feasible).run()
         except LineSearchError as exc:

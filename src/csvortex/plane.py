@@ -17,13 +17,11 @@ summation by parts), and one batched type-II sine-transform pair for the
 vacuum preconditioner.
 
 Minimization: preconditioned L-BFGS (Wolfe steps, energies never
-increasing), followed by a Newton/MINRES polish that drives the gradient
-max-norm to the requested tolerance.  Each Hessian product of the polish is
-one stencil of the direction on a zero ghost ring and about eight array
-passes against the pointwise reaction matrix, which is computed once per
-Newton iterate.  The fine solve starts from the zero state, or, on grids of
-n >= 2·_COARSE_FLOOR nodes per axis with n a multiple of 4, from the
-solution of the same problem on the n/2 grid (nested iteration, one level).
+increasing) from the zero state, followed by a Newton/MINRES polish that
+drives the gradient max-norm to the requested tolerance.  Each Hessian
+product of the polish is one stencil of the direction on a zero ghost ring
+and about eight array passes against the pointwise reaction matrix, which
+is computed once per Newton iterate.
 """
 
 from __future__ import annotations
@@ -43,14 +41,13 @@ from .fields import (  # noqa: F401
     GridDomain,
     box_dirichlet_ring,
     box_laplacian_ring,
-    box_pad_with_ring,
     box_shifted_inverse,
     box_symbol,
     exp_clip,
     laplacian4_values,
     laplacian_values,
 )
-from .minimize import OptResult, minimize_lbfgs, newton_polish
+from .minimize import minimize_lbfgs, newton_polish
 from .model import ModelParams
 
 
@@ -84,11 +81,6 @@ class PlaneState:
 # L-BFGS hands over to Newton at this multiple of tol, before its line searches
 # reach the energy's round-off; Newton/MINRES is cheaper for the rest
 _LBFGS_HANDOVER = 1e5
-# nested iteration: a grid whose resolution n is a multiple of 4 with
-# n/2 >= _COARSE_FLOOR starts from the solution on the n/2 grid.  Measured on
-# the plane problems of the tests: the coarse solve costs about what it saves
-# at n = 128 and 224, and pays from n = 256 on (a third of the time at 512)
-_COARSE_FLOOR = 128
 
 
 @dataclass(frozen=True)
@@ -349,80 +341,12 @@ def pde_residual_fourth(state: PlaneState, op: PlaneOperator,
     return float(np.max(res[keep]))
 
 
-def _prolong(padded: np.ndarray) -> np.ndarray:
-    """Cell-centred bilinear prolongation to the grid of twice the resolution.
-
-    ``padded`` is a (k, n + 2, n + 2) stack whose outer ring holds the ghost
-    values; the result is (k, 2n, 2n).  Each fine node lies a quarter of a
-    coarse cell from its coarse node, so along each axis it takes 3/4 of that
-    node and 1/4 of the next one outward; in 2-D the weights are 9/16, 3/16,
-    3/16 and 1/16, and bilinear functions are reproduced exactly.
-    """
-    out = padded
-    for axis in (-2, -1):
-        c = np.moveaxis(out, axis, 0)
-        mid = 0.75 * c[1:-1]
-        fine = np.empty((2 * (c.shape[0] - 2),) + c.shape[1:])
-        np.add(mid, 0.25 * c[:-2], out=fine[0::2])
-        np.add(mid, 0.25 * c[2:], out=fine[1::2])
-        out = np.moveaxis(fine, 0, axis)
-    return out
-
-
-def _minimize(op: PlaneOperator, x0: np.ndarray, opts: PlaneSolveOpts) -> OptResult:
-    """L-BFGS from x0, then Newton/MINRES while the gradient is above tol.
-
-    The result holds the final iterate, the energies L-BFGS accepted (and the
-    polished one, if kept) and both phases' counts.  Never raises on a stall:
-    the caller judges the final gradient.
-    """
-    tol_flat = opts.tol * op.domain.cell_area
-    res = minimize_lbfgs(op.fun_grad_flat, x0, precond=op.precond_flat,
-                         tol_inf=tol_flat * _LBFGS_HANDOVER, max_iter=opts.max_iter,
-                         stop_unresolved=True)
-    if float(np.max(np.abs(res.g))) > tol_flat:
-        pol = newton_polish(op.grad_flat, op.hess_vec_flat, res.x, g0=res.g,
-                            precond=op.precond_flat, tol_inf=tol_flat)
-        res.iterations += pol.iterations
-        res.minres_unconverged = pol.minres_unconverged
-        res.minres_iters = pol.minres_iters
-        if pol.converged:
-            e_pol = op.fun_grad_flat(pol.x)[0]
-            if e_pol <= res.f + 1e-12 * max(1.0, abs(res.f)):
-                res.x, res.f, res.g = pol.x, e_pol, pol.g
-                res.energies.append(e_pol)
-    res.converged = float(np.max(np.abs(res.g))) <= tol_flat
-    return res
-
-
-def _coarse_start(params: ModelParams, vortices: VortexSet, domain: GridDomain,
-                  opts: PlaneSolveOpts):
-    """(x0, coarse iterations, coarse MINRES iterations) for the fine solve.
-
-    Solves the problem on the n/2 grid, with its own consistent background
-    and the same tol, then prolongs the remainders (f, f_i), padded with that
-    grid's ghost ring, to the fine grid.  The remainders, not u, are
-    prolonged: each grid's background differs at the discretization level.
-    A coarse stall is not an error, since its iterate is only a start.  Only
-    x0 outlives the call, so the coarse operator and background are released
-    before the fine background is built.
-    """
-    coarse = GridDomain.box(domain.extent1, domain.n1 // 2)
-    op = PlaneOperator(plane_background(vortices, params.lambda_bg, coarse), params)
-    run = _minimize(op, PlaneState.zero(coarse, params.species).pack(), opts)
-    x0 = _prolong(box_pad_with_ring(run.x.reshape(op.shape), op.ring)).ravel()
-    return x0, run.iterations, run.minres_iters
-
-
 def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
                 opts: PlaneSolveOpts = PlaneSolveOpts()):
-    """Minimize the plane energy, from the coarser grid's solution if there is one.
+    """Minimize the plane energy from the zero state.
 
     Returns (state, info) where info carries the reconstructed fields and the
     raw convergence record; higher-level reporting lives in diagnostics.
-    ``energies``, ``iterations`` and ``minres_iters`` are the fine level's
-    record; ``coarse_iterations`` and ``coarse_minres_iters`` count the
-    coarse level's work (0 without one).
     """
     if domain.kind != "box":
         raise DomainError("plane solve requires a box domain")
@@ -436,32 +360,41 @@ def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
                     "every vortex must sit at distance >= L/4 from the box boundary"
                 )
     t0 = time.perf_counter()
-    if domain.n1 % 4 == 0 and domain.n1 // 2 >= _COARSE_FLOOR:
-        x0, coarse_iterations, coarse_minres_iters = _coarse_start(
-            params, vortices, domain, opts)
-    else:
-        x0 = PlaneState.zero(domain, params.species).pack()
-        coarse_iterations = coarse_minres_iters = 0
     bg = plane_background(vortices, params.lambda_bg, domain)
     op = PlaneOperator(bg, params)
-    run = _minimize(op, x0, opts)
-    grad_inf = float(np.max(np.abs(run.g))) / domain.cell_area
-    state = PlaneState.unpack(run.x, domain, params.species)
+    tol_flat = opts.tol * domain.cell_area
+    x0 = PlaneState.zero(domain, params.species).pack()
+    res = minimize_lbfgs(op.fun_grad_flat, x0, precond=op.precond_flat,
+                         tol_inf=tol_flat * _LBFGS_HANDOVER, max_iter=opts.max_iter)
+    energies = list(res.energies)
+    iterations = res.iterations
+    minres_unconverged = minres_iters = 0
+    if float(np.max(np.abs(res.g))) > tol_flat:
+        pol = newton_polish(op.grad_flat, op.hess_vec_flat, res.x, g0=res.g,
+                            precond=op.precond_flat, tol_inf=tol_flat)
+        iterations += pol.iterations
+        minres_unconverged = pol.minres_unconverged
+        minres_iters = pol.minres_iters
+        if pol.converged:
+            e_pol = op.fun_grad_flat(pol.x)[0]
+            if e_pol <= energies[-1] + 1e-12 * max(1.0, abs(energies[-1])):
+                res = pol
+                energies.append(e_pol)
+    grad_inf = float(np.max(np.abs(res.g))) / domain.cell_area
+    state = PlaneState.unpack(res.x, domain, params.species)
     if grad_inf > opts.tol:
         raise NonConvergenceError(
             f"plane solve stalled at gradient max-norm {grad_inf:.3e} "
-            f"(target {opts.tol:.3e}) after {run.iterations} iterations",
+            f"(target {opts.tol:.3e}) after {iterations} iterations",
             state=state, grad_norm=grad_inf)
     u, u_list = reconstruct(state, bg)
     info = {
-        "energy": run.f,  # the energy at run.x, already evaluated
+        "energy": energies[-1],  # the energy at res.x, already evaluated
         "grad_inf": grad_inf,
-        "iterations": run.iterations,
-        "minres_unconverged": run.minres_unconverged,
-        "minres_iters": run.minres_iters,
-        "coarse_iterations": coarse_iterations,
-        "coarse_minres_iters": coarse_minres_iters,
-        "energies": run.energies,
+        "iterations": iterations,
+        "minres_unconverged": minres_unconverged,
+        "minres_iters": minres_iters,
+        "energies": energies,
         "wall_time": time.perf_counter() - t0,
         "u": u,
         "u_list": u_list,

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import csvortex.plane as plane
 from csvortex.cli import main
 from csvortex.config import RunOpts, load_config
 from csvortex.errors import ConfigError
@@ -324,23 +323,8 @@ class TestPlanePipeline:
         text = (out / "report.txt").read_text()
         assert "quantized.total.rel_error" in text
         assert "mode = plane" in text
-        for key in ("minres_iters", "minres_unconverged", "clamp_hit = False",
-                    "coarse_iterations = 0", "coarse_minres_iters = 0"):
+        for key in ("minres_iters", "minres_unconverged", "clamp_hit = False"):
             assert key in text
-
-    def test_report_counts_the_coarse_level(self, plane_cfg, tmp_path, monkeypatch):
-        # with the floor lowered, the 128² solve starts from the 64² solution,
-        # whose work the report counts beside the fine level's
-        monkeypatch.setattr(plane, "_COARSE_FLOOR", 64)
-        out = tmp_path / "run"
-        assert main(["solve-plane", "--config", plane_cfg, "--out", str(out),
-                     "--grid", "128"]) == 0
-        report = _report_values(out / "report.txt")
-        assert int(report["coarse_iterations"]) > 0
-        assert int(report["coarse_minres_iters"]) > 0
-        assert main(["verify", "--config", plane_cfg, "--out", str(out),
-                     "--grid", "128"]) == 0
-        assert b"coarse" not in (out / "verify_report.txt").read_bytes()
 
     def test_verify_roundtrip_and_idempotent(self, plane_cfg, tmp_path):
         out = tmp_path / "run"

@@ -83,41 +83,6 @@ class TestLBFGS:
         assert shifted.iterations <= plain.iterations + 5
         assert all(e2 <= e1 for e1, e2 in zip(shifted.energies, shifted.energies[1:]))
 
-    def test_stop_unresolved_hands_over_at_noisy_energies(self, rng):
-        # energies carry deterministic noise of a few ulps, as summation
-        # round-off does: once a step's predicted decrease is below it the
-        # line search cannot rank trial points; with stop_unresolved the run
-        # stops there instead of halving to a collapsed interval
-        _, x_star, d = quad_problem(200, rng)
-        ulp = float(np.spacing(1e6))
-
-        def fun_grad(x):
-            e = x - x_star
-            noise = 8.0 * ulp * np.sin(1e9 * float(np.sum(x)))
-            return 0.5 * float(e @ (d * e)) + 1e6 + noise, d * e
-
-        def run(stop):
-            calls = []
-
-            def counted(x):
-                calls.append(1)
-                return fun_grad(x)
-
-            res = minimize_lbfgs(counted, np.zeros(200), tol_inf=1e-12,
-                                 max_iter=2000, stop_unresolved=stop)
-            return res, len(calls)
-
-        res, evals = run(True)
-        assert not res.converged
-        assert res.message == "energy cannot resolve the step"
-        assert evals <= 1.5 * res.iterations + 2
-        assert all(e2 <= e1 for e1, e2 in zip(res.energies, res.energies[1:]))
-        # it stopped near the minimizer, where a Newton phase takes over
-        assert float(np.max(np.abs(res.g))) < 1e-4
-        # without the stop the line searches search the noise
-        _, searched_evals = run(False)
-        assert searched_evals > evals + 40
-
     def test_budget_exhaustion(self, rng):
         fun_grad, _, _ = quad_problem(50, rng)
         res = minimize_lbfgs(fun_grad, np.zeros(50), tol_inf=1e-14, max_iter=2)

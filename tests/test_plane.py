@@ -14,7 +14,6 @@ from csvortex.fields import (
     integrate_values,
 )
 from csvortex.model import ModelParams
-import csvortex.plane as plane
 from csvortex.plane import (
     PlaneOperator,
     PlaneSolveOpts,
@@ -364,77 +363,3 @@ class TestSolvePlane:
         params = ModelParams(alpha=1.0, beta=1.0, species=2)
         with pytest.raises(DomainError):
             solve_plane(params, VortexSet.single([(0.0, 0.0)]), dom)
-
-
-class TestNestedIteration:
-    @settings(max_examples=30, deadline=None)
-    @given(nc=st.integers(8, 24).map(lambda k: 2 * k), half_width=st.floats(0.5, 50.0),
-           coef=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
-           species=st.integers(1, 3))
-    def test_prolongation_reproduces_bilinear(self, nc, half_width, coef, species):
-        # sampled on the coarse nodes and their ghost ring, a + bx + cy + dxy
-        # comes out exact at every node of the grid of twice the resolution
-        a, b, c, d = coef
-
-        def bilinear(n, pad):
-            h = 2.0 * half_width / n
-            x = -half_width + h * (np.arange(-pad, n + pad) + 0.5)
-            X, Y = np.meshgrid(x, x, indexing="ij")
-            return a + b * X + c * Y + d * X * Y
-
-        coarse = np.stack([(k + 1) * bilinear(nc, 1) for k in range(species)])
-        fine = np.stack([(k + 1) * bilinear(2 * nc, 0) for k in range(species)])
-        out = plane._prolong(coarse)
-        assert out.shape == (species, 2 * nc, 2 * nc)
-        scale = species * (abs(a) + (abs(b) + abs(c)) * half_width + abs(d) * half_width**2)
-        assert np.max(np.abs(out - fine)) <= 1e-13 * max(scale, 1.0)
-
-    def test_coarse_start_matches_zero_start(self, monkeypatch):
-        # N=256 starts from the 128² solution; with the floor raised past it
-        # the same solve starts from zero: both meet tol, energies agree
-        dom = GridDomain.box(10.0, 256)
-        params = ModelParams(alpha=1.0, beta=1.0, species=1, lambda_bg=10.0)
-        vs = VortexSet.single([(0.0, 0.0)])
-        opts = PlaneSolveOpts(tol=1e-10)
-        _, nested = solve_plane(params, vs, dom, opts)
-        monkeypatch.setattr(plane, "_COARSE_FLOOR", 10**9)
-        _, direct = solve_plane(params, vs, dom, opts)
-        assert nested["coarse_iterations"] > 0 and nested["coarse_minres_iters"] > 0
-        assert direct["coarse_iterations"] == direct["coarse_minres_iters"] == 0
-        for info in (nested, direct):
-            assert info["grad_inf"] <= opts.tol
-        assert nested["energy"] == pytest.approx(direct["energy"], rel=1e-10)
-        # the coarse start saves fine L-BFGS iterations
-        assert nested["iterations"] < direct["iterations"]
-
-    def test_tight_tolerance_wastes_no_line_search(self, monkeypatch):
-        # from the prolonged 128² solution the fine L-BFGS reaches steps the
-        # energy cannot resolve before its handover; it must hand over there,
-        # not search the round-off (96 evaluations for 43 iterations when it did)
-        calls = []
-        evaluate = PlaneOperator.fun_grad_flat
-
-        def counted(self, x):
-            calls.append(1)
-            return evaluate(self, x)
-
-        monkeypatch.setattr(PlaneOperator, "fun_grad_flat", counted)
-        dom = GridDomain.box(20.0, 256)
-        params = ModelParams(alpha=0.5, beta=2.0, species=1, lambda_bg=10.0)
-        _, info = solve_plane(params, VortexSet.single([(0.0, 0.0)]), dom,
-                              PlaneSolveOpts(tol=1e-12))
-        assert info["grad_inf"] <= 1e-12
-        assert info["coarse_iterations"] > 0
-        assert len(calls) <= 1.5 * (info["iterations"] + info["coarse_iterations"]) + 4
-
-    def test_coarse_stall_is_only_a_start(self, monkeypatch):
-        # at tol 0 the coarse level stalls without raising; the error comes
-        # from the fine level and carries its state
-        monkeypatch.setattr(plane, "_COARSE_FLOOR", 16)
-        dom = GridDomain.box(6.0, 64)
-        params = ModelParams(alpha=1.0, beta=1.0, species=1, lambda_bg=2.0)
-        with pytest.raises(NonConvergenceError) as err:
-            solve_plane(params, VortexSet.single([(0.0, 0.0)]), dom,
-                        PlaneSolveOpts(tol=0.0, max_iter=1))
-        assert err.value.state.domain == dom
-        assert err.value.grad_norm > 0
