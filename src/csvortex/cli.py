@@ -39,7 +39,7 @@ from .plane import (
     PlaneSolveOpts,
     PlaneState,
     pde_residual_fourth,
-    pde_residual_same_op,
+    same_op_checks,
     solve_plane,
 )
 from .torus import (
@@ -107,19 +107,18 @@ def _field_report(cfg: RunConfig, op, mode: str, fields) -> diag.SolveReport:
     ``fields`` are the arrays a solve writes and verify reads back: (state,
     u, u_list) on the plane, the full pair (u, v) on the torus, split once
     into its mean-zero part and constants.  ``op`` is the solver's operator
-    or one built from the config; its background supplies u0.  The report
-    holds no solver record and no timing.
+    or one built from the config; its background supplies u0.  The energy,
+    the gradient and the same-operator residual come from one evaluation of
+    it.  The report holds no solver record and no timing.
     """
     params, domain = cfg.params, cfg.domain
     mask = vortex_node_mask(cfg.vortices, domain)
     rep = diag.SolveReport(mode=mode)
     if cfg.mode == "plane":
         state, u, u_list = fields
-        rep.energy = op.energy(state)
-        rep.grad_norm = float(np.max(np.abs(op.gradient(state).pack())))
+        rep.energy, rep.grad_norm, rep.pde_residual_same = same_op_checks(state, op)
         rep.quantized = diag.quantized_integrals_plane(u, u_list, params, domain,
                                                        cfg.vortices.counts)
-        rep.pde_residual_same = pde_residual_same_op(state, op)
         rep.pde_residual_fourth = pde_residual_fourth(state, op, exclude=mask)
         neg = diag.max_principle_check(u, np.zeros_like(u), exclude=mask)[0]
         rep.max_principle = [diag.BoundCheck("u", neg.status, neg.worst, neg.node)]
@@ -128,8 +127,7 @@ def _field_report(cfg: RunConfig, op, mode: str, fields) -> diag.SolveReport:
     bg = op.bg
     state = TorusState.from_full(u, v, domain)
     big_u, big_v = reconstruct_original(state, bg)
-    rep.energy = op.energy(u, v)
-    gu, gv = op.gradient(u, v)
+    rep.energy, gu, gv = op.fun_grad(u, v)
     rep.grad_norm = max(float(np.max(np.abs(gu))), float(np.max(np.abs(gv))))
     rep.pde_residual_same = rep.grad_norm
     rep.feasibility_margin = feasibility(params, bg.n, domain.area).margin

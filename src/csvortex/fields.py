@@ -371,12 +371,20 @@ def read_field(path) -> ScalarField:
         if len(raw) != _HEADER.size:
             raise DomainError(f"truncated field header in {path}")
         n1, n2, kind, extent = _HEADER.unpack(raw)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n1 * n2:
+        payload = fh.read()
+    # checked before use: frombuffer raises a bare ValueError on a partial value
+    if n1 <= 0 or n2 <= 0 or len(payload) != 8 * n1 * n2:
         raise DomainError(
-            f"field payload in {path} has {data.size} values, expected {n1 * n2}"
+            f"field payload in {path} has {len(payload)} bytes, expected 8 per "
+            f"value of its {n1}x{n2} header"
         )
-    if int(round(kind)) == _KIND_TORUS:
+    if kind not in (_KIND_TORUS, _KIND_BOX):
+        raise DomainError(
+            f"field header in {path} has kind code {kind!r}, expected "
+            f"{_KIND_TORUS} (torus) or {_KIND_BOX} (box)"
+        )
+    data = np.frombuffer(payload, dtype="<f8")
+    if kind == _KIND_TORUS:
         domain = GridDomain.torus(extent, extent * n2 / n1, n1, n2)
     else:
         domain = GridDomain.box(extent, n1)

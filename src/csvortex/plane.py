@@ -309,14 +309,20 @@ def reconstruct(state: PlaneState, bg: BackgroundPlane) -> Tuple[np.ndarray, Tup
     return u, u_list
 
 
+def same_op_checks(state: PlaneState, op: PlaneOperator) -> Tuple[float, float, float]:
+    """The energy, the gradient max-norm and pde_residual_same_op of a state,
+    from one evaluation."""
+    val, G = op._evaluate(state.pack().reshape(op.shape))
+    return val, float(np.max(np.abs(G))), float(np.max(np.abs(G) / (2.0 * op._c_dir)))
+
+
 def pde_residual_same_op(state: PlaneState, op: PlaneOperator) -> float:
     """Max-norm residual of the delta-free system under the solver's operators.
 
     The first equation's residual is (alpha/2M) times the f-gradient, the
     species equations' (beta/2) times the f_i-gradients.
     """
-    G = op._evaluate(state.pack().reshape(op.shape), energy=False)[1]
-    return float(np.max(np.abs(G) / (2.0 * op._c_dir)))
+    return same_op_checks(state, op)[2]
 
 
 def pde_residual_fourth(state: PlaneState, op: PlaneOperator,

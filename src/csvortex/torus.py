@@ -21,6 +21,13 @@ minimum, reached from the barrier point -- the first solution's mean-zero
 part with the saddle-branch constants.  Both solves are preconditioned by a
 frozen-coefficient inverse Hessian, 2x2 per Fourier mode: frozen at the
 vacuum for the first, at the barrier point for the second.
+
+A state is one (2, n1, n2) stack (u, v), a view of the optimizer's flat
+vector, as on the plane: TorusOperator evaluates it in one body and
+_BranchReduced projects, lifts and differentiates it with one broadcast per
+step.  The solves make hundreds of these calls on grids of 32² to 128², where
+each numpy call costs more than its arithmetic, so no evaluation splits the
+stack into fields and joins them again; the (u, v) methods are thin views.
 """
 
 from __future__ import annotations
@@ -51,7 +58,6 @@ from .fields import (  # noqa: F401
     _k2_weighted,
     dirichlet_inner_values,
     exp_clip,
-    integrate_values,
     laplacian_values,
 )
 from .minimize import minimize_lbfgs, newton_polish
@@ -99,15 +105,15 @@ class StateIntegrals:
 
 def state_integrals(u_prime: np.ndarray, v_prime: np.ndarray,
                     bg: BackgroundTorus) -> StateIntegrals:
-    dom = bg.domain
+    ca = bg.domain.cell_area
     eu = exp_clip(bg.u0 + u_prime)
     ev = exp_clip(v_prime)
     return StateIntegrals(
-        e1=integrate_values(eu * eu, dom),
-        e2=integrate_values(ev * ev, dom),
-        j1=integrate_values(eu, dom),
-        j2=integrate_values(ev, dom),
-        g=integrate_values(eu * ev, dom),
+        e1=float((eu * eu).sum()) * ca,
+        e2=float((ev * ev).sum()) * ca,
+        j1=float(eu.sum()) * ca,
+        j2=float(ev.sum()) * ca,
+        g=float((eu * ev).sum()) * ca,
     )
 
 
@@ -316,12 +322,19 @@ _SYMBOL_FLOOR = 1e-8
 class TorusOperator:
     """Discrete functional I on full fields (u, v) = (u'+c1, v'+c2).
 
-    Every evaluation transforms the pair (u, v) once, in one batched real
-    FFT: the Dirichlet energy and the stiffness terms -aΔu - bΔv, -bΔu - aΔv
-    are both read off (û, v̂), and the stiffness terms come back in one
-    inverse real FFT.  The fields are real, so the spectra are the half rfftn
-    keeps, (2, n1, n2/2 + 1), and every symbol lives on that half; the
-    Dirichlet energy sums it with the Hermitian weights of fields._k2_weighted.
+    A state is one (2, n1, n2) stack X = (u, v), a view of the optimizer's
+    flat vector, as on the plane.  One body (_evaluate) serves energy,
+    gradient, fun_grad and fun_grad_flat: the clamped exponentials
+    (P, R) = e^{X + (u0, 0)} in one pass over the stack, one batched real FFT
+    of X, the Dirichlet and potential terms, and the stiffness terms
+    -aΔu - bΔv, -bΔu - aΔv read off (û, v̂) and brought back in one inverse
+    real FFT.  The reduced solves call it dozens of times on grids of 32² to
+    128², where each numpy call costs more than its arithmetic, so the body
+    never splits the stack into fields and joins them again.  The (u, v)
+    methods are thin views that join their pair once.  The fields are real,
+    so the spectra are the half rfftn keeps, (2, n1, n2/2 + 1), and every
+    symbol lives on that half; the Dirichlet energy sums it with the
+    Hermitian weights of fields._k2_weighted.
 
     The preconditioner is a frozen-coefficient inverse Hessian, a symmetric
     2x2 symbol per Fourier mode (see _inverse_symbol).  It starts at the
@@ -333,17 +346,24 @@ class TorusOperator:
         params.require_torus_mode()
         self.bg = bg
         self.params = params
-        self.domain = bg.domain
+        self.domain = dom = bg.domain
+        self.shape = (2,) + dom.shape
         p = params
         self.a = 0.5 * (1.0 / p.alpha + 1.0 / p.beta)
         self.b = 0.5 * (1.0 / p.alpha - 1.0 / p.beta)
-        self.source = 4.0 * math.pi * bg.n / self.domain.area
+        self.source = 4.0 * math.pi * bg.n / dom.area
         self.clamp_hit = False
+        # the exponents of (P, R) are X + (u0, 0); the linear terms of the
+        # energy weigh (u, v) by the sources (2a, 2b)·source
+        self._lift = np.stack((bg.u0, np.zeros(dom.shape)))
+        self._sources = self.source * np.array([2.0 * self.a, 2.0 * self.b])
         # Fourier symbols [[s11, s12], [s12, s22]] acting on (û, v̂): the
         # stiffness terms, and the preconditioner, frozen at the vacuum Hessian
         # coefficients (h_uu, h_uv, h_vv) = (2(α+β), 2(α-β), 2(α+β))
-        k2 = _k2(self.domain)
-        self._k2w = _k2_weighted(self.domain)
+        k2 = _k2(dom)
+        # the weighted |k|² twice per mode, for a spectrum viewed as
+        # interleaved (real, imaginary) floats
+        self._k2w2 = np.repeat(_k2_weighted(dom), 2, axis=-1)
         self._stiff = (self.a * k2, self.b * k2, self.a * k2)
         self._vacuum = (2.0 * (p.alpha + p.beta), 2.0 * (p.alpha - p.beta),
                         2.0 * (p.alpha + p.beta))
@@ -378,102 +398,123 @@ class TorusOperator:
         self._precond = self._inverse_symbol(
             *(float(np.mean(h)) for h in self.hess_coeffs(u, v)))
 
-    def _pr(self, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        eu = self.bg.u0 + u
-        if np.max(eu) > EXP_CLAMP or np.max(v) > EXP_CLAMP:
+    # -- the stacked body ----------------------------------------------------
+    def _exp(self, X: np.ndarray) -> np.ndarray:
+        """The clamped exponentials (P, R) = e^{X + (u0, 0)}, one new stack."""
+        E = np.add(X, self._lift)
+        if E.max() > EXP_CLAMP:
             self.clamp_hit = True
-        return exp_clip(eu), exp_clip(v)
+        return exp_clip(E, out=E)
 
     @staticmethod
-    def _spectra(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Half spectra (û, v̂) stacked on a leading axis, from one batched rfftn."""
-        return rfftn(np.stack((u, v)), axes=(1, 2))
+    def _spectra(X: np.ndarray) -> np.ndarray:
+        """Half spectra (û, v̂) of the stack X, from one batched rfftn."""
+        return rfftn(X, axes=(1, 2))
 
     def _apply_symbol(self, wh: np.ndarray, symbol) -> np.ndarray:
         """Inverse real FFT of [[s11, s12], [s12, s22]] (û, v̂), both rows in one batch."""
         s11, s12, s22 = symbol
         out = np.empty_like(wh)
-        out[0] = s11 * wh[0] + s12 * wh[1]
-        out[1] = s12 * wh[0] + s22 * wh[1]
+        np.multiply(s11, wh[0], out=out[0])
+        out[0] += s12 * wh[1]
+        np.multiply(s22, wh[1], out=out[1])
+        out[1] += s12 * wh[0]
         return irfftn(out, s=self.domain.shape, axes=(1, 2), overwrite_x=True)
 
     def _dirichlet(self, wh: np.ndarray) -> float:
-        """a/2 (∫|∇u|² + ∫|∇v|²) + b ∫∇u·∇v from (û, v̂)."""
-        uh, vh = wh
-        dens = self.a * 0.5 * (np.real(uh * np.conj(uh)) + np.real(vh * np.conj(vh))) \
-            + self.b * np.real(uh * np.conj(vh))
+        """a/2 (∫|∇u|² + ∫|∇v|²) + b ∫∇u·∇v from (û, v̂), each spectrum
+        viewed as interleaved (real, imaginary) floats."""
+        r = wh.view(np.float64)
+        q = self._k2w2 * r
+        dens = self.a * 0.5 * (q * r).sum() + self.b * (q[0] * r[1]).sum()
         dom = self.domain
-        return float(np.sum(self._k2w * dens)) * dom.cell_area / (dom.n1 * dom.n2)
+        return float(dens) * dom.cell_area / (dom.n1 * dom.n2)
 
-    def _potential(self, u: np.ndarray, v: np.ndarray, P: np.ndarray,
-                   R: np.ndarray) -> float:
-        p, dom = self.params, self.domain
-        val = p.alpha * integrate_values((P + R - 2.0) ** 2, dom)
-        val += p.beta * integrate_values((P - R) ** 2, dom)
-        val += self.source * (2.0 * self.a) * integrate_values(u, dom)
-        val += self.source * (2.0 * self.b) * integrate_values(v, dom)
-        return val
+    def _evaluate(self, X: np.ndarray, energy: bool = True,
+                  gradient: bool = True) -> Tuple[Optional[float], Optional[np.ndarray]]:
+        """(energy or None, L2 gradient stack or None) at the state stack X.
 
-    def _gradient(self, wh: np.ndarray, P: np.ndarray,
-                  R: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        The energy's sums are pairwise (ndarray.sum), not BLAS dots: at 256²
+        a dot's round-off stalls the first descent's line search (248
+        evaluations for 9 L-BFGS iterations at alpha=30, against 7 for 6).
+        """
         p = self.params
-        su, sv = self._apply_symbol(wh, self._stiff)
-        common = 2.0 * p.alpha * (P + R - 2.0)
-        diff = 2.0 * p.beta * (P - R)
-        gu = su + (common + diff) * P + self.source * 2.0 * self.a
-        gv = sv + (common - diff) * R + self.source * 2.0 * self.b
-        return gu, gv
+        E = self._exp(X)
+        P, R = E
+        wh = self._spectra(X)
+        s = P + R
+        s -= 2.0
+        d = P - R
+        val = G = None
+        if energy:
+            pot = (p.alpha * (s * s).sum() + p.beta * (d * d).sum()
+                   + np.dot(self._sources, np.add.reduce(X, axis=(1, 2))))
+            val = self._dirichlet(wh) + float(pot) * self.domain.cell_area
+        if gradient:
+            G = self._apply_symbol(wh, self._stiff)
+            s *= 2.0 * p.alpha
+            d *= 2.0 * p.beta
+            P *= s + d
+            R *= s - d
+            G += E
+            G += self._sources[:, None, None]
+        return val, G
 
+    def _coeffs(self, X: np.ndarray) -> np.ndarray:
+        """Pointwise second derivatives of the potential at the stack X, as
+        one (3, n1, n2) stack (h_uu, h_uv, h_vv): its first two planes weigh
+        du and its last two dv in a Hessian product."""
+        p = self.params
+        P, R = self._exp(X)
+        K = np.empty((3,) + self.domain.shape)
+        K[0] = (2.0 * p.alpha * (2.0 * P + R - 2.0) + 2.0 * p.beta * (2.0 * P - R)) * P
+        K[1] = 2.0 * (p.alpha - p.beta) * P * R
+        K[2] = (2.0 * p.alpha * (P + 2.0 * R - 2.0) - 2.0 * p.beta * (P - 2.0 * R)) * R
+        return K
+
+    def _hess(self, K: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Second variation on a direction stack W, coefficients K of _coeffs."""
+        H = self._apply_symbol(self._spectra(W), self._stiff)
+        H += K[:2] * W[0]
+        H += K[1:] * W[1]
+        return H
+
+    # -- (u, v) views ------------------------------------------------------
     def energy(self, u: np.ndarray, v: np.ndarray) -> float:
-        P, R = self._pr(u, v)
-        return float(self._dirichlet(self._spectra(u, v)) + self._potential(u, v, P, R))
+        return self._evaluate(np.stack((u, v)), gradient=False)[0]
 
     def gradient(self, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        P, R = self._pr(u, v)
-        return self._gradient(self._spectra(u, v), P, R)
+        G = self._evaluate(np.stack((u, v)), energy=False)[1]
+        return G[0], G[1]
 
     def fun_grad(self, u: np.ndarray,
                  v: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
-        """(energy, gu, gv) from one forward transform of the pair."""
-        P, R = self._pr(u, v)
-        wh = self._spectra(u, v)
-        val = float(self._dirichlet(wh) + self._potential(u, v, P, R))
-        gu, gv = self._gradient(wh, P, R)
-        return val, gu, gv
+        """(energy, gu, gv) from one evaluation."""
+        val, G = self._evaluate(np.stack((u, v)))
+        return val, G[0], G[1]
 
     def hess_coeffs(self, u: np.ndarray,
                     v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Pointwise second derivatives (h_uu, h_uv, h_vv) of the potential."""
-        p = self.params
-        P, R = self._pr(u, v)
-        huu = (2.0 * p.alpha * (2.0 * P + R - 2.0) + 2.0 * p.beta * (2.0 * P - R)) * P
-        hvv = (2.0 * p.alpha * (P + 2.0 * R - 2.0) - 2.0 * p.beta * (P - 2.0 * R)) * R
-        huv = 2.0 * (p.alpha - p.beta) * P * R
-        return huu, huv, hvv
+        return tuple(self._coeffs(np.stack((u, v))))
 
     def hess_vec(self, u: np.ndarray, v: np.ndarray, du: np.ndarray,
                  dv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return self.hess_apply(self.hess_coeffs(u, v), du, dv)
-
-    def hess_apply(self, coeffs: Tuple[np.ndarray, np.ndarray, np.ndarray],
-                   du: np.ndarray, dv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Second variation with the pointwise coefficients already formed."""
-        huu, huv, hvv = coeffs
-        su, sv = self._apply_symbol(self._spectra(du, dv), self._stiff)
-        return su + huu * du + huv * dv, sv + huv * du + hvv * dv
+        H = self._hess(self._coeffs(np.stack((u, v))), np.stack((du, dv)))
+        return H[0], H[1]
 
     # -- flat interface ---------------------------------------------------
     def pack(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.concatenate([u.ravel(), v.ravel()])
 
     def unpack(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        n = self.domain.n1 * self.domain.n2
-        return (x[:n].reshape(self.domain.shape), x[n:].reshape(self.domain.shape))
+        X = x.reshape(self.shape)
+        return X[0], X[1]
 
     def fun_grad_flat(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
-        u, v = self.unpack(x)
-        val, gu, gv = self.fun_grad(u, v)
-        return val, self.pack(gu, gv) * self.domain.cell_area
+        val, G = self._evaluate(x.reshape(self.shape))
+        G *= self.domain.cell_area
+        return val, G.ravel()
 
     def precond_flat(self, w: np.ndarray) -> np.ndarray:
         """Apply the held inverse symbol: SPD, 2x2 per Fourier mode.
@@ -481,7 +522,7 @@ class TorusOperator:
         The vacuum Hessian's exact inverse until precondition_at freezes the
         symbol at a state.
         """
-        wh = rfftn(w.reshape((2,) + self.domain.shape), axes=(1, 2))
+        wh = self._spectra(w.reshape(self.shape))
         return self._apply_symbol(wh, self._precond).ravel() / self.domain.cell_area
 
 
@@ -496,7 +537,7 @@ def pde_residual_fourth_torus(u: np.ndarray, v: np.ndarray, op: TorusOperator,
     from .fields import laplacian4_values
 
     p = op.params
-    P, R = op._pr(u, v)
+    P, R = op._exp(np.stack((u, v)))
     common = 2.0 * p.alpha * (P + R - 2.0)
     diff = 2.0 * p.beta * (P - R)
     l4u = laplacian4_values(u, op.domain)
@@ -547,16 +588,18 @@ def reconstruct_original(state: TorusState, bg: BackgroundTorus) -> Tuple[np.nda
     return big_u, big_v
 
 
-def w12_norm(du: np.ndarray, dv: np.ndarray, domain: GridDomain) -> float:
-    """Sobolev norm of a field pair: sqrt(||.||_2^2 + ||grad .||_2^2)."""
-    val = integrate_values(du * du + dv * dv, domain)
-    val += dirichlet_inner_values(du, du, domain)
-    val += dirichlet_inner_values(dv, dv, domain)
-    return math.sqrt(val)
+def w12_norm(D: np.ndarray, domain: GridDomain) -> float:
+    """Sobolev norm of a field pair, stacked as D = (du, dv):
+    sqrt(||.||_2^2 + ||grad .||_2^2), from one transform of the pair."""
+    dh = rfftn(D, axes=(1, 2))
+    grad2 = float(np.sum(_k2_weighted(domain) * (dh.real**2 + dh.imag**2)))
+    return math.sqrt((float(np.sum(D * D)) + grad2 / D[0].size) * domain.cell_area)
 
 
-def _project0(arr: np.ndarray) -> np.ndarray:
-    return arr - arr.mean()
+def _field_means(X: np.ndarray) -> np.ndarray:
+    """Per-field means of a stack, over its trailing two axes, shaped to
+    broadcast against it (X.mean's arithmetic, without its call overhead)."""
+    return np.add.reduce(X, axis=(1, 2), keepdims=True) / (X.shape[1] * X.shape[2])
 
 
 class _BranchReduced:
@@ -568,12 +611,17 @@ class _BranchReduced:
     functional into a plain minimum of the reduced one.  Gradients need no
     chain-rule terms: the constraint equations are exactly stationarity of
     the energy in the constants, on every branch.
+
+    Like the operator, it works on the (2, n1, n2) stack of the flat vector:
+    the mean projection and the constant lift are one broadcast each, the
+    memo holds one stacked state, and the Schur Hessian product acts on the
+    direction stack without splitting it into fields.
     """
 
     def __init__(self, op: TorusOperator, saddle: bool = False):
         self.op = op
         self.saddle = saddle
-        # (u', v', maps, CSolve) of the last state whose constants were
+        # (X', maps, CSolve) of the last mean-zero stack whose constants were
         # solved: the line search asks feasible() and then fun_grad() at one
         # trial point, and MINRES asks hess_vec() many times at one Newton
         # iterate
@@ -584,38 +632,36 @@ class _BranchReduced:
         # the inequality (AdmissibilityError.constraint) of the last rejection
         self.rejected: Optional[str] = None
 
-    def split(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        u, v = self.op.unpack(x)
-        return _project0(u), _project0(v)
-
-    def _solve(self, up: np.ndarray, vp: np.ndarray) -> Tuple[_CMaps, CSolve]:
-        """The constraint algebra at (u', v') and its root on this branch."""
+    def _solve(self, x: np.ndarray) -> Tuple[np.ndarray, _CMaps, CSolve]:
+        """The mean-zero stack X' of x, its constraint algebra and its root
+        on this branch."""
+        X = x.reshape(self.op.shape)
+        Xp = X - _field_means(X)
         memo = self._memo
-        if memo is not None and np.array_equal(memo[0], up) and np.array_equal(memo[1], vp):
-            return memo[2:]
-        maps = _CMaps(up, vp, self.op.bg, self.op.params)
-        self._memo = (up.copy(), vp.copy(), maps, maps.solve(self.saddle))
-        return self._memo[2:]
+        if memo is None or not np.array_equal(memo[0], Xp):
+            maps = _CMaps(Xp[0], Xp[1], self.op.bg, self.op.params)
+            memo = self._memo = (Xp, maps, maps.solve(self.saddle))
+        return memo
 
     def feasible(self, x: np.ndarray) -> bool:
         """Admissible, with constants on this branch (solved once, remembered)."""
         try:
-            self._solve(*self.split(x))
+            self._solve(x)
         except AdmissibilityError as err:
             self.rejected = err.constraint
             return False
         return True
 
-    def lift(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        up, vp = self.split(x)
-        cs = self._solve(up, vp)[1]
-        return up + cs.c1, vp + cs.c2
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        """The full stack (u' + c1, v' + c2) of x on this branch."""
+        Xp, _, cs = self._solve(x)
+        return Xp + np.array([cs.c1, cs.c2])[:, None, None]
 
     def fun_grad(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
-        u, v = self.lift(x)
-        val, gu, gv = self.op.fun_grad(u, v)
-        g = self.op.pack(_project0(gu), _project0(gv)) * self.op.domain.cell_area
-        return val, g
+        val, G = self.op._evaluate(self.lift(x))
+        G -= _field_means(G)
+        G *= self.op.domain.cell_area
+        return val, G.ravel()
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self.fun_grad(x)[1]
@@ -627,28 +673,28 @@ class _BranchReduced:
         the integrals of the pointwise coefficients.  Both are formed once per
         state and shared by every product there.
         """
-        dom = self.op.domain
-        up, vp = self.split(x)
-        cs = self._solve(up, vp)[1]
-        if self._hess is None or self._hess[0] is not self._memo:
-            coeffs = self.op.hess_coeffs(up + cs.c1, vp + cs.c2)
-            huu, huv, hvv = (integrate_values(h, dom) for h in coeffs)
-            self._hess = (self._memo, coeffs, np.array([[huu, huv], [huv, hvv]]))
-        _, coeffs, hc = self._hess
-        du, dv = self.op.unpack(w)
-        hu, hv = self.op.hess_apply(coeffs, du, dv)
-        rhs = -np.array([integrate_values(hu, dom), integrate_values(hv, dom)])
+        op = self.op
+        ca = op.domain.cell_area
+        memo = self._solve(x)
+        if self._hess is None or self._hess[0] is not memo:
+            K = op._coeffs(self.lift(x))
+            huu, huv, hvv = np.add.reduce(K, axis=(1, 2)) * ca
+            self._hess = (memo, K, np.array([[huu, huv], [huv, hvv]]))
+        _, K, hc = self._hess
+        H = op._hess(K, w.reshape(op.shape))
+        rhs = -np.add.reduce(H, axis=(1, 2)) * ca
         det = hc[0, 0] * hc[1, 1] - hc[0, 1] * hc[1, 0]
         if abs(det) < 1e-14 * (abs(hc[0, 0] * hc[1, 1]) + 1.0):
             dc = np.zeros(2)
         else:
             dc = np.linalg.solve(hc, rhs)
-        # H(du + dc1, dv + dc2) = H(du, dv) + H(dc1, dc2), and the Laplacian
-        # annihilates the constant shift: only the pointwise terms act on it
-        huu, huv, hvv = coeffs
-        hu = hu + huu * dc[0] + huv * dc[1]
-        hv = hv + huv * dc[0] + hvv * dc[1]
-        return self.op.pack(_project0(hu), _project0(hv)) * dom.cell_area
+        # H(dw + dc) = H(dw) + H(dc), and the Laplacian annihilates the
+        # constant shift dc: only the pointwise terms act on it
+        H += K[:2] * dc[0]
+        H += K[1:] * dc[1]
+        H -= _field_means(H)
+        H *= ca
+        return H.ravel()
 
 
 def reduced_energy_J(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTorus,
@@ -719,7 +765,7 @@ def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: TorusSolveOpts,
     if res.boundary_trapped and not res.converged:
         hint = "" if red.saddle else (
             "; alpha is likely below the existence threshold for this vortex number")
-        maps, cs = red._solve(*red.split(res.x))
+        _, maps, cs = red._solve(res.x)
         q1 = maps.q1(math.exp(cs.c2))
         raise BoundaryTrappingError(
             f"{what} trapped at the admissible-set boundary by the {red.rejected} "
@@ -731,9 +777,8 @@ def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: TorusSolveOpts,
             constraint=red.rejected)
     pol = newton_polish(red.grad, red.hess_vec, res.x, g0=res.g, precond=op.precond_flat,
                         tol_inf=opts.tol * dom.cell_area, max_iter=_NEWTON_MAX_ITER)
-    up, vp = red.split(pol.x)
-    cs = red._solve(up, vp)[1]
-    u, v = up + cs.c1, vp + cs.c2
+    cs = red._solve(pol.x)[2]
+    u, v = red.lift(pol.x)
     state = TorusState.from_full(u, v, dom)
     gu, gv = op.gradient(u, v)
     grad_inf = max(float(np.max(np.abs(gu))), float(np.max(np.abs(gv))))
@@ -783,7 +828,7 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
 
     # red remembers the start's constants for the descent's first evaluation
     red = _BranchReduced(op, saddle=False)
-    x0 = op.pack(_project0(-bg.u0), np.zeros(domain.shape))
+    x0 = op.pack(np.mean(bg.u0) - bg.u0, np.zeros(domain.shape))
     try:
         red.lift(x0)
     except AdmissibilityError as err:
@@ -836,17 +881,17 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
     op = TorusOperator(bg, params)
     dom = op.domain
     p = params
-    u1, v1 = first.u, first.v
+    X1 = np.stack((first.u, first.v))
+    u1, v1 = X1
     e_first = op.energy(u1, v1)
 
     # local-minimality probe on a sphere around the first solution
     rng = np.random.default_rng(_PROBE_SEED)
     probe_min = np.inf
     for _ in range(8):
-        du = rng.standard_normal(dom.shape)
-        dv = rng.standard_normal(dom.shape)
-        scale = _PROBE_RADIUS / w12_norm(du, dv, dom)
-        probe_min = min(probe_min, op.energy(u1 + scale * du, v1 + scale * dv))
+        D = rng.standard_normal(op.shape)
+        D *= _PROBE_RADIUS / w12_norm(D, dom)
+        probe_min = min(probe_min, op.energy(*(X1 + D)))
     probe_margin = probe_min - e_first
 
     # endpoint from the affine bound for constant shifts
@@ -867,7 +912,7 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
     x_barrier = op.pack(first.u_prime, first.v_prime)
     op.precondition_at(*saddle.lift(x_barrier))
     second, info = _branch_solve(saddle, x_barrier, opts, max(opts.tol, 1e-6) * 100.0)
-    sep = w12_norm(second.u - u1, second.v - v1, dom)
+    sep = w12_norm(np.stack((second.u, second.v)) - X1, dom)
     if sep < _SEPARATION:
         raise MountainPassCollapseError(
             f"saddle descent collapsed onto the first solution (separation {sep:.3e} < "

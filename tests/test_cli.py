@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import tempfile
 
 import pytest
@@ -12,6 +13,8 @@ from csvortex.config import RunOpts, load_config
 from csvortex.errors import ConfigError
 from csvortex.fields import read_field, write_field
 from csvortex.model import MAX_SPECIES
+from csvortex.plane import PlaneOperator
+from csvortex.torus import TorusOperator
 
 
 def write_cfg(path, cfg):
@@ -314,6 +317,28 @@ class TestReportAgreement:
             assert key not in verified, key
 
 
+    @pytest.mark.parametrize("command,config,operator", [
+        ("solve-plane", "plane_cfg", PlaneOperator),
+        ("solve-torus", "torus_cfg", TorusOperator)])
+    def test_one_operator_evaluation_per_field_report(self, command, config, operator,
+                                                       tmp_path, request, monkeypatch):
+        # verify's report takes its energy, gradient and same-operator
+        # residual from a single evaluation of the operator
+        cfg = request.getfixturevalue(config)
+        args = ["--config", cfg, "--out", str(tmp_path / "run"), "--grid", "32"]
+        assert main([command] + args) == 0
+        calls = []
+        evaluate = operator._evaluate
+
+        def counted(self, *a, **k):
+            calls.append(1)
+            return evaluate(self, *a, **k)
+
+        monkeypatch.setattr(operator, "_evaluate", counted)
+        assert main(["verify"] + args) == 0
+        assert len(calls) == 1
+
+
 class TestPlanePipeline:
     def test_solve_writes_artifacts(self, plane_cfg, tmp_path):
         out = tmp_path / "run"
@@ -377,6 +402,23 @@ class TestPlanePipeline:
         assert "f.bin holds a non-finite value nan at node (3, 4)" in capsys.readouterr().out
         assert main(["decay-fit", "--config", plane_cfg, "--out", str(out)]) == 1
         assert "u.bin holds a non-finite value inf at node (5, 6)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("corrupt", ["cut_payload", "nan_kind_code"])
+    def test_corrupt_field_file_exits_one(self, plane_cfg, tmp_path, capsys, corrupt):
+        out = tmp_path / "run"
+        args = ["--config", plane_cfg, "--out", str(out), "--grid", "32"]
+        assert main(["solve-plane"] + args) == 0
+        raw = (out / "u.bin").read_bytes()
+        if corrupt == "cut_payload":
+            raw = raw[:-3]
+        else:
+            raw = raw[:8] + struct.pack("<f", float("nan")) + raw[12:]
+        (out / "u.bin").write_bytes(raw)
+        capsys.readouterr()
+        for command in ("verify", "decay-fit"):
+            assert main([command] + args) == 1
+            printed = capsys.readouterr().out
+            assert printed.startswith("error: ") and "u.bin" in printed
 
     def test_missing_fields_exit_one(self, plane_cfg, tmp_path):
         out = tmp_path / "empty"

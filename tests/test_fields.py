@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -446,13 +447,20 @@ class TestSerialization:
             assert got == pytest.approx(want, rel=2.0**-23)
 
     def test_truncated_payload_rejected(self, rng, tmp_path):
+        # a payload cut mid-value and a header kind code that is neither 0
+        # nor 1 are refused as DomainError, not as a bare ValueError
         dom = GridDomain.box(5.0, 16)
         path = tmp_path / "field.bin"
         write_field(path, ScalarField(dom, rng.standard_normal(dom.shape)))
         raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(DomainError):
-            read_field(path)
+        for cut in (8, 3):
+            path.write_bytes(raw[:-cut])
+            with pytest.raises(DomainError, match="payload"):
+                read_field(path)
+        for code in (float("nan"), 2.0):
+            path.write_bytes(raw[:8] + struct.pack("<f", code) + raw[12:])
+            with pytest.raises(DomainError, match="kind code"):
+                read_field(path)
 
     def test_csv(self, tmp_path):
         dom = GridDomain.box(1.0, 16)

@@ -186,6 +186,41 @@ class TestReducedFunctional:
             assert np.max(np.abs(fdh - hv)) <= (1e-8 * np.max(np.abs(hv))
                                                 + eps * np.max(np.abs(g)) / t)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([3.0, 30.0]),
+           amp=st.floats(0.0, 1.0), a=st.floats(-5.0, 5.0), b=st.floats(-5.0, 5.0))
+    def test_per_field_constants_ignored(self, seed, alpha, amp, a, b):
+        # the reduced functional sees only the mean-zero part of each field:
+        # mountain_pass starts the saddle descent from the mean-zero pair
+        dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 32, 32)
+        rng = np.random.default_rng(seed)
+        params = ModelParams(alpha=alpha, beta=1.5 * alpha, sigma=2.0)
+        bg = torus_background(VortexSet.single([tuple(rng.uniform(0.0, 2 * np.pi, 2))]),
+                              dom)
+        up, vp = smooth_random(dom, rng, amp), smooth_random(dom, rng, amp)
+        assume(min(admissibility_margins(up, vp, bg, params)) >= 0.0)
+        w = rng.standard_normal(2 * up.size)
+
+        def close(got, want, scale=0.0):
+            return np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), scale)
+
+        for saddle in (False, True):
+            red, shifted = (torus_mod._BranchReduced(TorusOperator(bg, params), saddle=saddle)
+                            for _ in range(2))
+            x = red.op.pack(up, vp)
+            f, g = red.fun_grad(x)
+            fs, gs = shifted.fun_grad(shifted.op.pack(up + a, vp + b))
+            assert abs(fs - f) <= 1e-13 * abs(f)
+            # g is a difference of pointwise terms up to this size (saddle
+            # branch, alpha=3: 25 times max|g|), which bounds its round-off
+            P, R = np.exp(red.lift(x) + np.stack((bg.u0, np.zeros(dom.shape))))
+            terms = dom.cell_area * 2.0 * (alpha + params.beta) * np.max(
+                (P + R + 2.0) * np.maximum(P, R))
+            assert close(gs, g, terms)
+            assert np.all(np.abs(g.reshape(2, -1).mean(axis=1)) <= 1e-14 * np.max(np.abs(g)))
+            hv = red.hess_vec(x, w)
+            assert close(shifted.hess_vec(shifted.op.pack(up + a, vp + b), w), hv)
+
 
 class TestPreconditioner:
     @settings(max_examples=30, deadline=None)
@@ -235,8 +270,8 @@ class FullSpectrumOperator(TorusOperator):
         self._stiff = (self.a * k2, self.b * k2, self.a * k2)
         self._precond = self._inverse_symbol(*self._vacuum)
 
-    def _spectra(self, u, v):
-        return np.fft.fft2(np.stack((u, v)))
+    def _spectra(self, X):
+        return np.fft.fft2(X)
 
     def _apply_symbol(self, wh, symbol):
         s11, s12, s22 = symbol
@@ -495,13 +530,13 @@ class TestMountainPass:
         # the MINRES products at one Newton iterate share one coefficient pass
         dom, bg, params, first = small
         calls = []
-        coeffs = TorusOperator.hess_coeffs
+        coeffs = TorusOperator._coeffs
 
-        def counted(self, u, v):
+        def counted(self, X):
             calls.append(1)
-            return coeffs(self, u, v)
+            return coeffs(self, X)
 
-        monkeypatch.setattr(TorusOperator, "hess_coeffs", counted)
+        monkeypatch.setattr(TorusOperator, "_coeffs", counted)
         red = torus_mod._BranchReduced(TorusOperator(bg, params))
         x = red.op.pack(first.u_prime, first.v_prime)
         rng = np.random.default_rng(7)
