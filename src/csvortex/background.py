@@ -148,10 +148,12 @@ def plane_background(vortices: VortexSet, lam: float, domain: GridDomain) -> Bac
     h_pad = np.zeros((m,) + xg.shape)
     load = np.empty((m,) + domain.shape)
     for k, pts in enumerate(vortices.species):
-        for x, y, mult in pts:
-            d2 = (xg - x) ** 2 + (yg - y) ** 2
-            u0_pad[k] -= mult * np.log1p(lam / np.maximum(d2, floor))
-            h_pad[k] += mult * 4.0 * lam / (lam + d2) ** 2
+        # an overflow here is named below, at its first non-finite node
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, y, mult in pts:
+                d2 = (xg - x) ** 2 + (yg - y) ** 2
+                u0_pad[k] -= mult * np.log1p(lam / np.maximum(d2, floor))
+                h_pad[k] += mult * 4.0 * lam / (lam + d2) ** 2
         load[k] = _cic_load(pts, domain)
     h = h_pad[:, 1:-1, 1:-1].copy()
     u0_grid = _consistent_profiles(load, h, u0_pad, domain)

@@ -235,8 +235,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     try:
         if cfg.mode == "plane":
-            state = PlaneState(cfg.domain, load("f.bin"),
-                               tuple(load(f"f_{i}.bin") for i in species))
+            state = PlaneState(cfg.domain, np.stack(
+                [load("f.bin")] + [load(f"f_{i}.bin") for i in species]))
             fields = (state, load("u.bin"), [load(f"u_{i}.bin") for i in species])
         else:
             fields = (load("u.bin"), load("v.bin"))

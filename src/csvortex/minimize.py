@@ -369,6 +369,21 @@ def minres(A: Callable, b: np.ndarray, *, rtol: float, maxiter: int,
     return x, maxiter
 
 
+def _backtrack(grad: Callable, x: np.ndarray, d: np.ndarray, m0: float,
+               shrink: float, t_min: float, c: float):
+    """The first step t = 1, shrink, shrink², ... (down to t_min) along d at
+    which the gradient is finite and its 2-norm is below (1 - c·t)·m0;
+    (x + t d, grad there), or None if there is none."""
+    t = 1.0
+    while t >= t_min:
+        xt = x + t * d
+        gt = grad(xt)
+        if np.all(np.isfinite(gt)) and float(np.linalg.norm(gt)) < (1.0 - c * t) * m0:
+            return xt, gt
+        t *= shrink
+    return None
+
+
 def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
                   g0: Optional[np.ndarray] = None,
                   precond: Optional[Callable] = None,
@@ -420,34 +435,17 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
         if status != 0:
             unconverged += 1
         m0 = merits[-1]
-        t = 1.0 if np.any(delta) else 0.0
-        accepted = False
-        while t >= 1e-8:
-            xt = x + t * delta
-            gt = grad(xt)
-            if np.all(np.isfinite(gt)) and float(np.linalg.norm(gt)) < (1.0 - 1e-4 * t) * m0:
-                x, g = xt, gt
-                merits.append(float(np.linalg.norm(g)))
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
+        step = _backtrack(grad, x, delta, m0, 0.5, 1e-8, 1e-4) if np.any(delta) else None
+        if step is None:
             # steepest-descent fallback on the merit; if even that stalls, stop
-            direction = -(precond(g) if precond is not None else g)
-            t = 1.0
-            while t >= 1e-10:
-                xt = x + t * direction
-                gt = grad(xt)
-                if np.all(np.isfinite(gt)) and float(np.linalg.norm(gt)) < m0:
-                    x, g = xt, gt
-                    merits.append(float(np.linalg.norm(g)))
-                    accepted = True
-                    break
-                t *= 0.25
-            if not accepted:
-                return OptResult(x, np.nan, g, it, False, merits,
-                                 "newton polish stalled", minres_unconverged=unconverged,
-                                 minres_iters=inner)
+            step = _backtrack(grad, x, -(precond(g) if precond is not None else g),
+                              m0, 0.25, 1e-10, 0.0)
+        if step is None:
+            return OptResult(x, np.nan, g, it, False, merits,
+                             "newton polish stalled", minres_unconverged=unconverged,
+                             minres_iters=inner)
+        x, g = step
+        merits.append(float(np.linalg.norm(g)))
     ginf = float(np.max(np.abs(g)))
     return OptResult(x, np.nan, g, max_iter, ginf <= tol_inf, merits,
                      "" if ginf <= tol_inf else "newton iteration budget exhausted",

@@ -53,29 +53,18 @@ from .model import ModelParams
 
 @dataclass(frozen=True)
 class PlaneState:
-    """Remainder fields (f, f_1..f_M) on a box domain."""
+    """Remainder fields (f, f_1..f_M) on a box domain: one (M+1, n1, n2) stack X."""
 
     domain: GridDomain
-    f: np.ndarray
-    f_i: Tuple[np.ndarray, ...]
+    X: np.ndarray
 
     @property
-    def species(self) -> int:
-        return len(self.f_i)
+    def f(self) -> np.ndarray:
+        return self.X[0]
 
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.f.ravel()] + [fi.ravel() for fi in self.f_i])
-
-    @staticmethod
-    def unpack(x: np.ndarray, domain: GridDomain, species: int) -> "PlaneState":
-        """Fields as views of one (species + 1, n1, n2) stack of x."""
-        X = x.reshape((species + 1,) + domain.shape)
-        return PlaneState(domain, X[0], tuple(X[1:]))
-
-    @staticmethod
-    def zero(domain: GridDomain, species: int) -> "PlaneState":
-        return PlaneState.unpack(np.zeros((species + 1) * domain.n1 * domain.n2),
-                                 domain, species)
+    @property
+    def f_i(self) -> Tuple[np.ndarray, ...]:
+        return tuple(self.X[1:])
 
 
 # L-BFGS hands over to Newton at this multiple of tol, before its line searches
@@ -266,16 +255,6 @@ class PlaneOperator:
         H[1:] += dm * rank1
         return H
 
-    # -- the PlaneState interface ------------------------------------------
-    def energy(self, st: PlaneState) -> float:
-        """Discrete energy of a remainder state."""
-        return self._evaluate(st.pack().reshape(self.shape))[0]
-
-    def gradient(self, st: PlaneState) -> PlaneState:
-        """Pointwise L2 gradient fields (δI/δf, δI/δf_i)."""
-        G = self._evaluate(st.pack().reshape(self.shape), energy=False)[1]
-        return PlaneState(self.domain, G[0], tuple(G[1:]))
-
     # -- flat-vector interface for the optimizer --------------------------
     def fun_grad_flat(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
         val, G = self._evaluate(x.reshape(self.shape))
@@ -305,24 +284,20 @@ def reconstruct(state: PlaneState, bg: BackgroundPlane) -> Tuple[np.ndarray, Tup
     exponentials inside the energy, so u and u_j vanish cleanly at the wall.
     """
     u = bg.u0_grid_sum + state.f
-    u_list = tuple(bg.u0_grid[i] + state.f_i[i] for i in range(state.species))
+    u_list = tuple(bg.u0_grid + state.X[1:])
     return u, u_list
 
 
 def same_op_checks(state: PlaneState, op: PlaneOperator) -> Tuple[float, float, float]:
-    """The energy, the gradient max-norm and pde_residual_same_op of a state,
-    from one evaluation."""
-    val, G = op._evaluate(state.pack().reshape(op.shape))
-    return val, float(np.max(np.abs(G))), float(np.max(np.abs(G) / (2.0 * op._c_dir)))
+    """The energy, the gradient max-norm and the same-operator PDE residual of
+    a state, from one evaluation.
 
-
-def pde_residual_same_op(state: PlaneState, op: PlaneOperator) -> float:
-    """Max-norm residual of the delta-free system under the solver's operators.
-
-    The first equation's residual is (alpha/2M) times the f-gradient, the
+    The residual is the max-norm of the delta-free system under the solver's
+    operators: the first equation's is (alpha/2M) times the f-gradient, the
     species equations' (beta/2) times the f_i-gradients.
     """
-    return same_op_checks(state, op)[2]
+    val, G = op._evaluate(state.X)
+    return val, float(np.max(np.abs(G))), float(np.max(np.abs(G) / (2.0 * op._c_dir)))
 
 
 def pde_residual_fourth(state: PlaneState, op: PlaneOperator,
@@ -332,13 +307,12 @@ def pde_residual_fourth(state: PlaneState, op: PlaneOperator,
     Measures the discretization error of the converged field rather than the
     solver's closure; decreases at 2nd order under grid refinement.  The
     right-hand sides are the gradient's pointwise part, scaled as in
-    pde_residual_same_op.
+    same_op_checks' residual.
     """
-    X = state.pack().reshape(op.shape)
-    rhs = op._reaction(*op._blocks(X))[0]
+    rhs = op._reaction(*op._blocks(state.X))[0]
     rhs /= 2.0 * op._c_dir
     res = np.zeros(op.domain.shape)
-    for field, r in zip(X, rhs):
+    for field, r in zip(state.X, rhs):
         np.maximum(res, np.abs(laplacian4_values(field, op.domain) - r), out=res)
     keep = np.zeros(op.domain.shape, dtype=bool)
     keep[2:-2, 2:-2] = True
@@ -369,7 +343,7 @@ def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
     bg = plane_background(vortices, params.lambda_bg, domain)
     op = PlaneOperator(bg, params)
     tol_flat = opts.tol * domain.cell_area
-    x0 = PlaneState.zero(domain, params.species).pack()
+    x0 = np.zeros(op.shape).ravel()
     res = minimize_lbfgs(op.fun_grad_flat, x0, precond=op.precond_flat,
                          tol_inf=tol_flat * _LBFGS_HANDOVER, max_iter=opts.max_iter)
     energies = list(res.energies)
@@ -387,7 +361,7 @@ def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
                 res = pol
                 energies.append(e_pol)
     grad_inf = float(np.max(np.abs(res.g))) / domain.cell_area
-    state = PlaneState.unpack(res.x, domain, params.species)
+    state = PlaneState(domain, res.x.reshape(op.shape))
     if grad_inf > opts.tol:
         raise NonConvergenceError(
             f"plane solve stalled at gradient max-norm {grad_inf:.3e} "

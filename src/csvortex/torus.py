@@ -50,7 +50,7 @@ from .errors import (
     NonConvergenceError,
 )
 # bench/spans.py traces the kernels through the names bound here, including
-# laplacian_values, which the solver no longer calls
+# laplacian_values and dirichlet_inner_values, which the solver no longer calls
 from .fields import (  # noqa: F401
     EXP_CLAMP,
     GridDomain,
@@ -393,10 +393,9 @@ class TorusOperator:
         mean, dev = 0.5 * (f1 + f2), 0.5 * (f1 - f2)
         return mean + dev * cos2, dev * sin2, mean - dev * cos2
 
-    def precondition_at(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Freeze the preconditioner at the mean Hessian coefficients of (u, v)."""
-        self._precond = self._inverse_symbol(
-            *(float(np.mean(h)) for h in self.hess_coeffs(u, v)))
+    def precondition_at(self, X: np.ndarray) -> None:
+        """Freeze the preconditioner at the mean Hessian coefficients of the stack X."""
+        self._precond = self._inverse_symbol(*(float(np.mean(h)) for h in self._coeffs(X)))
 
     # -- the stacked body ----------------------------------------------------
     def _exp(self, X: np.ndarray) -> np.ndarray:
@@ -493,11 +492,6 @@ class TorusOperator:
         val, G = self._evaluate(np.stack((u, v)))
         return val, G[0], G[1]
 
-    def hess_coeffs(self, u: np.ndarray,
-                    v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pointwise second derivatives (h_uu, h_uv, h_vv) of the potential."""
-        return tuple(self._coeffs(np.stack((u, v))))
-
     def hess_vec(self, u: np.ndarray, v: np.ndarray, du: np.ndarray,
                  dv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         H = self._hess(self._coeffs(np.stack((u, v))), np.stack((du, dv)))
@@ -506,10 +500,6 @@ class TorusOperator:
     # -- flat interface ---------------------------------------------------
     def pack(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.concatenate([u.ravel(), v.ravel()])
-
-    def unpack(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        X = x.reshape(self.shape)
-        return X[0], X[1]
 
     def fun_grad_flat(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
         val, G = self._evaluate(x.reshape(self.shape))
@@ -702,21 +692,22 @@ def reduced_energy_J(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTor
     """Closed-form reduced energy after eliminating the constants.
 
     Agrees with TorusOperator.energy(u'+c1, v'+c2) to the root-solve residual.
+    Its Dirichlet term a/2 (|∇u'|² + |∇v'|²) + b ∇u'·∇v' is summed apart from
+    the operator's, as |∇(u'+v')|²/(4α) + |∇(u'-v')|²/(4β) from one transform.
     """
     p = params
     dom = bg.domain
     maps = _CMaps(u_prime, v_prime, bg, params)
     cs, s = maps.solve(saddle=False), maps.s
-    a = 0.5 * (1.0 / p.alpha + 1.0 / p.beta)
-    b = 0.5 * (1.0 / p.alpha - 1.0 / p.beta)
-    val = a * 0.5 * (dirichlet_inner_values(u_prime, u_prime, dom)
-                     + dirichlet_inner_values(v_prime, v_prime, dom))
-    val += b * dirichlet_inner_values(u_prime, v_prime, dom)
+    wh = rfftn(np.stack((u_prime + v_prime, u_prime - v_prime)), axes=(1, 2))
+    grad2 = np.sum(_k2_weighted(dom) * (wh.real**2 + wh.imag**2), axis=(1, 2))
+    val = ((grad2[0] / (4.0 * p.alpha) + grad2[1] / (4.0 * p.beta))
+           * dom.cell_area / (dom.n1 * dom.n2))
     val += 2.0 * p.alpha * ((dom.area - math.exp(cs.c1) * s.j1)
                             + (dom.area - math.exp(cs.c2) * s.j2))
     val -= 4.0 * math.pi * bg.n / p.alpha
-    val += 4.0 * math.pi * bg.n * (2.0 * a) * cs.c1
-    val += 4.0 * math.pi * bg.n * (2.0 * b) * cs.c2
+    val += 4.0 * math.pi * bg.n * (1.0 / p.alpha + 1.0 / p.beta) * cs.c1
+    val += 4.0 * math.pi * bg.n * (1.0 / p.alpha - 1.0 / p.beta) * cs.c2
     return float(val)
 
 
@@ -778,15 +769,14 @@ def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: TorusSolveOpts,
     pol = newton_polish(red.grad, red.hess_vec, res.x, g0=res.g, precond=op.precond_flat,
                         tol_inf=opts.tol * dom.cell_area, max_iter=_NEWTON_MAX_ITER)
     cs = red._solve(pol.x)[2]
-    u, v = red.lift(pol.x)
-    state = TorusState.from_full(u, v, dom)
-    gu, gv = op.gradient(u, v)
-    grad_inf = max(float(np.max(np.abs(gu))), float(np.max(np.abs(gv))))
+    X = red.lift(pol.x)
+    state = TorusState.from_full(X[0], X[1], dom)
+    energy, G = op._evaluate(X)
+    grad_inf = float(np.max(np.abs(G)))
     if grad_inf > opts.tol:
         raise NonConvergenceError(
             f"{what} stalled at gradient max-norm {grad_inf:.3e} "
             f"(target {opts.tol:.3e})", state=state, grad_norm=grad_inf)
-    energy = op.energy(u, v)
     return state, {
         "energy_I": energy,
         "energies": list(res.energies) + [energy],
@@ -910,7 +900,7 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
     # its first evaluation reuses the constants solved for the lift
     saddle = _BranchReduced(op, saddle=True)
     x_barrier = op.pack(first.u_prime, first.v_prime)
-    op.precondition_at(*saddle.lift(x_barrier))
+    op.precondition_at(saddle.lift(x_barrier))
     second, info = _branch_solve(saddle, x_barrier, opts, max(opts.tol, 1e-6) * 100.0)
     sep = w12_norm(np.stack((second.u, second.v)) - X1, dom)
     if sep < _SEPARATION:

@@ -30,7 +30,6 @@ from csvortex.model import ModelParams
 from csvortex.plane import (
     PlaneOperator,
     PlaneSolveOpts,
-    PlaneState,
     pde_residual_fourth,
     solve_plane,
 )
@@ -207,9 +206,7 @@ def test_criterion_4_gradient_oracles():
     vs = VortexSet((((0.5, 0.3, 1),), ((-0.8, 0.2, 1),)))
     params = ModelParams(alpha=1.3, beta=0.8, species=2, lambda_bg=2.0)
     op = PlaneOperator(plane_background(vs, params.lambda_bg, dom), params)
-    st = PlaneState(dom, smooth_random(dom, rng, 0.1),
-                    (smooth_random(dom, rng, 0.1), smooth_random(dom, rng, 0.1)))
-    x = st.pack()
+    x = np.stack([smooth_random(dom, rng, 0.1) for _ in range(3)]).ravel()
     _, g = op.fun_grad_flat(x)
     for _ in range(10):
         d = rng.standard_normal(x.size)

@@ -90,8 +90,10 @@ class TestPlaneBackground:
         with pytest.raises(ConfigError):
             plane_background(VortexSet.single([(0.0, 0.0)]), -1.0, dom)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_lambda_is_named(self):
-        # finite lambda_bg whose lam/d2 and (lam + d2)^2 overflow
+        # finite lambda_bg whose lam/d2 and (lam + d2)^2 overflow: named by
+        # the error alone, with no numpy RuntimeWarning before it
         dom = GridDomain.box(8.0, 64)
         with pytest.raises(NonFiniteFieldError, match=r"lambda_bg = 1e\+308") as err:
             plane_background(VortexSet.single([(0.0, 0.0)]), 1e308, dom)

@@ -322,6 +322,46 @@ class TestNewtonPolish:
         assert np.all(np.isfinite(nan.x))
         assert all(m1 < m0 for m0, m1 in zip(nan.energies, nan.energies[1:]))
 
+    @staticmethod
+    def _trial_points(h, hess_scale, **kw):
+        """newton_polish on grad(x) = h x, with a Hessian product scaled by
+        hess_scale, from x0; returns x0 and the points grad was called at."""
+        x0 = np.array([1.0, -2.0, 0.5])
+        seen = []
+
+        def grad(x):
+            seen.append(x.copy())
+            return h * x
+
+        newton_polish(grad, lambda x, v: hess_scale * h * v, x0, **kw)
+        return x0, np.array(seen)
+
+    def test_newton_step_search_pinned(self):
+        # the Hessian product is 1/k of the true one, so the Newton step from
+        # x is -k x and the trial at t is (1 - k t) x.  k = 4 - 5e-5: t = 1 and
+        # t = 1/2 fail sufficient decrease (the latter only by its 1e-4 t
+        # term), t = 1/4 passes; twice, then the tolerance is met
+        k = 4.0 - 5e-5
+        x0, seen = self._trial_points(2.0, 1.0 / k, tol_inf=1e-6)
+        factors = [1.0]
+        for _ in range(2):
+            x = factors[-1]
+            factors += [x * (1.0 - k * t) for t in (1.0, 0.5, 0.25)]
+        np.testing.assert_allclose(seen, np.outer(factors, x0), rtol=1e-9, atol=0.0)
+
+    def test_steepest_descent_fallback_pinned(self):
+        # a Hessian product of the wrong sign makes the Newton step x itself,
+        # so every trial (1 + t) x raises the merit: all halvings down to
+        # t >= 1e-8 (27 of them) fail.  The fallback -g = -h x then tries
+        # t = 1 and t = 1/4, where (1 - h/4) x lowers the merit by less than
+        # 1e-4 t of it, which the fallback accepts
+        h = 8.0 - 5e-5
+        x0, seen = self._trial_points(h, -1.0, tol_inf=1e-12, max_iter=1)
+        newton = [1.0 + 0.5**j for j in range(27)]
+        fallback = [1.0 - h * t for t in (1.0, 0.25)]
+        np.testing.assert_allclose(seen, np.outer([1.0] + newton + fallback, x0),
+                                   rtol=1e-12, atol=0.0)
+
 
 def _symmetric_system(n, seed):
     """Symmetric, possibly indefinite A with |eigenvalues| in [0.5, 5], an SPD

@@ -142,8 +142,8 @@ class TestEnergyGradient:
         d = rng.standard_normal(x.size)
         d /= np.linalg.norm(d)
         t = 1e-6
-        u, v = op.unpack(x)
-        du, dv = op.unpack(d)
+        u, v = x.reshape(op.shape)
+        du, dv = d.reshape(op.shape)
         gp = op.pack(*op.gradient(u + t * du, v + t * dv))
         gm = op.pack(*op.gradient(u - t * du, v - t * dv))
         fd = (gp - gm) / (2 * t)
@@ -232,8 +232,8 @@ class TestPreconditioner:
         dom, bg, params, _ = small
         rng = np.random.default_rng(seed)
         op = TorusOperator(bg, params)
-        op.precondition_at(smooth_random(dom, rng, amp) + c1,
-                           smooth_random(dom, rng, amp) + c2)
+        op.precondition_at(np.stack((smooth_random(dom, rng, amp) + c1,
+                                     smooth_random(dom, rng, amp) + c2)))
         a = rng.standard_normal(2 * dom.n1 * dom.n2)
         b = rng.standard_normal(a.size)
         pa, pb = op.precond_flat(a), op.precond_flat(b)
@@ -254,7 +254,7 @@ class TestPreconditioner:
         exact = (aa / det, -bb / det, aa / det)
         scale = np.abs(aa / det) + np.abs(bb / det)
         built = op._precond
-        op.precondition_at(-bg.u0, np.zeros(dom.shape))
+        op.precondition_at(np.stack((-bg.u0, np.zeros(dom.shape))))
         for symbol in (built, op._precond):
             for got, want in zip(symbol, exact):
                 assert np.max(np.abs(got - want) / scale) <= 1e-14
@@ -333,8 +333,8 @@ class TestHalfSpectrum:
         w = rng.standard_normal(2 * dom.n1 * dom.n2)
         self._close(half.precond_flat(w), full.precond_flat(w))
         # and frozen away from the vacuum
-        half.precondition_at(u - 3.0, v)
-        full.precondition_at(u - 3.0, v)
+        half.precondition_at(np.stack((u - 3.0, v)))
+        full.precondition_at(np.stack((u - 3.0, v)))
         self._close(half.precond_flat(w), full.precond_flat(w))
 
     @settings(max_examples=20, deadline=None)
@@ -370,6 +370,22 @@ class TestMinimizeTorus:
         with pytest.raises(InfeasibleError) as err:
             minimize_torus(params, VortexSet.single([(np.pi, np.pi)]), dom)
         assert err.value.margin < 0
+
+    def test_final_check_is_one_evaluation(self, monkeypatch):
+        # the solved state's energy and gradient come from one stacked
+        # evaluation, not from the (u, v) views
+        def refuse(self, *args):
+            raise AssertionError("minimize_torus called a (u, v) view")
+
+        monkeypatch.setattr(TorusOperator, "energy", refuse)
+        monkeypatch.setattr(TorusOperator, "gradient", refuse)
+        dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 16, 16)
+        params = ModelParams(alpha=30.0, beta=45.0, sigma=2.0)
+        _, info = minimize_torus(params, VortexSet.single([(np.pi, np.pi)]), dom,
+                                 TorusSolveOpts(tol=1e-10))
+        assert info["grad_inf"] <= 1e-10
+        assert info["energy_I"] == info["energies"][-1]
+        assert info["energy_J"] == pytest.approx(info["energy_I"], abs=1e-9)
 
     def test_converged(self, first_solution):
         state, info = first_solution
