@@ -329,7 +329,9 @@ def box_shifted_inverse(values: np.ndarray, symbol: np.ndarray, _type: int = 1) 
     transform is of the same type: 1 inverts the operator with zero ghosts,
     2 the one with antisymmetric ghosts.  Acts on the trailing two axes; a
     stack of fields, one symbol plane each, is transformed in one batched
-    sine-transform pair.
+    sine-transform pair.  It computes in the dtype of ``values``: float32
+    input takes pocketfft's native single-precision path (with a float32
+    symbol), float64 input the exact inverse.
     """
     vh = dstn(values, type=_type, norm="ortho", axes=(-2, -1))
     vh /= symbol

@@ -65,6 +65,14 @@ class OptResult:
     minres_iters: int = 0        # newton_polish inner MINRES iterations
 
 
+def _slope(g: np.ndarray, d: np.ndarray) -> float:
+    """gᵀd.  One that overflows reads ±inf: the direction is then refused,
+    or its trials fail sufficient decrease, unless the next evaluation
+    already raises on its non-finite field."""
+    with np.errstate(over="ignore"):
+        return float(np.dot(g, d))
+
+
 class _Wolfe:
     """Strong-Wolfe search along a fixed direction; +inf encodes rejection."""
 
@@ -74,7 +82,7 @@ class _Wolfe:
     def __init__(self, fun_grad, x, f0, g0, d, feasible):
         self.fun_grad = fun_grad
         self.x, self.f0, self.d = x, f0, d
-        self.gd0 = float(np.dot(g0, d))
+        self.gd0 = _slope(g0, d)
         self.resolvable = 64.0 * float(np.spacing(abs(f0)))
         self.feasible = feasible
         self.evals = 0
@@ -90,7 +98,7 @@ class _Wolfe:
         ft, gt = self.fun_grad(xt)
         if not np.isfinite(ft):
             return np.inf, None, np.nan, xt
-        return ft, gt, float(np.dot(gt, self.d)), xt
+        return ft, gt, _slope(gt, self.d), xt
 
     def _rejected(self, t, ft, gdt, f_ref):
         """Trial t fails sufficient decrease, or does not improve on f_ref.
@@ -269,7 +277,7 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
             pending = None
         pg = pg_new
         d = pairs.direction(g, pg)
-        if float(np.dot(g, d)) >= 0:
+        if _slope(g, d) >= 0:
             pairs.clear()
             d = -pg
         try:

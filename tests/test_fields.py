@@ -2,11 +2,12 @@ import csv
 import io
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import dstn, idstn
 from scipy.integrate import quad
@@ -308,6 +309,10 @@ class TestPoisson:
         assert abs(u.mean()) < 1e-14
 
 
+# the plane preconditioner's float32 pair: 16 float32 ulps, relative
+_F32_BOUND = 16 * float(np.finfo(np.float32).eps)
+
+
 class TestBoxShiftedInverse:
     @staticmethod
     def direct(values, dom, c_lap, c_id):
@@ -335,28 +340,76 @@ class TestBoxShiftedInverse:
         c_id = np.reshape(c_id, np.shape(c_id) + (1, 1))
         return c_lap * neg_lap + c_id * values
 
+    @staticmethod
+    def vacuum(dom, species, a, b):
+        """The plane operator at (α, β) = (a, b) on the vortex-free background,
+        and the coefficients (c_lap, c_id) of its vacuum Hessian: Dirichlet
+        weights M/α for f and 1/β for each f_i."""
+        params = ModelParams(alpha=a, beta=b, species=species)
+        bg = plane_background(VortexSet(((),) * species), params.lambda_bg, dom)
+        c_lap = 2.0 * np.array([species / a] + [1.0 / b] * species) * dom.cell_area
+        c_id = np.array([8.0 * a * species] + [8.0 * b] * species) * dom.cell_area
+        return PlaneOperator(bg, params), c_lap, c_id
+
+    @pytest.mark.parametrize("dom", [GridDomain.box(5.0, 32), GridDomain.box(7.0, 48)],
+                             ids=["L5_n32", "L7_n48"])
+    @pytest.mark.parametrize("species", [1, 2, 3])
+    def test_type_two_pair_inverts_antisymmetric_operator(self, dom, species, rng):
+        # in float64 the type-II pair is the exact inverse of the vacuum
+        # Hessian with antisymmetric ghosts: applying that operator to its
+        # output gives the input back
+        _, c_lap, c_id = self.vacuum(dom, species, 0.7, 1.3)
+        values = rng.standard_normal((species + 1,) + dom.shape)
+        out = box_shifted_inverse(values, box_symbol(dom, c_lap, c_id, _type=2), _type=2)
+        back = self.antisymmetric_operator(out, dom, c_lap, c_id)
+        np.testing.assert_allclose(back, values, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(values)))
+
     @pytest.mark.parametrize("dom", [GridDomain.box(5.0, 32), GridDomain.box(7.0, 48)],
                              ids=["L5_n32", "L7_n48"])
     @pytest.mark.parametrize("species", [1, 2, 3])
     def test_operator_precond_matches_direct(self, dom, species, rng):
-        # the plane operator's preconditioner inverts the vacuum Hessian with
-        # antisymmetric ghosts, whose Dirichlet weights are M/α for f and 1/β
-        # for each f_i: applying that operator to its output gives the input back
-        a, b = 0.7, 1.3
-        params = ModelParams(alpha=a, beta=b, species=species)
-        bg = plane_background(VortexSet(((),) * species), params.lambda_bg, dom)
-        op = PlaneOperator(bg, params)
+        # the plane operator applies that inverse in float32: within
+        # _F32_BOUND of the float64 inverse, relative to its largest entry,
+        # and symmetric to the same bound, as L-BFGS and MINRES need
+        op, c_lap, c_id = self.vacuum(dom, species, 0.7, 1.3)
         values = rng.standard_normal((species + 1,) + dom.shape)
-        c_lap = 2.0 * np.array([species / a] + [1.0 / b] * species) * dom.cell_area
-        c_id = np.array([8.0 * a * species] + [8.0 * b] * species) * dom.cell_area
-        out = op.precond_flat(values.ravel()).reshape(values.shape)
-        back = self.antisymmetric_operator(out, dom, c_lap, c_id)
-        np.testing.assert_allclose(back, values, rtol=1e-13,
-                                   atol=1e-13 * np.max(np.abs(values)))
-        # symmetric, as L-BFGS and MINRES need
+        out = op.precond_flat(values.ravel())
+        assert out.dtype == np.float64
+        expect = box_shifted_inverse(values, box_symbol(dom, c_lap, c_id, _type=2), _type=2)
+        assert np.max(np.abs(out - expect.ravel())) <= _F32_BOUND * np.max(np.abs(expect))
         w = rng.standard_normal(values.size)
-        assert np.vdot(w, out.ravel()) == pytest.approx(
-            np.vdot(op.precond_flat(w), values.ravel()), rel=1e-12)
+        pw = op.precond_flat(w)
+        defect = abs(np.vdot(w, out) - np.vdot(values.ravel(), pw))
+        assert defect <= _F32_BOUND * (np.linalg.norm(w) * np.linalg.norm(out)
+                                       + np.linalg.norm(values) * np.linalg.norm(pw))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), species=st.sampled_from([1, 2, 3]),
+           a=st.floats(-3.0, 3.0).map(lambda x: 10.0**x),
+           b=st.floats(-3.0, 3.0).map(lambda x: 10.0**x),
+           scales=st.lists(st.sampled_from([1e-300, 1.0, 1e300]), min_size=4, max_size=4))
+    @example(seed=0, species=1, a=1.0, b=1e60, scales=[1.0] * 4)
+    def test_operator_precond_positive_and_symmetric_at_any_scale(
+            self, seed, species, a, b, scales):
+        # each plane goes to float32 at its own power of two, and so does each
+        # plane of the symbol: planes at 10^±300, or symbols 1e60 apart,
+        # neither overflow nor flush to zero, and raise no warning
+        rng = np.random.default_rng(seed)
+        dom = GridDomain.box(5.0, 16)
+        op, c_lap, c_id = self.vacuum(dom, species, a, b)
+        s = np.reshape(scales[:species + 1], (-1, 1, 1))
+        u, v = rng.standard_normal((2,) + op.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pu = op.precond_flat((s * u).ravel()).reshape(op.shape) / s
+            pv = op.precond_flat((s * v).ravel()).reshape(op.shape) / s
+        expect = box_shifted_inverse(u, box_symbol(dom, c_lap, c_id, _type=2), _type=2)
+        assert np.max(np.abs(pu - expect)) <= _F32_BOUND * np.max(np.abs(expect))
+        assert np.vdot(u, pu) > 0 and np.vdot(v, pv) > 0
+        defect = abs(np.vdot(v, pu) - np.vdot(u, pv))
+        assert defect <= _F32_BOUND * (np.linalg.norm(v) * np.linalg.norm(pu)
+                                       + np.linalg.norm(u) * np.linalg.norm(pv))
 
     @pytest.mark.parametrize("dom", [GridDomain.box(5.0, 32), GridDomain.box(7.0, 48)],
                              ids=["L5_n32", "L7_n48"])

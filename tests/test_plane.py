@@ -297,6 +297,34 @@ class TestSolvePlane:
         assert info["minres_iters"] > 0
         assert len(calls) <= info["iterations"] + info["minres_iters"] + 3
 
+    def test_float32_preconditioner_moves_no_answer(self, monkeypatch):
+        # the preconditioner only shapes search directions: the same solve
+        # with a float64 pair reaches the same energy in as many L-BFGS
+        # iterations, give or take one
+        import csvortex.plane as plane
+
+        dom = GridDomain.box(8.0, 64)
+        params = ModelParams(alpha=1.0, beta=1.0, species=2, lambda_bg=10.0)
+        vs = VortexSet((((0.0, 0.0, 1),), ((1.1, 0.0, 1), (-0.7, 0.9, 1))))
+        m, a, b = params.species, params.alpha, params.beta
+        symbol = box_symbol(dom, 2.0 * np.array([m / a] + [1.0 / b] * m) * dom.cell_area,
+                            np.array([8.0 * a * m] + [8.0 * b] * m) * dom.cell_area, _type=2)
+        lbfgs_iters = []
+        lbfgs = plane.minimize_lbfgs
+
+        def counted(*args, **kwargs):
+            res = lbfgs(*args, **kwargs)
+            lbfgs_iters.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(plane, "minimize_lbfgs", counted)
+        _, single = solve_plane(params, vs, dom, PlaneSolveOpts(tol=1e-9))
+        monkeypatch.setattr(PlaneOperator, "precond_flat", lambda self, v: box_shifted_inverse(
+            v.reshape(self.shape), symbol, _type=2).ravel())
+        _, double = solve_plane(params, vs, dom, PlaneSolveOpts(tol=1e-9))
+        assert single["energy"] == pytest.approx(double["energy"], rel=1e-12)
+        assert abs(lbfgs_iters[0] - lbfgs_iters[1]) <= 1
+
     def test_tight_tolerance_wastes_no_line_search(self, monkeypatch):
         # at tol 1e-12, L-BFGS must hand over before its line searches stop
         # resolving the energy: about one evaluation per iteration
