@@ -26,7 +26,7 @@ import numpy as np
 from scipy.fft import irfftn, rfftn
 
 from .errors import ConfigError, DomainError, NonFiniteFieldError
-from .fields import GridDomain, _torus_k2, laplacian_values, poisson_solve_torus
+from .fields import GridDomain, _torus_k2, poisson_solve_torus
 
 Point = Tuple[float, float, int]  # (x, y, multiplicity)
 
@@ -101,7 +101,6 @@ class BackgroundPlane:
     """
 
     domain: GridDomain
-    lam: float
     h: np.ndarray = field(repr=False)        # h_i >= 0, ∫ h_i ~ 4π n_i
     u0_pad: np.ndarray = field(repr=False)   # (M, n1 + 2, n2 + 2); u_i0 <= 0
     u0_grid: np.ndarray = field(repr=False)
@@ -121,10 +120,6 @@ class BackgroundTorus:
     n: int
     u0: np.ndarray
     load: np.ndarray = field(repr=False, default=None)
-
-    def residual(self) -> float:
-        """Max-norm of Δu0 - load; closes to round-off by construction."""
-        return float(np.max(np.abs(laplacian_values(self.u0, self.domain) - self.load)))
 
 
 def plane_background(vortices: VortexSet, lam: float, domain: GridDomain) -> BackgroundPlane:
@@ -166,7 +161,7 @@ def plane_background(vortices: VortexSet, lam: float, domain: GridDomain) -> Bac
             raise NonFiniteFieldError(
                 f"background profile {name} is not finite at node {node} "
                 f"for lambda_bg = {lam:g}", node=node)
-    return BackgroundPlane(domain, float(lam), h, u0_pad, u0_grid)
+    return BackgroundPlane(domain, h, u0_pad, u0_grid)
 
 
 def _cic_load(pts, domain: GridDomain) -> np.ndarray:

@@ -170,6 +170,9 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
         raise ConfigError(f"tol must be positive and finite, got {opts.tol!r}")
     if opts.max_iter < 1:
         raise ConfigError(f"max_iter must be at least 1, got {opts.max_iter!r}")
+    if opts.quantized_tol is not None and not 0 < opts.quantized_tol < math.inf:
+        raise ConfigError(
+            f"quantized_tol must be positive and finite, got {opts.quantized_tol!r}")
     if mode == "torus":
         params.require_torus_mode()
     center = raw.get("decay_center", [0.0, 0.0])

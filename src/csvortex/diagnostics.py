@@ -101,10 +101,10 @@ def _bilinear(values: np.ndarray, domain: GridDomain, xs: np.ndarray,
               ys: np.ndarray) -> np.ndarray:
     fi = (xs + domain.extent1) / domain.h1 - 0.5
     fj = (ys + domain.extent2) / domain.h2 - 0.5
-    i0 = np.clip(np.floor(fi).astype(int), 0, domain.n1 - 2)
-    j0 = np.clip(np.floor(fj).astype(int), 0, domain.n2 - 2)
-    ti = np.clip(fi - i0, 0.0, 1.0)
-    tj = np.clip(fj - j0, 0.0, 1.0)
+    i0 = np.minimum(fi.astype(int), domain.n1 - 2)
+    j0 = np.minimum(fj.astype(int), domain.n2 - 2)
+    ti = fi - i0
+    tj = fj - j0
     v00 = values[i0, j0]
     v10 = values[i0 + 1, j0]
     v01 = values[i0, j0 + 1]
@@ -118,15 +118,18 @@ def decay_fit(u: np.ndarray, u_list: Sequence[np.ndarray], params: ModelParams,
               annulus: Tuple[float, float] = (0.5, 0.8)) -> DecayFit:
     """Least-squares slope of ln(u^2 + Σ u_i^2) versus radius.
 
-    Samples 64 rays across the annulus [annulus[0]*L, annulus[1]*L], fits each
-    ray separately, and averages the slopes.  ``expected_m`` (and ``rel_dev``
-    against it) is the decay theorem's one-sided rate m = 2*sqrt(2)*min(alpha,
-    beta): a correct solution has slope at most about -m.  It is not the
-    slope's asymptote, which is -4*min(alpha, beta) (the linearized masses at
-    the vacuum are 2*alpha and 2*beta) up to an algebraic 1/r term.
+    Samples 64 rays across the annulus [annulus[0]*L, annulus[1]*L] about
+    ``center`` as one (64, R) grid, takes each ray's least-squares slope in
+    closed form, (ln s)·(r - r̄)/|r - r̄|², and averages the slopes; a sample
+    outside the node hull [-L + h/2, L - h/2] raises DiagnosticFailure.
+    ``expected_m`` (and ``rel_dev`` against it) is the decay theorem's
+    one-sided rate m = 2*sqrt(2)*min(alpha, beta): a correct solution has
+    slope at most about -m.  It is not the slope's asymptote, which is
+    -4*min(alpha, beta) (the linearized masses at the vacuum are 2*alpha and
+    2*beta) up to an algebraic 1/r term.
     """
     if domain.kind != "box":
-        raise DiagnosticFailure("decay fit requires a box domain", check="decay")
+        raise DiagnosticFailure("decay fit requires a box domain")
     big = u**2
     for ui in u_list:
         big = big + ui**2
@@ -134,21 +137,19 @@ def decay_fit(u: np.ndarray, u_list: Sequence[np.ndarray], params: ModelParams,
     r_min, r_max = annulus[0] * L, annulus[1] * L
     radii = np.arange(r_min, r_max, domain.h1)
     if radii.size < 8:
-        raise DiagnosticFailure("annulus too thin for a slope fit", check="decay")
-    slopes = []
-    for k in range(_DECAY_RAYS):
-        th = 2.0 * math.pi * k / _DECAY_RAYS
-        xs = center[0] + radii * math.cos(th)
-        ys = center[1] + radii * math.sin(th)
-        samples = _bilinear(big, domain, xs, ys)
-        if np.any(samples < 1e-280):
-            raise DiagnosticFailure(
-                "annulus values below 1e-280: shrink the box or the annulus",
-                check="decay")
-        coef = np.polyfit(radii, np.log(samples), 1)
-        slopes.append(float(coef[0]))
+        raise DiagnosticFailure("annulus too thin for a slope fit")
+    th = 2.0 * math.pi * np.arange(_DECAY_RAYS) / _DECAY_RAYS
+    xs = center[0] + np.outer(np.cos(th), radii)
+    ys = center[1] + np.outer(np.sin(th), radii)
+    if not np.abs((xs, ys)).max() <= L - 0.5 * domain.h1:   # the box is square
+        raise DiagnosticFailure(f"decay annulus about decay_center {center} leaves the box")
+    samples = _bilinear(big, domain, xs, ys)
+    if np.any(samples < 1e-280):
+        raise DiagnosticFailure("annulus values below 1e-280: shrink the box or the annulus")
+    dr = radii - radii.mean()
+    slopes = np.log(samples) @ dr / (dr @ dr)
     return DecayFit(r_min, r_max, float(np.mean(slopes)), params.decay_mass,
-                    tuple(slopes))
+                    tuple(slopes.tolist()))
 
 
 # ---------------------------------------------------------------------------

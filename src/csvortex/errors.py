@@ -74,7 +74,3 @@ class MountainPassCollapseError(CsvortexError):
 
 class DiagnosticFailure(CsvortexError):
     """A verification check on a stored or computed solution failed."""
-
-    def __init__(self, message, check=None):
-        super().__init__(message)
-        self.check = check

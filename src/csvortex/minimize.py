@@ -42,6 +42,7 @@ _HISTORY = 12  # L-BFGS correction pairs kept
 # _FORCING_TARGET·tol_inf/‖g‖∞, clipped to [_RTOL_MIN, _RTOL_MAX]
 _FORCING_GAIN, _FORCING_TARGET = 1e-2, 0.1
 _RTOL_MIN, _RTOL_MAX = 1e-12, 1e-2
+_MINRES_MAXITER = 500  # iteration cap of each of newton_polish's inner solves
 _EPS = float(np.finfo(float).eps)
 
 
@@ -112,12 +113,12 @@ class _Wolfe:
             return not (ft <= self.f0 and gdt <= (2.0 * self.c1 - 1.0) * self.gd0)
         return ft > self.f0 + self.c1 * t * self.gd0 or ft >= f_ref
 
-    def run(self, t0=1.0):
+    def run(self):
         if self.gd0 >= 0:
             raise LineSearchError("search direction is not a descent direction")
         t_prev, f_prev = 0.0, self.f0
         f_lo = self.f0
-        t = t0
+        t = 1.0
         while self.evals < self.max_evals:
             ft, gt, gdt, xt = self.phi(t)
             if self._rejected(t, ft, gdt, f_prev if t_prev > 0.0 else np.inf):
@@ -396,8 +397,7 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
                   g0: Optional[np.ndarray] = None,
                   precond: Optional[Callable] = None,
                   tol_inf: float = 1e-10,
-                  max_iter: int = 60,
-                  minres_maxiter: int = 500) -> OptResult:
+                  max_iter: int = 60) -> OptResult:
     """Damped Newton on grad(x) = 0 with MINRES inner solves.
 
     The merit function is the gradient 2-norm, so the iteration also converges
@@ -439,7 +439,7 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
         target = _FORCING_TARGET * tol_inf / ginf
         rtol = float(np.clip(max(_FORCING_GAIN * merits[-1], target), _RTOL_MIN, _RTOL_MAX))
         delta, status = minres(lambda v: hess_vec(x, v), -g, rtol=rtol,
-                               maxiter=minres_maxiter, M=precond, callback=count)
+                               maxiter=_MINRES_MAXITER, M=precond, callback=count)
         if status != 0:
             unconverged += 1
         m0 = merits[-1]

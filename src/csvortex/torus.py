@@ -129,7 +129,6 @@ class CSolve:
     root: float          # X0 = e^{c1}
     residual_1: float    # relative residual of the first constraint quadratic
     residual_2: float
-    iterations: int
 
 
 class _CMaps:
@@ -140,7 +139,8 @@ class _CMaps:
     e2 X2² - q2(X1) X2 + 2γπn/(αβ) = 0, where q1 = (1-γ) j1 + γ g X2 and
     q2 = (1-γ) j2 + γ g X1; their discriminants are q1² - d1 and q2² - d2.
     g2 is always the upper root of the second quadratic; g1 takes the upper
-    (sign +1) or lower (sign -1) root of the first.  The lower root is formed
+    (sign +1) or lower (sign -1) root of the first.  The branch map
+    F(X) = X - g1(g2(X)) has one evaluator, f_df.  The lower root is formed
     as d/(2e(q + √(q² - d))), the product of the roots over the upper one,
     so it does not cancel.
 
@@ -174,7 +174,7 @@ class _CMaps:
         """The branch root (_solve_c_branch) and the relative residuals of
         both quadratics there; AdmissibilityError outside the admissible set."""
         self.require_admissible()
-        c1, c2, x1, it = _solve_c_branch(self, saddle, newton)
+        c1, c2, x1, _ = _solve_c_branch(self, saddle, newton)
         x2 = math.exp(c2)
         s = self.s
         t1 = (x1 * x1 * s.e1, -x1 * self.q1(x2), 2.0 * math.pi * self.n / self.ab)
@@ -182,7 +182,7 @@ class _CMaps:
               2.0 * self.gam * math.pi * self.n / self.ab)
         r1 = abs(sum(t1)) / max(max(abs(v) for v in t1), 1e-300)
         r2 = abs(sum(t2)) / max(max(abs(v) for v in t2), 1e-300)
-        return CSolve(c1, c2, x1, r1, r2, it)
+        return CSolve(c1, c2, x1, r1, r2)
 
     @staticmethod
     def _sqrt_disc(q: float, d: float) -> float:
@@ -202,23 +202,15 @@ class _CMaps:
             return (q + r) / (2.0 * e)
         return d / (2.0 * e * (q + r))
 
-    def _branch(self, q: float, d: float, e: float, sign: float) -> float:
-        return self._root(q, self._sqrt_disc(q, d), d, e, sign)
-
     def q1(self, x2: float) -> float:
         return (1.0 - self.gam) * self.s.j1 + self.gam * x2 * self.s.g
 
     def q2(self, x1: float) -> float:
         return (1.0 - self.gam) * self.s.j2 + self.gam * x1 * self.s.g
 
-    def g1(self, x2: float, sign: float = 1.0) -> float:
-        return self._branch(self.q1(x2), self.d1, self.s.e1, sign)
-
-    def g2(self, x1: float, sign: float = 1.0) -> float:
-        return self._branch(self.q2(x1), self.d2, self.s.e2, sign)
-
-    def f(self, x: float, sign: float = 1.0) -> float:
-        return x - self.g1(self.g2(x), sign)
+    def g2(self, x1: float) -> float:
+        q2 = self.q2(x1)
+        return self._root(q2, self._sqrt_disc(q2, self.d2), self.d2, self.s.e2, 1.0)
 
     def f_df(self, x: float, sign: float = 1.0) -> Tuple[float, float]:
         """F(X) = X - g1(g2(X)) on the given g1 branch, and F'(X).
@@ -260,7 +252,7 @@ class _CMaps:
             a = (1.0 - gam) * (s.j1 + gam * s.g * s.j2 / s.e2) / s.e1
             b = gam * gam * s.g * s.g / (s.e1 * s.e2)
             lo, hi = 0.5 * (1.0 - gam) * s.j1 / s.e1, 2.0 * a / (1.0 - b)
-        if self.f(hi, -1.0 if saddle else 1.0) < 0.0:
+        if self.f_df(hi, -1.0 if saddle else 1.0)[0] < 0.0:
             raise AdmissibilityError("constraint root not bracketed")
         return lo, hi
 
@@ -719,7 +711,6 @@ def reduced_energy_J(u_prime: np.ndarray, v_prime: np.ndarray, bg: BackgroundTor
 _LBFGS_HANDOVER = 1e4    # the first solution's L-BFGS hands over at this multiple of tol
 _NEWTON_MAX_ITER = 120   # Newton steps of either branch's polish
 _ENDPOINT_MARGIN = 1.0   # extra drop of the endpoint below the affine bound
-_PROBE_RADIUS, _PROBE_SEED = 1e-2, 0   # the local-minimality probe's sphere
 # Constant shifts u1 + s, geometric in |s| from 0.25 to |c_tilde|, at which the
 # energy profile of the straight path to the endpoint is sampled; its maximum
 # bounds the mountain-pass level from above.
@@ -832,7 +823,6 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
     info.update({
         "bg": bg,
         "operator": op,
-        "feasibility": feas,
         "energy_J": reduced_energy_J(state.u_prime, state.v_prime, bg, params),
         "wall_time": time.perf_counter() - t0,
         "vortex_mask": vortex_node_mask(vortices, domain),
@@ -858,7 +848,7 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
     barrier point (TorusOperator.precondition_at), where P = e^{u0+u} is far
     from the vacuum value 1 that preconditions the first solution.  A descent
     trapped at the admissible-set boundary raises BoundaryTrappingError.
-    Certificates in info: probe_margin (> 0 when the first solution is a local minimum),
+    Certificates in info: separation (>= _SEPARATION), energy_first,
     endpoint_energy, and path_max_energy, the highest sampled energy on the
     straight path of constant shifts to the endpoint, which bounds the
     mountain-pass level from above.
@@ -874,15 +864,6 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
     X1 = np.stack((first.u, first.v))
     u1, v1 = X1
     e_first = op.energy(u1, v1)
-
-    # local-minimality probe on a sphere around the first solution
-    rng = np.random.default_rng(_PROBE_SEED)
-    probe_min = np.inf
-    for _ in range(8):
-        D = rng.standard_normal(op.shape)
-        D *= _PROBE_RADIUS / w12_norm(D, dom)
-        probe_min = min(probe_min, op.energy(*(X1 + D)))
-    probe_margin = probe_min - e_first
 
     # endpoint from the affine bound for constant shifts
     slope = 4.0 * math.pi * bg.n * (1.0 / p.alpha + 1.0 / p.beta)
@@ -912,7 +893,6 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
         "operator": op,
         "energy_first": e_first,
         "separation": sep,
-        "probe_margin": probe_margin,
         "endpoint_energy": e_end,
         "path_max_energy": path_max,
         # always empty; bench/workloads.py reads its length

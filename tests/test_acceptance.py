@@ -265,7 +265,7 @@ def test_criterion_5_constraint_closure():
         worst_res = max(worst_res, abs(r1), abs(r2))
     # F(X)/X monotone over 50 sampled pairs on the last admissible state
     xs = np.sort(rng.uniform(0.02, 10.0, size=100))
-    ratios = [maps.f(x) / x for x in xs]
+    ratios = [maps.f_df(x)[0] / x for x in xs]
     pairs_ok = all(r1 < r2 for r1, r2 in zip(ratios, ratios[1:]))
     ok = worst_res <= 1e-10 and worst_agree <= 1e-10 and pairs_ok
     banner(5, ok, f"constraint closure on 20 admissible states: residual "

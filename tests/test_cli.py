@@ -211,6 +211,12 @@ class TestConfigErrors:
         ("torus", ("domain", "periods"), [math.inf, math.inf], 1),
         ("torus", ("opts", "tol"), math.inf, 1),
         ("torus", ("decay_center",), [math.nan, 0.0], 1),
+        # a NaN or negative flux tolerance would fail every flux check after
+        # the solve, and an infinite one would pass every check
+        ("plane", ("opts", "quantized_tol"), math.nan, 1),
+        ("plane", ("opts", "quantized_tol"), -1.0, 1),
+        ("plane", ("opts", "quantized_tol"), math.inf, 1),
+        ("torus", ("opts", "quantized_tol"), math.nan, 1),
         # finite, but the cell size cannot be squared or inverted
         ("plane", ("domain", "half_width"), 1e300, 1),
         ("plane", ("domain", "half_width"), 1e-300, 1),
@@ -221,6 +227,8 @@ class TestConfigErrors:
         ("plane", ("params", "alpha"), 1e300, 3),
     ], ids=["plane-lambda-inf", "plane-alpha-inf", "plane-half-width-inf", "plane-tol-inf",
             "plane-center-nan", "torus-periods-inf", "torus-tol-inf", "torus-center-nan",
+            "plane-quantized-tol-nan", "plane-quantized-tol-negative",
+            "plane-quantized-tol-inf", "torus-quantized-tol-nan",
             "plane-half-width-1e300", "plane-half-width-1e-300", "torus-periods-1e300",
             "plane-lambda-1e308", "plane-alpha-1e300"])
     def test_non_finite_inputs_exit_typed(self, plane_cfg, torus_cfg, tmp_path, capsys,
@@ -439,6 +447,20 @@ class TestPlanePipeline:
         assert "iterations" not in _report_values(out / "decay_report.txt")
         assert (out / "decay_rays.csv").exists()
         assert "slope" in capsys.readouterr().out
+
+    def test_decay_annulus_outside_the_box(self, plane_cfg, tmp_path, capsys):
+        # about (3, 0) the annulus 4..6.4 of the 8-box reaches x = 9.4
+        cfg = json.loads(open(plane_cfg).read())
+        cfg["decay_center"] = [3.0, 0.0]
+        p = write_cfg(tmp_path / "shifted.json", cfg)
+        out = tmp_path / "run"
+        assert main(["solve-plane", "--config", p, "--out", str(out)]) == 0
+        assert not any(k.startswith("decay.") for k in _report_values(out / "report.txt"))
+        assert not (out / "decay_rays.csv").exists()
+        capsys.readouterr()
+        assert main(["decay-fit", "--config", p, "--out", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith("diagnostic failure: ") and "decay_center" in printed
 
     def test_env_output_override(self, plane_cfg, tmp_path, monkeypatch):
         target = tmp_path / "env_out"

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from csvortex.diagnostics import (
     BoundCheck,
     SolveReport,
+    _bilinear,
     decay_fit,
     max_principle_check,
     quantized_integrals_plane,
@@ -98,6 +101,49 @@ class TestDecayFit:
         params = ModelParams(1.0, 1.0)
         with pytest.raises(DiagnosticFailure):
             decay_fit(u, [u], params, dom)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cx=st.floats(-1.5, 1.5), cy=st.floats(-1.5, 1.5), c=st.floats(0.3, 2.0),
+           aniso=st.floats(0.0, 0.5), turn=st.floats(0.0, math.pi))
+    def test_ray_slopes_match_polyfit(self, cx, cy, c, aniso, turn):
+        # an anisotropic tail about the origin, fitted about a centre whose
+        # annulus (radii 5 to 8 of the 10-box) stays inside the node hull
+        dom = GridDomain.box(10.0, 128)
+        X, Y = dom.coords()
+        u = np.exp(-c * np.hypot(X, Y) * (1.0 + aniso * np.cos(2.0 * np.arctan2(Y, X) - turn)))
+        fit = decay_fit(u, [], ModelParams(1.0, 1.0), dom, center=(cx, cy))
+        radii = np.arange(5.0, 8.0, dom.h1)
+        for k, slope in enumerate(fit.ray_slopes):
+            th = 2.0 * math.pi * k / len(fit.ray_slopes)
+            samples = _bilinear(u**2, dom, cx + radii * math.cos(th), cy + radii * math.sin(th))
+            oracle = np.polyfit(radii, np.log(samples), 1)[0]
+            assert abs(slope - oracle) <= 1e-12 * abs(oracle), k
+        assert fit.slope == pytest.approx(np.mean(fit.ray_slopes), rel=1e-15)
+
+    def test_annulus_outside_the_box_refused(self):
+        # exact tail slope -4 about the centre; read off clipped edge values,
+        # the fit gave -3.89 about (3, 0) and -3.28 about (5, 0), where some
+        # rays read slope 0
+        dom = GridDomain.box(10.0, 128)
+        X, Y = dom.coords()
+        params = ModelParams(1.0, 1.0)
+        for centre in ((3.0, 0.0), (5.0, 0.0), (0.0, -3.0)):
+            u = np.exp(-2.0 * np.hypot(X - centre[0], Y - centre[1]))
+            with pytest.raises(DiagnosticFailure, match="decay_center"):
+                decay_fit(u, [], params, dom, center=centre)
+        u = np.exp(-2.0 * np.hypot(X, Y))
+        assert decay_fit(u, [], params, dom).slope == pytest.approx(-4.0, rel=1e-2)
+
+    def test_shifted_centres_within_four_cells(self):
+        # the benchmark's CLI workload shifts its vortex and decay centre by
+        # up to 4 cells of the 20-box at 224²
+        dom = GridDomain.box(20.0, 224)
+        X, Y = dom.coords()
+        for i, j in ((4, 4), (-4, 4), (4, -4), (-4, -4)):
+            x, y = i * dom.h1, j * dom.h2
+            u = np.exp(-np.hypot(X - x, Y - y))
+            fit = decay_fit(u, [u], ModelParams(1.0, 1.0), dom, center=(x, y))
+            assert fit.slope == pytest.approx(-2.0, rel=1e-2)
 
     def test_box_only(self, torus64):
         with pytest.raises(DiagnosticFailure):

@@ -229,7 +229,7 @@ class TestNewtonPolish:
         assert res.converged
         assert np.max(np.abs(res.x)) < 1e-10
 
-    def test_counts_unconverged_inner_solves(self, rng):
+    def test_counts_unconverged_inner_solves(self, rng, monkeypatch):
         d = rng.uniform(0.5, 50.0, size=40)
         b = rng.standard_normal(40)
 
@@ -241,8 +241,8 @@ class TestNewtonPolish:
 
         full = newton_polish(grad, hess_vec, np.zeros(40), tol_inf=1e-12)
         assert full.converged and full.minres_unconverged == 0
-        capped = newton_polish(grad, hess_vec, np.zeros(40), tol_inf=1e-12,
-                               max_iter=3, minres_maxiter=2)
+        monkeypatch.setattr(minimize_mod, "_MINRES_MAXITER", 2)
+        capped = newton_polish(grad, hess_vec, np.zeros(40), tol_inf=1e-12, max_iter=3)
         assert capped.minres_unconverged == capped.iterations == 3
         # every inner iteration is counted: the capped solves run 2 each
         assert capped.minres_iters == 6

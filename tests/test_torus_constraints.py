@@ -27,6 +27,12 @@ from csvortex.torus import (
 from conftest import smooth_random
 
 
+def _upper_g1(maps, x2):
+    """The upper root of the first constraint quadratic at X2 = x2."""
+    q1 = maps.q1(x2)
+    return maps._root(q1, maps._sqrt_disc(q1, maps.d1), maps.d1, maps.s.e1, 1.0)
+
+
 @pytest.fixture(scope="module")
 def setup():
     dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 64, 64)
@@ -192,7 +198,7 @@ class TestSolveC:
         up, vp = admissible_random(dom, bg, params, rng)
         maps = _CMaps(up, vp, bg, params)
         xs = np.sort(rng.uniform(0.02, 8.0, size=100))
-        vals = [maps.f(x) / x for x in xs]
+        vals = [maps.f_df(x)[0] / x for x in xs]
         assert all(v1 < v2 for v1, v2 in zip(vals, vals[1:]))
 
     def test_g_maps_increasing(self, setup, rng):
@@ -200,7 +206,7 @@ class TestSolveC:
         up, vp = admissible_random(dom, bg, params, rng)
         maps = _CMaps(up, vp, bg, params)
         xs = np.linspace(0.05, 5.0, 40)
-        g1s = [maps.g1(x) for x in xs]
+        g1s = [_upper_g1(maps, x) for x in xs]
         g2s = [maps.g2(x) for x in xs]
         assert all(a < b for a, b in zip(g1s, g1s[1:]))
         assert all(a < b for a, b in zip(g2s, g2s[1:]))
@@ -240,14 +246,14 @@ class TestRootProperties:
         roots = {}
         for saddle, sign in ((False, 1.0), (True, -1.0)):
             lo, hi = maps.bracket(saddle)
-            assert maps.f(lo, sign) <= 0.0 <= maps.f(hi, sign)
+            assert maps.f_df(lo, sign)[0] <= 0.0 <= maps.f_df(hi, sign)[0]
             c1, c2, x, it = _solve_c_branch(maps, saddle=saddle)
             assert it <= 60
             # the upper root's round-off scale is the sum of the first
             # quadratic's roots, q1/e1; the lower root is formed without
             # cancellation, so its scale is the root itself
             scale = x if saddle else maps.q1(maps.g2(x)) / maps.s.e1
-            assert abs(maps.f(x, sign)) <= 8.0 * np.finfo(float).eps * scale
+            assert abs(maps.f_df(x, sign)[0]) <= 8.0 * np.finfo(float).eps * scale
             assert c1 == math.log(x)
             roots[saddle] = x
         assert roots[True] < roots[False]
@@ -273,7 +279,7 @@ class TestRootProperties:
         monkeypatch.setattr(torus_mod, "_solve_c_branch", counted)
         x = torus_mod._solve_c_branch(maps, saddle=True)[2]
         assert len(calls) == 1
-        assert abs(maps.f(x, -1.0)) <= 8.0 * np.finfo(float).eps * x
+        assert abs(maps.f_df(x, -1.0)[0]) <= 8.0 * np.finfo(float).eps * x
 
 
 class TestVacuumLift:

@@ -11,7 +11,7 @@ from csvortex.background import VortexSet
 from csvortex.fields import GridDomain
 from csvortex.model import ModelParams
 from csvortex.plane import PlaneSolveOpts, solve_plane
-from csvortex.torus import TorusSolveOpts, minimize_torus, mountain_pass
+from csvortex.torus import _PROFILE_SHIFTS, TorusSolveOpts, minimize_torus, mountain_pass
 
 from test_bench_hooks import _load_spans
 
@@ -59,3 +59,6 @@ def test_torus_kernels_go_through_traced_names():
     assert counts["torus.feasible.rejected"] == 0
     # every L-BFGS evaluation but each branch solve's start is feasibility-tested
     assert counts["torus.feasible.calls"] == counts["minimize.lbfgs.evals"] - 2
+    # the mountain pass evaluates the energy at the first solution, at one
+    # endpoint and along the sampled path, and nowhere it does not report
+    assert counts["torus.energy.calls"] == 2 + _PROFILE_SHIFTS
