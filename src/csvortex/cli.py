@@ -4,9 +4,9 @@ Subcommands: solve-plane, solve-torus, verify, decay-fit.  One pass over the
 fields a solve writes (_field_report) computes every field diagnostic:
 verify writes exactly that pass over the stored fields, and a solve report
 is that pass over the written fields plus the solver's record of the run.
-Exit codes: 0 all checks pass, 1 malformed config, usage error or missing
-files, 2 diagnostic failure, 3 solver non-convergence, 4 infeasible
-parameters.
+Exit codes: 0 all checks pass, 1 a usage error or an output the run cannot
+write, 2 a failed check; every other failure exits with the code its error
+class carries (errors.py).
 """
 
 from __future__ import annotations
@@ -22,17 +22,7 @@ import numpy as np
 from . import diagnostics as diag
 from .background import plane_background, torus_background, vortex_node_mask
 from .config import RunConfig, load_config, resolve_out_dir
-from .errors import (
-    AdmissibilityError,
-    BoundaryTrappingError,
-    ConfigError,
-    DiagnosticFailure,
-    DomainError,
-    InfeasibleError,
-    MountainPassCollapseError,
-    NonConvergenceError,
-    NonFiniteFieldError,
-)
+from .errors import ConfigError, CsvortexError, DiagnosticFailure, DomainError, FieldFileError
 from .fields import GridDomain, ScalarField, read_field, write_csv, write_field
 from .plane import (
     PlaneOperator,
@@ -55,10 +45,7 @@ from .torus import (
 )
 
 EXIT_OK = 0
-EXIT_CONFIG = 1
 EXIT_DIAGNOSTIC = 2
-EXIT_NONCONVERGENCE = 3
-EXIT_INFEASIBLE = 4
 
 _RESIDUAL_FLOOR = 1e-6  # same-operator PDE residuals pass below max(this, 10*tol)
 
@@ -74,15 +61,19 @@ def _read_values(path: str, domain: GridDomain) -> np.ndarray:
     """Finite values of a stored field, after checking its header against the domain.
 
     The header stores the extent as float32, so extents are compared to
-    float32 precision.
+    float32 precision.  A field that cannot be read or used raises
+    FieldFileError.
     """
-    field = read_field(path)
+    try:
+        field = read_field(path)
+    except (OSError, DomainError) as exc:
+        raise FieldFileError(str(exc)) from exc
     got = field.domain
     tol = float(np.finfo(np.float32).eps)
     if ((got.kind, got.n1, got.n2) != (domain.kind, domain.n1, domain.n2)
             or not math.isclose(got.extent1, domain.extent1, rel_tol=tol)
             or not math.isclose(got.extent2, domain.extent2, rel_tol=tol)):
-        raise DomainError(
+        raise FieldFileError(
             f"{path} holds a {got.n1}x{got.n2} {got.kind} field of extent "
             f"{got.extent1:g} x {got.extent2:g}, but the config asks for "
             f"{domain.n1}x{domain.n2} {domain.kind} of extent "
@@ -90,7 +81,7 @@ def _read_values(path: str, domain: GridDomain) -> np.ndarray:
     bad = np.argwhere(~np.isfinite(field.values))
     if bad.size:
         i, j = (int(k) for k in bad[0])
-        raise DomainError(
+        raise FieldFileError(
             f"{path} holds a non-finite value {field.values[i, j]:g} at node ({i}, {j})")
     return field.values
 
@@ -153,12 +144,11 @@ def _solve_report(cfg: RunConfig, mode: str, fields, info: dict,
     return rep
 
 
-def _emit(rep: diag.SolveReport, cfg: RunConfig, out: str, name: str,
-          timing: bool = True) -> List[str]:
+def _emit(rep: diag.SolveReport, cfg: RunConfig, out: str, name: str) -> List[str]:
     """Write a report; return the names of its checks that fail the config's
     tolerances."""
     with open(os.path.join(out, name), "w") as fh:
-        fh.write(rep.to_text(include_timing=timing))
+        fh.write(rep.to_text())
     return rep.failures(cfg.quantized_tol, max(_RESIDUAL_FLOOR, 10.0 * cfg.opts.tol))
 
 
@@ -233,23 +223,17 @@ def cmd_verify(cfg: RunConfig) -> int:
     def load(name: str) -> np.ndarray:
         return _read_values(os.path.join(out, name), cfg.domain)
 
-    try:
-        if cfg.mode == "plane":
-            state = PlaneState(cfg.domain, np.stack(
-                [load("f.bin")] + [load(f"f_{i}.bin") for i in species]))
-            fields = (state, load("u.bin"), [load(f"u_{i}.bin") for i in species])
-        else:
-            fields = (load("u.bin"), load("v.bin"))
-    except (FileNotFoundError, DomainError) as exc:
-        print(f"error: {exc}")
-        return EXIT_CONFIG
     if cfg.mode == "plane":
+        state = PlaneState(cfg.domain, np.stack(
+            [load("f.bin")] + [load(f"f_{i}.bin") for i in species]))
+        fields = (state, load("u.bin"), [load(f"u_{i}.bin") for i in species])
         op = PlaneOperator(plane_background(cfg.vortices, cfg.params.lambda_bg,
                                             cfg.domain), cfg.params)
     else:
+        fields = (load("u.bin"), load("v.bin"))
         op = TorusOperator(torus_background(cfg.vortices, cfg.domain), cfg.params)
     bad = _emit(_field_report(cfg, op, f"{cfg.mode}-verify", fields), cfg, out,
-                "verify_report.txt", timing=False)
+                "verify_report.txt")
     if bad:
         print("FAIL: " + ", ".join(bad))
         return EXIT_DIAGNOSTIC
@@ -259,17 +243,13 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_decay_fit(cfg: RunConfig) -> int:
     out = resolve_out_dir(cfg.opts)
-    try:
-        u = _read_values(os.path.join(out, "u.bin"), cfg.domain)
-        u_list = [_read_values(os.path.join(out, f"u_{i}.bin"), cfg.domain)
-                  for i in range(cfg.params.species)]
-    except (FileNotFoundError, DomainError) as exc:
-        print(f"error: {exc}")
-        return EXIT_CONFIG
+    u = _read_values(os.path.join(out, "u.bin"), cfg.domain)
+    u_list = [_read_values(os.path.join(out, f"u_{i}.bin"), cfg.domain)
+              for i in range(cfg.params.species)]
     fit = diag.decay_fit(u, u_list, cfg.params, cfg.domain, center=cfg.decay_center)
     rep = diag.SolveReport(mode="decay-fit")
     rep.decay = fit
-    _emit(rep, cfg, out, "decay_report.txt", timing=False)
+    _emit(rep, cfg, out, "decay_report.txt")
     _write_rays_csv(os.path.join(out, "decay_rays.csv"), fit)
     print(f"slope = {fit.slope:.6f}, bound rate = {-fit.expected_m:.6f}, "
           f"rel_dev = {fit.rel_dev:.3f}")
@@ -295,7 +275,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage or the help
-        return EXIT_CONFIG if exc.code else EXIT_OK
+        return 1 if exc.code else EXIT_OK
     overrides = {k: v for k, v in (
         ("out", args.out), ("tol", args.tol), ("max_iter", args.max_iter),
         ("grid", args.grid), ("second_solution", args.second_solution),
@@ -313,19 +293,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg)
         return cmd_decay_fit(cfg)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}")
-        return EXIT_INFEASIBLE
-    except (NonConvergenceError, NonFiniteFieldError, BoundaryTrappingError,
-            MountainPassCollapseError, AdmissibilityError) as exc:
-        print(f"solver failure: {exc}")
-        return EXIT_NONCONVERGENCE
-    except DiagnosticFailure as exc:
-        print(f"diagnostic failure: {exc}")
-        return EXIT_DIAGNOSTIC
-    except (ConfigError, DomainError) as exc:
-        print(f"config error: {exc}")
-        return EXIT_CONFIG
+    except CsvortexError as exc:
+        print(f"{exc.label}: {exc}")
+        return exc.exit_code
+    except OSError as exc:  # an output the run cannot write
+        print(f"error: {exc}")
+        return 1
 
 
 if __name__ == "__main__":

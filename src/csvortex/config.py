@@ -65,6 +65,18 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value, key: str) -> int:
+    """An integral JSON number (64 or 64.0); a fraction, a boolean or a string
+    is refused rather than truncated."""
+    if _is_number(value) and float(value).is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def _auto_half_width(params: ModelParams, vortices: VortexSet) -> float:
     spread = 0.0
     for pts in vortices.species:
@@ -110,7 +122,7 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
         params = ModelParams(
             alpha=float(_require(p, "alpha", "params")),
             beta=float(_require(p, "beta", "params")),
-            species=int(p.get("species", 1)),
+            species=_integer(p.get("species", 1), "params.species"),
             lambda_bg=float(p.get("lambda_bg", DEFAULTS["lambda_bg"])),
             sigma=float(p.get("sigma", 2.0)),
         )
@@ -121,8 +133,9 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
     per_species: List[List[Tuple[float, float, int]]] = [[] for _ in range(params.species)]
     for k, entry in enumerate(vraw):
         try:
-            s = int(entry.get("species", 0))
-            pt = (float(entry["x"]), float(entry["y"]), int(entry.get("multiplicity", 1)))
+            s = _integer(entry.get("species", 0), f"vortices[{k}].species")
+            pt = (float(entry["x"]), float(entry["y"]),
+                  _integer(entry.get("multiplicity", 1), f"vortices[{k}].multiplicity"))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid vortices[{k}]: {exc}") from exc
         if not 0 <= s < params.species:
@@ -138,7 +151,7 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
     if mode == "torus" and kind != "torus":
         raise ConfigError("torus mode requires a torus domain")
     if kind == "box":
-        n = int(overrides.get("grid", d.get("n", DEFAULTS["plane_grid"])))
+        n = _integer(overrides.get("grid", d.get("n", DEFAULTS["plane_grid"])), "domain.n")
         half = d.get("half_width")
         half = float(half) if half is not None else _auto_half_width(params, vortices)
         domain = GridDomain.box(half, n)
@@ -146,22 +159,24 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
         periods = d.get("periods", [2.0 * math.pi, 2.0 * math.pi])
         if not (isinstance(periods, list) and len(periods) == 2):
             raise ConfigError("domain.periods must be a two-element list")
-        nn = d.get("n", [DEFAULTS["torus_grid"], DEFAULTS["torus_grid"]])
-        if isinstance(nn, int):
-            nn = [nn, nn]
-        if "grid" in overrides:
-            nn = [int(overrides["grid"])] * 2
+        nn = overrides.get("grid", d.get("n", DEFAULTS["torus_grid"]))
+        nn = nn if isinstance(nn, list) else [nn, nn]
+        if len(nn) != 2:
+            raise ConfigError("domain.n must be an integer or a two-element list")
         domain = GridDomain.torus(float(periods[0]), float(periods[1]),
-                                  int(nn[0]), int(nn[1]))
+                                  _integer(nn[0], "domain.n"), _integer(nn[1], "domain.n"))
         _kind_code(domain)  # cells the field files cannot store: refused before any solve
     vortices.validate_in(domain)
 
     o = raw.get("opts", {})
+    second = overrides.get("second_solution", o.get("second_solution", False))
+    if not isinstance(second, bool):
+        raise ConfigError(f"opts.second_solution must be true or false, got {second!r}")
     opts = RunOpts(
         tol=float(overrides.get("tol", o.get("tol", DEFAULTS["tol"]))),
-        max_iter=int(overrides.get("max_iter", o.get("max_iter", DEFAULTS["max_iter"]))),
-        second_solution=bool(overrides.get("second_solution",
-                                           o.get("second_solution", False))),
+        max_iter=_integer(overrides.get("max_iter", o.get("max_iter", DEFAULTS["max_iter"])),
+                          "opts.max_iter"),
+        second_solution=second,
         quantized_tol=(None if o.get("quantized_tol") is None
                        else float(o["quantized_tol"])),
         out_dir=str(overrides.get("out", o.get("out_dir", "."))),
@@ -176,6 +191,8 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
     if mode == "torus":
         params.require_torus_mode()
     center = raw.get("decay_center", [0.0, 0.0])
+    if not (isinstance(center, list) and len(center) == 2 and all(map(_is_number, center))):
+        raise ConfigError(f"decay_center must be a list of two numbers, got {center!r}")
     center = (float(center[0]), float(center[1]))
     if not all(map(math.isfinite, center)):
         raise ConfigError(f"decay_center must be finite, got {list(center)!r}")

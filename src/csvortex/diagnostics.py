@@ -215,7 +215,7 @@ class SolveReport:
     wall_time: float = math.nan
     extra: Dict[str, object] = field(default_factory=dict)
 
-    def lines(self, include_timing: bool = True) -> List[str]:
+    def lines(self) -> List[str]:
         out = ["schema_version = 1", f"mode = {self.mode}"]
         out.append(f"energy = {self.energy!r}")
         out.append(f"grad_norm = {self.grad_norm!r}")
@@ -245,12 +245,12 @@ class SolveReport:
             out.append(f"{key} = {self.extra[key]!r}")
         if self.iterations is not None:
             out.append(f"iterations = {self.iterations}")
-        if include_timing and not math.isnan(self.wall_time):
+        if not math.isnan(self.wall_time):
             out.append(f"wall_time_seconds = {self.wall_time:.3f}")
         return out
 
-    def to_text(self, include_timing: bool = True) -> str:
-        return "\n".join(self.lines(include_timing)) + "\n"
+    def to_text(self) -> str:
+        return "\n".join(self.lines()) + "\n"
 
     def failures(self, quantized_tol: float, residual_tol: float) -> List[str]:
         """Names of checks exceeding their tolerances (empty when all pass).

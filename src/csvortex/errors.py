@@ -1,30 +1,33 @@
 """Exception hierarchy for solver and configuration failures.
 
-Exit codes the command line front end gives each class (CsvortexError is
-only the base class):
-  1 ("config error"): ConfigError, DomainError ("error" when verify or
-    decay-fit cannot use a stored field);
-  2 ("diagnostic failure"): DiagnosticFailure;
-  3 ("solver failure"): NonConvergenceError, NonFiniteFieldError,
-    BoundaryTrappingError, MountainPassCollapseError, AdmissibilityError;
-  4 ("infeasible"): InfeasibleError.
+Each class carries the exit code the command line returns for it and the
+label it prints before the message; CsvortexError is only the base class.
 """
 
 
 class CsvortexError(Exception):
     """Base class for all package errors."""
+    exit_code, label = 1, "error"
 
 
 class ConfigError(CsvortexError):
     """Malformed or inconsistent run configuration / input files."""
+    exit_code, label = 1, "config error"
 
 
 class DomainError(CsvortexError):
     """Invalid grid domain or domain mismatch between fields."""
+    exit_code, label = 1, "config error"
+
+
+class FieldFileError(DomainError):
+    """A stored field that verify or decay-fit cannot read or use."""
+    exit_code, label = 1, "error"
 
 
 class NonFiniteFieldError(CsvortexError):
     """A kernel produced NaN/Inf; carries the offending node index."""
+    exit_code, label = 3, "solver failure"
 
     def __init__(self, message, node=None):
         super().__init__(message)
@@ -33,6 +36,7 @@ class NonFiniteFieldError(CsvortexError):
 
 class InfeasibleError(CsvortexError):
     """The necessary torus existence condition alpha*beta*|Omega| >= 8*pi*n fails."""
+    exit_code, label = 4, "infeasible"
 
     def __init__(self, message, margin=None):
         super().__init__(message)
@@ -41,6 +45,7 @@ class InfeasibleError(CsvortexError):
 
 class AdmissibilityError(CsvortexError):
     """A state violates the inequality constraints defining the admissible set."""
+    exit_code, label = 3, "solver failure"
 
     def __init__(self, message, constraint=None):
         super().__init__(message)
@@ -53,6 +58,7 @@ class BoundaryTrappingError(CsvortexError):
     Signature of the coupling alpha being below the multiplicity threshold.
     constraint names the inequality that rejected the last trial step.
     """
+    exit_code, label = 3, "solver failure"
 
     def __init__(self, message, constraint=None):
         super().__init__(message)
@@ -61,6 +67,7 @@ class BoundaryTrappingError(CsvortexError):
 
 class NonConvergenceError(CsvortexError):
     """Iteration budget exhausted; carries the last iterate and gradient norm."""
+    exit_code, label = 3, "solver failure"
 
     def __init__(self, message, state=None, grad_norm=None):
         super().__init__(message)
@@ -70,7 +77,9 @@ class NonConvergenceError(CsvortexError):
 
 class MountainPassCollapseError(CsvortexError):
     """No second solution: no vortices, or the saddle descent reached the first solution."""
+    exit_code, label = 3, "solver failure"
 
 
 class DiagnosticFailure(CsvortexError):
     """A verification check on a stored or computed solution failed."""
+    exit_code, label = 2, "diagnostic failure"

@@ -421,9 +421,9 @@ class TorusOperator:
         dom = self.domain
         return float(dens) * dom.cell_area / (dom.n1 * dom.n2)
 
-    def _evaluate(self, X: np.ndarray, energy: bool = True,
-                  gradient: bool = True) -> Tuple[Optional[float], Optional[np.ndarray]]:
-        """(energy or None, L2 gradient stack or None) at the state stack X.
+    def _evaluate(self, X: np.ndarray,
+                  gradient: bool = True) -> Tuple[float, Optional[np.ndarray]]:
+        """(energy, L2 gradient stack or None) at the state stack X.
 
         The energy's sums are pairwise (ndarray.sum), not BLAS dots: at 256²
         a dot's round-off stalls the first descent's line search (248
@@ -436,11 +436,10 @@ class TorusOperator:
         s = P + R
         s -= 2.0
         d = P - R
-        val = G = None
-        if energy:
-            pot = (p.alpha * (s * s).sum() + p.beta * (d * d).sum()
-                   + np.dot(self._sources, np.add.reduce(X, axis=(1, 2))))
-            val = self._dirichlet(wh) + float(pot) * self.domain.cell_area
+        pot = (p.alpha * (s * s).sum() + p.beta * (d * d).sum()
+               + np.dot(self._sources, np.add.reduce(X, axis=(1, 2))))
+        val = self._dirichlet(wh) + float(pot) * self.domain.cell_area
+        G = None
         if gradient:
             G = self._apply_symbol(wh, self._stiff)
             s *= 2.0 * p.alpha
@@ -475,7 +474,7 @@ class TorusOperator:
         return self._evaluate(np.stack((u, v)), gradient=False)[0]
 
     def gradient(self, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        G = self._evaluate(np.stack((u, v)), energy=False)[1]
+        G = self._evaluate(np.stack((u, v)))[1]
         return G[0], G[1]
 
     def fun_grad(self, u: np.ndarray,

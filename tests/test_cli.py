@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import tempfile
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from csvortex.cli import main
 from csvortex.config import RunOpts, load_config
-from csvortex.errors import ConfigError
+from csvortex.errors import ConfigError, CsvortexError
 from csvortex.fields import read_field, write_field
 from csvortex.model import MAX_SPECIES
 from csvortex.plane import PlaneOperator
@@ -20,6 +21,11 @@ from csvortex.torus import TorusOperator
 def write_cfg(path, cfg):
     path.write_text(json.dumps(cfg, indent=1))
     return str(path)
+
+
+def read_cfg(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 @pytest.fixture
@@ -103,6 +109,22 @@ def _garbled_configs(draw):
     return text.encode()
 
 
+# values the config used to coerce silently (a string to a boolean, a string
+# or a three-list to a point, a fraction or a boolean to a count), with the
+# key each refusal names
+_COERCIONS = [
+    ({"opts": {"tol": 1e-9, "second_solution": "false"}}, "opts.second_solution"),
+    ({"decay_center": "12"}, "decay_center"),
+    ({"decay_center": [1, 2, 3]}, "decay_center"),
+    ({"vortices": [{"species": 0, "x": 0.0, "y": 0.0, "multiplicity": 1.9}]},
+     "vortices[0].multiplicity"),
+    ({"domain": {"kind": "box", "half_width": 8.0, "n": 32.7}}, "domain.n"),
+    ({"params": {"alpha": 1.0, "beta": 1.0, "species": 1.5}}, "params.species"),
+    ({"params": {"alpha": 1.0, "beta": 1.0, "species": True}}, "params.species"),
+    ({"opts": {"tol": 1e-9, "max_iter": 10.9}}, "opts.max_iter"),
+]
+
+
 class TestConfigErrors:
     def test_malformed_json_names_line(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -142,7 +164,7 @@ class TestConfigErrors:
             raise AssertionError("the solve ran")
 
         monkeypatch.setattr(cli_mod, "minimize_torus", unreachable)
-        cfg = json.loads(open(torus_cfg).read())
+        cfg = read_cfg(torus_cfg)
         cfg["domain"] = {"kind": "torus", "periods": [6.283185307179586, 12.566370614359172],
                          "n": [32, 32]}
         p = write_cfg(tmp_path / "aspect.json", cfg)
@@ -162,14 +184,29 @@ class TestConfigErrors:
         {"domain": {"kind": "box", "half_width": 8.0, "n": "sixty-four"}},
         {"domain": {"kind": "box", "half_width": 8.0, "n": 1e400}},
         {"opts": {"tol": "tight"}},
+        *[garble for garble, _ in _COERCIONS],
     ])
     def test_wrong_json_types_exit_one(self, plane_cfg, tmp_path, capsys, garble):
-        cfg = json.loads(open(plane_cfg).read())
+        cfg = read_cfg(plane_cfg)
         cfg.update(garble)
         p = tmp_path / "garbled.json"
         p.write_text(json.dumps(cfg))
         assert main(["solve-plane", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("garble, key", _COERCIONS)
+    def test_refused_coercions_name_the_key(self, plane_cfg, tmp_path, garble, key):
+        cfg = read_cfg(plane_cfg)
+        cfg.update(garble)
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(write_cfg(tmp_path / "garbled.json", cfg))
+
+    def test_integral_floats_still_parse(self, plane_cfg, tmp_path):
+        cfg = read_cfg(plane_cfg)
+        cfg["domain"]["n"] = 64.0
+        cfg["opts"]["max_iter"] = 10.0
+        loaded = load_config(write_cfg(tmp_path / "c.json", cfg))
+        assert (loaded.domain.n1, loaded.opts.max_iter) == (64, 10)
 
     def test_unreadable_config_or_output_dir_exit_one(self, plane_cfg, tmp_path,
                                                       monkeypatch):
@@ -178,7 +215,7 @@ class TestConfigErrors:
         binary = tmp_path / "binary.json"
         binary.write_bytes(b"\xff\xfe{")
         assert main(["verify", "--config", str(binary)]) == 1
-        cfg = json.loads(open(plane_cfg).read())
+        cfg = read_cfg(plane_cfg)
         cfg["opts"]["out_dir"] = ""
         assert main(["verify", "--config", write_cfg(tmp_path / "c.json", cfg)]) == 1
 
@@ -196,7 +233,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize("opts", [{"tol": 0.0}, {"tol": -1e-9}, {"max_iter": 0}])
     def test_nonpositive_tol_or_max_iter_in_config_exit_one(self, plane_cfg, tmp_path,
                                                             capsys, opts):
-        cfg = json.loads(open(plane_cfg).read())
+        cfg = read_cfg(plane_cfg)
         cfg["opts"].update(opts)
         p = write_cfg(tmp_path / "c.json", cfg)
         assert main(["solve-plane", "--config", p, "--out", str(tmp_path / "o")]) == 1
@@ -233,7 +270,7 @@ class TestConfigErrors:
             "plane-lambda-1e308", "plane-alpha-1e300"])
     def test_non_finite_inputs_exit_typed(self, plane_cfg, torus_cfg, tmp_path, capsys,
                                           mode, path, value, code):
-        cfg = json.loads(open(plane_cfg if mode == "plane" else torus_cfg).read())
+        cfg = read_cfg(plane_cfg if mode == "plane" else torus_cfg)
         block = cfg
         for key in path[:-1]:
             block = block[key]
@@ -244,7 +281,7 @@ class TestConfigErrors:
         assert capsys.readouterr().out.startswith(prefix)
 
     def test_overflowing_background_names_lambda(self, plane_cfg, tmp_path, capsys):
-        cfg = json.loads(open(plane_cfg).read())
+        cfg = read_cfg(plane_cfg)
         cfg["params"]["lambda_bg"] = 1e308
         p = write_cfg(tmp_path / "c.json", cfg)
         assert main(["solve-plane", "--config", p, "--out", str(tmp_path / "o")]) == 3
@@ -254,7 +291,7 @@ class TestConfigErrors:
     def test_species_count_bounded_before_allocation(self, plane_cfg, tmp_path, capsys):
         # one vortex list per species used to be built before any bound, so a
         # garbled count ran for minutes and exhausted memory
-        cfg = json.loads(open(plane_cfg).read())
+        cfg = read_cfg(plane_cfg)
         cfg["params"]["species"] = MAX_SPECIES
         assert load_config(write_cfg(tmp_path / "max.json", cfg)).params.species == MAX_SPECIES
         for species in (MAX_SPECIES + 1, 10**6):
@@ -277,6 +314,63 @@ class TestConfigErrors:
                 fh.write(content)
             code = main([command, "--config", path, "--out", os.path.join(tmp, "o")])
         assert code in (0, 1, 2, 3, 4)
+
+
+def _error_classes(cls=CsvortexError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+class TestFailurePath:
+    """Each error class carries its exit code and label; main prints
+    ``label: message`` and returns that code."""
+
+    def test_exit_code_table(self):
+        table = {cls.__name__: (cls.exit_code, cls.label) for cls in _error_classes()}
+        solver = (3, "solver failure")
+        assert table == {
+            "CsvortexError": (1, "error"), "ConfigError": (1, "config error"),
+            "DomainError": (1, "config error"), "FieldFileError": (1, "error"),
+            "DiagnosticFailure": (2, "diagnostic failure"),
+            "NonConvergenceError": solver, "NonFiniteFieldError": solver,
+            "BoundaryTrappingError": solver, "MountainPassCollapseError": solver,
+            "AdmissibilityError": solver, "InfeasibleError": (4, "infeasible"),
+        }
+
+    @pytest.mark.parametrize("error", list(_error_classes()), ids=lambda cls: cls.__name__)
+    def test_main_returns_the_class_code(self, plane_cfg, tmp_path, capsys, monkeypatch,
+                                         error):
+        import csvortex.cli as cli_mod
+
+        def fail(cfg):
+            raise error("the message")
+
+        monkeypatch.setattr(cli_mod, "cmd_solve_plane", fail)
+        assert error.exit_code in (1, 2, 3, 4)
+        argv = ["solve-plane", "--config", plane_cfg, "--out", str(tmp_path / "o")]
+        assert main(argv) == error.exit_code
+        assert capsys.readouterr() == (f"{error.label}: the message\n", "")
+
+    def test_unwritable_field_exits_one(self, plane_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "f.bin").mkdir(parents=True)
+        args = ["--config", plane_cfg, "--out", str(out), "--grid", "32"]
+        assert main(["solve-plane"] + args) == 1
+        printed, err = capsys.readouterr()
+        assert printed.startswith("error: ") and "f.bin" in printed and err == ""
+
+    def test_unreadable_field_exits_one(self, plane_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        args = ["--config", plane_cfg, "--out", str(out), "--grid", "32"]
+        assert main(["solve-plane"] + args) == 0
+        (out / "u.bin").unlink()
+        (out / "u.bin").mkdir()
+        capsys.readouterr()
+        for command in ("verify", "decay-fit"):
+            assert main([command] + args) == 1
+            printed, err = capsys.readouterr()
+            assert printed.startswith("error: ") and "u.bin" in printed and err == ""
 
 
 class TestUsageErrors:
@@ -377,7 +471,7 @@ class TestPlanePipeline:
         assert main(["verify", "--config", plane_cfg, "--out", str(out),
                      "--grid", "32"]) == 1
         assert "64x64 box" in capsys.readouterr().out
-        cfg = json.loads(open(plane_cfg).read())
+        cfg = read_cfg(plane_cfg)
         cfg["domain"]["half_width"] = 8.5
         wider = write_cfg(tmp_path / "wider.json", cfg)
         assert main(["verify", "--config", wider, "--out", str(out)]) == 1
@@ -450,7 +544,7 @@ class TestPlanePipeline:
 
     def test_decay_annulus_outside_the_box(self, plane_cfg, tmp_path, capsys):
         # about (3, 0) the annulus 4..6.4 of the 8-box reaches x = 9.4
-        cfg = json.loads(open(plane_cfg).read())
+        cfg = read_cfg(plane_cfg)
         cfg["decay_center"] = [3.0, 0.0]
         p = write_cfg(tmp_path / "shifted.json", cfg)
         out = tmp_path / "run"

@@ -193,7 +193,8 @@ class TestSolveReport:
         assert text1 == text2
         assert "schema_version = 1" in text1
         assert "wall_time_seconds" in text1
-        assert "wall_time_seconds" not in rep.to_text(include_timing=False)
+        # a report without a wall time, as verify and decay-fit write, has no timing line
+        assert "wall_time_seconds" not in SolveReport(mode="plane").to_text()
 
     def test_failures_list(self):
         from csvortex.diagnostics import QuantizedIntegral
