@@ -69,6 +69,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _number(value, key: str) -> float:
+    """A JSON number as a float; a boolean or a string is refused rather than
+    coerced."""
+    if _is_number(value):
+        return float(value)
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
 def _integer(value, key: str) -> int:
     """An integral JSON number (64 or 64.0); a fraction, a boolean or a string
     is refused rather than truncated."""
@@ -120,11 +128,11 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
     p = _require(raw, "params", "config root")
     try:
         params = ModelParams(
-            alpha=float(_require(p, "alpha", "params")),
-            beta=float(_require(p, "beta", "params")),
+            alpha=_number(_require(p, "alpha", "params"), "params.alpha"),
+            beta=_number(_require(p, "beta", "params"), "params.beta"),
             species=_integer(p.get("species", 1), "params.species"),
-            lambda_bg=float(p.get("lambda_bg", DEFAULTS["lambda_bg"])),
-            sigma=float(p.get("sigma", 2.0)),
+            lambda_bg=_number(p.get("lambda_bg", DEFAULTS["lambda_bg"]), "params.lambda_bg"),
+            sigma=_number(p.get("sigma", 2.0), "params.sigma"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid params block: {exc}") from exc
@@ -134,7 +142,8 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
     for k, entry in enumerate(vraw):
         try:
             s = _integer(entry.get("species", 0), f"vortices[{k}].species")
-            pt = (float(entry["x"]), float(entry["y"]),
+            pt = (_number(entry["x"], f"vortices[{k}].x"),
+                  _number(entry["y"], f"vortices[{k}].y"),
                   _integer(entry.get("multiplicity", 1), f"vortices[{k}].multiplicity"))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid vortices[{k}]: {exc}") from exc
@@ -153,7 +162,8 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
     if kind == "box":
         n = _integer(overrides.get("grid", d.get("n", DEFAULTS["plane_grid"])), "domain.n")
         half = d.get("half_width")
-        half = float(half) if half is not None else _auto_half_width(params, vortices)
+        half = (_number(half, "domain.half_width") if half is not None
+                else _auto_half_width(params, vortices))
         domain = GridDomain.box(half, n)
     else:
         periods = d.get("periods", [2.0 * math.pi, 2.0 * math.pi])
@@ -163,7 +173,8 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
         nn = nn if isinstance(nn, list) else [nn, nn]
         if len(nn) != 2:
             raise ConfigError("domain.n must be an integer or a two-element list")
-        domain = GridDomain.torus(float(periods[0]), float(periods[1]),
+        domain = GridDomain.torus(_number(periods[0], "domain.periods[0]"),
+                                  _number(periods[1], "domain.periods[1]"),
                                   _integer(nn[0], "domain.n"), _integer(nn[1], "domain.n"))
         _kind_code(domain)  # cells the field files cannot store: refused before any solve
     vortices.validate_in(domain)
@@ -172,14 +183,17 @@ def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
     second = overrides.get("second_solution", o.get("second_solution", False))
     if not isinstance(second, bool):
         raise ConfigError(f"opts.second_solution must be true or false, got {second!r}")
+    out_dir = o.get("out_dir", ".")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"opts.out_dir must be a string, got {out_dir!r}")
     opts = RunOpts(
-        tol=float(overrides.get("tol", o.get("tol", DEFAULTS["tol"]))),
+        tol=overrides.get("tol", _number(o.get("tol", DEFAULTS["tol"]), "opts.tol")),
         max_iter=_integer(overrides.get("max_iter", o.get("max_iter", DEFAULTS["max_iter"])),
                           "opts.max_iter"),
         second_solution=second,
         quantized_tol=(None if o.get("quantized_tol") is None
-                       else float(o["quantized_tol"])),
-        out_dir=str(overrides.get("out", o.get("out_dir", "."))),
+                       else _number(o["quantized_tol"], "opts.quantized_tol")),
+        out_dir=overrides.get("out", out_dir),
     )
     if not 0 < opts.tol < math.inf:
         raise ConfigError(f"tol must be positive and finite, got {opts.tol!r}")

@@ -2,9 +2,10 @@
 
 ``minimize_lbfgs`` is a limited-memory quasi-Newton loop with a strong-Wolfe
 line search.  Its direction comes from the compact form of the inverse
-Hessian (Byrd, Nocedal and Schnabel 1994): four sweeps of two fixed buffers
-of kept pairs, one small triangular solve, and one application of the
-preconditioner per iteration.  Accepted energies never
+Hessian (Byrd, Nocedal and Schnabel 1994): two single-precision sweeps of
+one fixed float32 buffer of kept pairs, each row under its own power of two,
+two small k×k solves in float64, and one application of the preconditioner
+per iteration.  Accepted energies never
 increase, and they decrease strictly wherever the decrease is resolvable:
 once the predicted decrease of a step falls below 64 ulps of the energy, the
 line search accepts on the approximate-Wolfe slope test of Hager and Zhang
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 
 _HISTORY = 12  # L-BFGS correction pairs kept
@@ -163,24 +163,30 @@ class _Pairs:
 
         H = γP + [S, γPY] [[R⁻ᵀ(D + γYᵀPY)R⁻¹, -R⁻ᵀ], [-R⁻¹, 0]] [Sᵀ; γYᵀP],
 
-    where R is the upper triangle of SᵀY and D its diagonal.  The pairs live
-    in two fixed (_HISTORY, n) buffers, S and PY = P·Y, filled in order and
-    then overwritten oldest first; SᵀY and YᵀPY are kept by buffer slot.
+    where R is the upper triangle of SᵀY and D its diagonal.  Slot i holds
+    s_i and P y_i as rows 2i and 2i+1 of one (2·_HISTORY, n) float32 buffer,
+    filled in order and then overwritten oldest first; SᵀY and YᵀPY are kept
+    by slot in float64.  Each row is stored divided by its own power of two
+    2^e (``exp``), taken from ‖s‖₂ or max|P y|, so its entries are at most 1:
+    no finite pair overflows float32, and none is flushed by another's scale.
+    Scaling a problem by a power of two then changes the exponents only.
 
-    A direction sweeps the buffers four times: Sᵀg and (PY)ᵀg, kept by slot,
-    and the two products that assemble -H g.  The column a new pair adds to
-    SᵀY and YᵀPY costs no sweep of its own.  Its y is g - g_prev, so
-    s_i·y = s_i·g - s_i·g_prev and (P y_i)·y = (P y_i)·g - (P y_i)·g_prev: the
-    difference of the kept products at consecutive gradients.  ``push``
-    computes only the new diagonal entries s·y and y·P y; the next
-    ``direction``, at the gradient g the pair ends at, fills in the rest.
-    Every direction refreshes the kept products of all kept pairs, so after
-    ``clear`` none from before it is ever read.
+    A direction sweeps the buffer twice, in single precision: once for Sᵀg
+    and (PY)ᵀg, with g cast under the power of two of max|g|, and once for
+    the combination of rows that assembles -H g, put back into float64 with
+    the exact scales.  The k×k algebra, the diagonal entries s·y and y·P y,
+    and γ stay float64.  The column a new pair adds to SᵀY and YᵀPY costs no
+    sweep of its own.  Its y is g - g_prev, so s_i·y = s_i·g - s_i·g_prev and
+    (P y_i)·y = (P y_i)·g - (P y_i)·g_prev: the difference of the kept
+    products at consecutive gradients.  ``push`` computes only the new
+    diagonal entries; the next ``direction``, at the gradient g the pair ends
+    at, fills in the rest.  Every direction refreshes the kept products of
+    all kept pairs, so after ``clear`` none from before it is ever read.
     """
 
     def __init__(self, n: int):
-        self.s = np.zeros((_HISTORY, n))
-        self.py = np.zeros((_HISTORY, n))
+        self.rows = np.zeros((2 * _HISTORY, n), np.float32)  # s_i, P y_i over 2^exp
+        self.exp = np.zeros(2 * _HISTORY, int)
         self.sy = np.zeros((_HISTORY, _HISTORY))   # s_i·y_j, by slot
         self.ypy = np.zeros((_HISTORY, _HISTORY))  # y_i·P y_j, by slot
         self.sg = np.zeros(_HISTORY)               # s_i·g at the last direction
@@ -193,28 +199,38 @@ class _Pairs:
         self.gamma = 1.0
         self.fresh = None   # slot whose column waits for the next direction
 
-    def push(self, s: np.ndarray, y: np.ndarray, py: np.ndarray) -> None:
+    def _store(self, row: int, v: np.ndarray, bound: float) -> None:
+        """Row ``row`` := v/2^e in float32, for the exponent e of ``bound`` >= max|v|."""
+        self.exp[row] = e = math.frexp(bound)[1]
+        np.ldexp(v, -e, out=self.rows[row], casting="same_kind")
+
+    def push(self, s: np.ndarray, y: np.ndarray, sy: float, s_norm: float,
+             py: np.ndarray) -> None:
+        """Keep the pair (s, y) with s·y and ‖s‖₂ already known, given P y."""
         if self.k < _HISTORY:
             slot = self.k
             self.k += 1
         else:
             slot = self.head
             self.head = (self.head + 1) % _HISTORY
-        self.s[slot] = s
-        self.py[slot] = py
-        self.sy[slot, slot] = sy = float(np.dot(s, y))
+        self._store(2 * slot, s, s_norm)
+        self._store(2 * slot + 1, py, max(float(py.max()), -float(py.min())))
+        self.sy[slot, slot] = sy
         self.ypy[slot, slot] = ypy = float(np.dot(y, py))
         self.gamma = sy / max(ypy, 1e-300)
         self.fresh = slot
 
-    def direction(self, g: np.ndarray, pg: np.ndarray) -> np.ndarray:
-        """-H g, given P g."""
+    def direction(self, g: np.ndarray, pg: np.ndarray, g_max: float) -> np.ndarray:
+        """-H g, given P g and max|g|."""
         d = pg * -self.gamma
         k = self.k
         if k == 0:
             return d
-        sg = self.s[:k] @ g
-        pyg = self.py[:k] @ g
+        rows, exp = self.rows[:2 * k], self.exp[:2 * k]
+        e_g = math.frexp(g_max)[1]
+        g32 = np.ldexp(g, -e_g, out=np.empty(g.size, np.float32), casting="same_kind")
+        prod = np.ldexp(rows @ g32, exp + e_g, dtype=float)
+        sg, pyg = prod[0::2], prod[1::2]
         if self.fresh is not None:
             j = self.fresh
             old = np.arange(k) != j
@@ -226,24 +242,25 @@ class _Pairs:
         order = (self.head + np.arange(k)) % _HISTORY  # slots, oldest first
         cols = np.ix_(order, order)
         r = np.triu(self.sy[cols])
-        a = sg[order]
-        b = pyg[order]
-        p = solve_triangular(r, a)
-        w = np.diag(r) * p + self.gamma * (self.ypy[cols] @ p - b)
-        q = solve_triangular(r, w, trans="T")
-        qs = np.empty(k)
-        qs[order] = q
-        ps = np.empty(k)
-        ps[order] = p * self.gamma
-        d -= qs @ self.s[:k]
-        d += ps @ self.py[:k]
+        p = np.linalg.solve(r, sg[order])
+        w = np.diag(r) * p + self.gamma * (self.ypy[cols] @ p - pyg[order])
+        q = np.linalg.solve(r.T, w)
+        coef = np.empty(2 * k)
+        coef[2 * order] = -q
+        coef[2 * order + 1] = p * self.gamma
+        coef = np.ldexp(coef, exp)   # weight of each stored row
+        e_c = math.frexp(float(np.max(np.abs(coef))))[1]
+        c32 = np.ldexp(coef, -e_c, out=np.empty(2 * k, np.float32), casting="same_kind")
+        d += np.ldexp(c32 @ rows, e_c, dtype=float)
         return d
 
 
 def _curvature_pair(s: np.ndarray, y: np.ndarray):
-    """(s, y) if the step passes the curvature test, else None."""
-    if float(np.dot(s, y)) > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-        return s, y
+    """(s, y, s·y, ‖s‖₂) if the step passes the curvature test, else None."""
+    sy = float(np.dot(s, y))
+    s_norm = float(np.linalg.norm(s))
+    if sy > 1e-10 * s_norm * float(np.linalg.norm(y)):
+        return s, y, sy, s_norm
     return None
 
 
@@ -269,7 +286,8 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
     boundary = False
     it = 0
     for it in range(1, max_iter + 1):
-        if float(np.max(np.abs(g))) <= tol_inf:
+        g_max = float(np.max(np.abs(g)))
+        if g_max <= tol_inf:
             return OptResult(x, f, g, it - 1, True, energies,
                              "gradient tolerance met", boundary)
         pg_new = apply_p(g)
@@ -277,7 +295,7 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
             pairs.push(*pending, pg_new - pg)
             pending = None
         pg = pg_new
-        d = pairs.direction(g, pg)
+        d = pairs.direction(g, pg, g_max)
         if _slope(g, d) >= 0:
             pairs.clear()
             d = -pg

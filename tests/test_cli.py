@@ -110,8 +110,9 @@ def _garbled_configs(draw):
 
 
 # values the config used to coerce silently (a string to a boolean, a string
-# or a three-list to a point, a fraction or a boolean to a count), with the
-# key each refusal names
+# or a three-list to a point, a fraction or a boolean to a count, a boolean
+# or a string to a number, a number to a directory), with the key each
+# refusal names
 _COERCIONS = [
     ({"opts": {"tol": 1e-9, "second_solution": "false"}}, "opts.second_solution"),
     ({"decay_center": "12"}, "decay_center"),
@@ -122,6 +123,18 @@ _COERCIONS = [
     ({"params": {"alpha": 1.0, "beta": 1.0, "species": 1.5}}, "params.species"),
     ({"params": {"alpha": 1.0, "beta": 1.0, "species": True}}, "params.species"),
     ({"opts": {"tol": 1e-9, "max_iter": 10.9}}, "opts.max_iter"),
+    ({"params": {"alpha": True, "beta": 1.0}}, "params.alpha"),
+    ({"params": {"alpha": 1.0, "beta": "2.5"}}, "params.beta"),
+    ({"params": {"alpha": 1.0, "beta": 1.0, "lambda_bg": True}}, "params.lambda_bg"),
+    ({"params": {"alpha": 1.0, "beta": 1.0, "sigma": "3"}}, "params.sigma"),
+    ({"domain": {"kind": "box", "half_width": "8", "n": 64}}, "domain.half_width"),
+    ({"vortices": [{"species": 0, "x": False, "y": 0.0}]}, "vortices[0].x"),
+    ({"opts": {"tol": True}}, "opts.tol"),
+    ({"opts": {"tol": 1e-9, "quantized_tol": True}}, "opts.quantized_tol"),
+    ({"opts": {"tol": 1e-9, "out_dir": 5}}, "opts.out_dir"),
+    ({"mode": "torus", "params": {"alpha": 30.0, "beta": 45.0},
+      "domain": {"kind": "torus", "periods": ["6.5", 6.5], "n": 32},
+      "vortices": [{"species": 0, "x": 3.0, "y": 3.0}]}, "domain.periods[0]"),
 ]
 
 
@@ -200,6 +213,16 @@ class TestConfigErrors:
         cfg.update(garble)
         with pytest.raises(ConfigError, match=re.escape(key)):
             load_config(write_cfg(tmp_path / "garbled.json", cfg))
+
+    @pytest.mark.parametrize("opts", [{"tol": True}, {"tol": 1e-9, "out_dir": 5}])
+    def test_override_does_not_hide_a_refused_value(self, plane_cfg, tmp_path, capsys,
+                                                     opts):
+        cfg = read_cfg(plane_cfg)
+        cfg["opts"] = opts
+        p = write_cfg(tmp_path / "garbled.json", cfg)
+        assert main(["solve-plane", "--config", p, "--tol", "1e-9",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "opts." in capsys.readouterr().out
 
     def test_integral_floats_still_parse(self, plane_cfg, tmp_path):
         cfg = read_cfg(plane_cfg)
