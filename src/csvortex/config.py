@@ -8,6 +8,7 @@ or field so the command line can report them precisely.
 
 from __future__ import annotations
 
+import difflib
 import json
 import math
 import os
@@ -22,9 +23,6 @@ from .model import ModelParams
 SCHEMA_VERSION = 1
 
 DEFAULTS = {
-    "lambda_bg": 10.0,
-    "tol": 1e-8,
-    "max_iter": 4000,
     "plane_grid": 512,
     "torus_grid": 256,
     "box_target_decay": 25.0,   # auto half-width: m*L >= 25
@@ -35,11 +33,20 @@ DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunOpts:
-    tol: float = DEFAULTS["tol"]
-    max_iter: int = DEFAULTS["max_iter"]
+    tol: float = 1e-8
+    max_iter: int = 4000
     second_solution: bool = False
     quantized_tol: Optional[float] = None
     out_dir: str = "."
+
+    def __post_init__(self):
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be positive and finite, got {self.tol!r}")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        if self.quantized_tol is not None and not 0 < self.quantized_tol < math.inf:
+            raise ConfigError(
+                f"quantized_tol must be positive and finite, got {self.quantized_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -59,30 +66,77 @@ class RunConfig:
                         else "quantized_tol_torus"]
 
 
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ConfigError(f"missing field {key!r} in {where}")
-    return cfg[key]
+# block -> key -> JSON kind, as `_read` spells it; "!" marks a required key
+# and None a retired schema-v1 key, still accepted and ignored.  A key of kind
+# "object" or "object[]" is itself a block of this table.
+_SCHEMA = {
+    "": {"schema_version": "integer!", "mode": "string!", "params": "object!",
+         "domain": "object", "vortices": "object[]", "opts": "object",
+         "decay_center": "number[2]"},
+    "params": {"alpha": "number!", "beta": "number!", "species": "integer",
+               "lambda_bg": "number", "sigma": "number"},
+    "domain": {"kind": "string", "half_width": "number", "n": "integer|integer[2]",
+               "periods": "number[2]"},
+    "vortices": {"species": "integer", "x": "number!", "y": "number!",
+                 "multiplicity": "integer"},
+    "opts": {"tol": "number", "max_iter": "integer", "second_solution": "boolean",
+             "quantized_tol": "number", "out_dir": "string", "seed": None,
+             "path_nodes": None, "separation": None, "residual_tol": None, "lam_t": None},
+}
+
+# command-line override -> (block, key) it replaces once the file is read
+_OVERRIDES = {"grid": ("domain", "n"), "tol": ("opts", "tol"),
+              "max_iter": ("opts", "max_iter"),
+              "second_solution": ("opts", "second_solution"), "out": ("opts", "out_dir")}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# JSON kind -> (test, conversion).  A boolean is not a number, an integral
+# number (64 or 64.0) is an integer, and nothing is coerced.
+_KINDS = {
+    "number": (lambda v: type(v) in (int, float), float),
+    "integer": (lambda v: type(v) in (int, float) and float(v).is_integer(), int),
+    "boolean": (lambda v: isinstance(v, bool), bool),
+    "string": (lambda v: isinstance(v, str), str),
+    "object": (lambda v: isinstance(v, dict), dict),
+}
 
 
-def _number(value, key: str) -> float:
-    """A JSON number as a float; a boolean or a string is refused rather than
-    coerced."""
-    if _is_number(value):
-        return float(value)
-    raise ConfigError(f"{key} must be a number, got {value!r}")
+def _read(value, kind: str, key: str):
+    """value as its JSON kind: one of `_KINDS`, a list of one ("object[]"), a
+    list of exactly two ("number[2]"), or alternatives joined by "|".  Any
+    other value is refused, naming key."""
+    for alt in kind.split("|"):
+        base, _, size = alt.partition("[")
+        if not size and _KINDS[base][0](value):
+            return _KINDS[base][1](value)
+        if size and isinstance(value, list) and size in ("]", f"{len(value)}]"):
+            return [_read(v, base, f"{key}[{i}]") for i, v in enumerate(value)]
+    raise ConfigError(f"{key} must be {kind.replace('|', ' or ')}, got {value!r}")
 
 
-def _integer(value, key: str) -> int:
-    """An integral JSON number (64 or 64.0); a fraction, a boolean or a string
-    is refused rather than truncated."""
-    if _is_number(value) and float(value).is_integer():
-        return int(value)
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
+def _block(block: dict, name: str, where: str) -> dict:
+    """block's values read through `_SCHEMA[name]`, nested blocks included.
+    An unknown key is refused, naming the nearest known key (case aside), and
+    so is a missing required key; retired keys are dropped."""
+    schema, out = _SCHEMA[name], {}
+    for key, value in block.items():
+        if key not in schema:
+            near = difflib.get_close_matches(key.casefold(), schema, n=1, cutoff=0.5)
+            hint = f"; did you mean {where}{near[0]}?" if near else ""
+            raise ConfigError(f"unknown key {where}{key}{hint}")
+        kind = schema[key]
+        if kind is None:
+            continue
+        value = _read(value, kind.rstrip("!"), where + key)
+        if kind.startswith("object["):
+            value = [_block(v, key, f"{where}{key}[{i}].") for i, v in enumerate(value)]
+        elif kind.startswith("object"):
+            value = _block(value, key, f"{where}{key}.")
+        out[key] = value
+    for key, kind in schema.items():
+        if kind and kind.endswith("!") and key not in block:
+            raise ConfigError(f"missing field {key!r} in {where[:-1] or 'config root'}")
+    return out
 
 
 def _auto_half_width(params: ModelParams, vortices: VortexSet) -> float:
@@ -110,104 +164,50 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         return parse_config(raw, overrides or {})
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
             ValueError) as exc:
-        # a block or value of the wrong JSON type, e.g. a number for a list
+        # e.g. a 400-digit integer literal, which float() cannot hold
         raise ConfigError(f"malformed config {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def parse_config(raw: dict, overrides: Optional[dict] = None) -> RunConfig:
-    overrides = overrides or {}
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    version = _require(raw, "schema_version", "config root")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version!r} (need {SCHEMA_VERSION})")
-    mode = _require(raw, "mode", "config root")
+    cfg = _block(_read(raw, "object", "config root"), "", "")
+    for name, value in (overrides or {}).items():
+        block, key = _OVERRIDES[name]
+        cfg.setdefault(block, {})[key] = value
+    if cfg["schema_version"] != SCHEMA_VERSION:
+        raise ConfigError(
+            f"unsupported schema_version {cfg['schema_version']!r} (need {SCHEMA_VERSION})")
+    mode = cfg["mode"]
     if mode not in ("plane", "torus"):
         raise ConfigError(f"mode must be 'plane' or 'torus', got {mode!r}")
+    params = ModelParams(**cfg["params"])
 
-    p = _require(raw, "params", "config root")
-    try:
-        params = ModelParams(
-            alpha=_number(_require(p, "alpha", "params"), "params.alpha"),
-            beta=_number(_require(p, "beta", "params"), "params.beta"),
-            species=_integer(p.get("species", 1), "params.species"),
-            lambda_bg=_number(p.get("lambda_bg", DEFAULTS["lambda_bg"]), "params.lambda_bg"),
-            sigma=_number(p.get("sigma", 2.0), "params.sigma"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid params block: {exc}") from exc
-
-    vraw = raw.get("vortices", [])
     per_species: List[List[Tuple[float, float, int]]] = [[] for _ in range(params.species)]
-    for k, entry in enumerate(vraw):
-        try:
-            s = _integer(entry.get("species", 0), f"vortices[{k}].species")
-            pt = (_number(entry["x"], f"vortices[{k}].x"),
-                  _number(entry["y"], f"vortices[{k}].y"),
-                  _integer(entry.get("multiplicity", 1), f"vortices[{k}].multiplicity"))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid vortices[{k}]: {exc}") from exc
+    for k, entry in enumerate(cfg.get("vortices", [])):
+        s = entry.get("species", 0)
         if not 0 <= s < params.species:
             raise ConfigError(
                 f"vortices[{k}].species = {s} out of range 0..{params.species - 1}")
-        per_species[s].append(pt)
+        per_species[s].append((entry["x"], entry["y"], entry.get("multiplicity", 1)))
     vortices = VortexSet(tuple(tuple(pts) for pts in per_species))
 
-    d = raw.get("domain", {})
-    kind = d.get("kind", "box" if mode == "plane" else "torus")
-    if mode == "plane" and kind != "box":
-        raise ConfigError("plane mode requires a box domain")
-    if mode == "torus" and kind != "torus":
-        raise ConfigError("torus mode requires a torus domain")
+    d = cfg.get("domain", {})
+    kind = "box" if mode == "plane" else "torus"
+    if d.get("kind", kind) != kind:
+        raise ConfigError(f"{mode} mode requires a {kind} domain")
+    n = d.get("n", DEFAULTS[f"{mode}_grid"])
     if kind == "box":
-        n = _integer(overrides.get("grid", d.get("n", DEFAULTS["plane_grid"])), "domain.n")
-        half = d.get("half_width")
-        half = (_number(half, "domain.half_width") if half is not None
-                else _auto_half_width(params, vortices))
-        domain = GridDomain.box(half, n)
+        half = d["half_width"] if "half_width" in d else _auto_half_width(params, vortices)
+        domain = GridDomain.box(half, _read(n, "integer", "domain.n"))  # one n for a box
     else:
-        periods = d.get("periods", [2.0 * math.pi, 2.0 * math.pi])
-        if not (isinstance(periods, list) and len(periods) == 2):
-            raise ConfigError("domain.periods must be a two-element list")
-        nn = overrides.get("grid", d.get("n", DEFAULTS["torus_grid"]))
-        nn = nn if isinstance(nn, list) else [nn, nn]
-        if len(nn) != 2:
-            raise ConfigError("domain.n must be an integer or a two-element list")
-        domain = GridDomain.torus(_number(periods[0], "domain.periods[0]"),
-                                  _number(periods[1], "domain.periods[1]"),
-                                  _integer(nn[0], "domain.n"), _integer(nn[1], "domain.n"))
+        n1, n2 = n if isinstance(n, list) else (n, n)
+        domain = GridDomain.torus(*d.get("periods", (2.0 * math.pi, 2.0 * math.pi)), n1, n2)
         _kind_code(domain)  # cells the field files cannot store: refused before any solve
     vortices.validate_in(domain)
 
-    o = raw.get("opts", {})
-    second = overrides.get("second_solution", o.get("second_solution", False))
-    if not isinstance(second, bool):
-        raise ConfigError(f"opts.second_solution must be true or false, got {second!r}")
-    out_dir = o.get("out_dir", ".")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"opts.out_dir must be a string, got {out_dir!r}")
-    opts = RunOpts(
-        tol=overrides.get("tol", _number(o.get("tol", DEFAULTS["tol"]), "opts.tol")),
-        max_iter=_integer(overrides.get("max_iter", o.get("max_iter", DEFAULTS["max_iter"])),
-                          "opts.max_iter"),
-        second_solution=second,
-        quantized_tol=(None if o.get("quantized_tol") is None
-                       else _number(o["quantized_tol"], "opts.quantized_tol")),
-        out_dir=overrides.get("out", out_dir),
-    )
-    if not 0 < opts.tol < math.inf:
-        raise ConfigError(f"tol must be positive and finite, got {opts.tol!r}")
-    if opts.max_iter < 1:
-        raise ConfigError(f"max_iter must be at least 1, got {opts.max_iter!r}")
-    if opts.quantized_tol is not None and not 0 < opts.quantized_tol < math.inf:
-        raise ConfigError(
-            f"quantized_tol must be positive and finite, got {opts.quantized_tol!r}")
+    opts = RunOpts(**cfg.get("opts", {}))
     if mode == "torus":
         params.require_torus_mode()
-    center = raw.get("decay_center", [0.0, 0.0])
-    if not (isinstance(center, list) and len(center) == 2 and all(map(_is_number, center))):
-        raise ConfigError(f"decay_center must be a list of two numbers, got {center!r}")
-    center = (float(center[0]), float(center[1]))
+    center = tuple(cfg.get("decay_center", (0.0, 0.0)))
     if not all(map(math.isfinite, center)):
         raise ConfigError(f"decay_center must be finite, got {list(center)!r}")
     return RunConfig(mode, params, vortices, domain, opts, center)

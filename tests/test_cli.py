@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csvortex.cli import main
-from csvortex.config import RunOpts, load_config
+from csvortex.config import _SCHEMA, RunOpts, load_config, parse_config
 from csvortex.errors import ConfigError, CsvortexError
 from csvortex.fields import read_field, write_field
 from csvortex.model import MAX_SPECIES
@@ -135,6 +135,14 @@ _COERCIONS = [
     ({"mode": "torus", "params": {"alpha": 30.0, "beta": 45.0},
       "domain": {"kind": "torus", "periods": ["6.5", 6.5], "n": 32},
       "vortices": [{"species": 0, "x": 3.0, "y": 3.0}]}, "domain.periods[0]"),
+    # True == 1, so a boolean version used to pass the version check
+    ({"schema_version": True}, "schema_version"),
+    # a block of the wrong JSON type: a missing-field message, a raw
+    # AttributeError, or (a vortex object) zero vortices without a word
+    ({"params": [1]}, "params"),
+    ({"opts": [1]}, "opts"),
+    ({"domain": []}, "domain"),
+    ({"vortices": {}}, "vortices"),
 ]
 
 
@@ -214,15 +222,24 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match=re.escape(key)):
             load_config(write_cfg(tmp_path / "garbled.json", cfg))
 
-    @pytest.mark.parametrize("opts", [{"tol": True}, {"tol": 1e-9, "out_dir": 5}])
+    @pytest.mark.parametrize("garble, flag, key", [
+        ({"opts": {"tol": True}}, ["--tol", "1e-9"], "opts.tol"),
+        # --out is always given below
+        ({"opts": {"tol": 1e-9, "out_dir": 5}}, ["--tol", "1e-9"], "opts.out_dir"),
+        ({"domain": {"kind": "box", "half_width": 8.0, "n": "sixty"}}, ["--grid", "64"],
+         "domain.n"),
+        ({"opts": {"tol": 1e-9, "max_iter": "many"}}, ["--max-iter", "10"], "opts.max_iter"),
+        ({"opts": {"tol": 1e-9, "second_solution": "yes"}}, ["--second-solution"],
+         "opts.second_solution"),
+    ], ids=["opts0", "opts1", "grid", "max-iter", "second-solution"])
     def test_override_does_not_hide_a_refused_value(self, plane_cfg, tmp_path, capsys,
-                                                     opts):
+                                                     garble, flag, key):
         cfg = read_cfg(plane_cfg)
-        cfg["opts"] = opts
+        cfg.update(garble)
         p = write_cfg(tmp_path / "garbled.json", cfg)
-        assert main(["solve-plane", "--config", p, "--tol", "1e-9",
+        assert main(["solve-plane", "--config", p, *flag,
                      "--out", str(tmp_path / "o")]) == 1
-        assert "opts." in capsys.readouterr().out
+        assert key in capsys.readouterr().out
 
     def test_integral_floats_still_parse(self, plane_cfg, tmp_path):
         cfg = read_cfg(plane_cfg)
@@ -337,6 +354,62 @@ class TestConfigErrors:
                 fh.write(content)
             code = main([command, "--config", path, "--out", os.path.join(tmp, "o")])
         assert code in (0, 1, 2, 3, 4)
+
+
+# every key of the config schema: (block, key, JSON kind)
+_SCHEMA_KEYS = [(block, key, kind) for block, keys in _SCHEMA.items()
+                for key, kind in keys.items()]
+
+# per JSON kind, a value of another JSON type
+_SWAPPED = {"number": "1", "integer": "1", "boolean": 1, "string": 1, "object": [1],
+            "object[]": {}, "number[2]": "12", "integer|integer[2]": "64"}
+
+
+def _with_key(block, key, value):
+    """A valid plane config with block's key set to value (a vortex key in the
+    first vortex), and the key's path as the refusals print it."""
+    cfg = json.loads(json.dumps(_BASE_CONFIGS[0]))
+    where = {"": "", "vortices": "vortices[0]."}.get(block, f"{block}.")
+    target = cfg if not block else cfg["vortices"][0] if block == "vortices" else cfg[block]
+    target[key] = value
+    return cfg, where + key
+
+
+class TestConfigSchema:
+    """Every key is read through one table: a value of the wrong JSON type
+    and an unknown key are refused by name."""
+
+    @pytest.mark.parametrize("block, key, kind", [k for k in _SCHEMA_KEYS if k[2] is not None])
+    @pytest.mark.parametrize("swap", ["kind", "null"])
+    def test_swapped_json_type_names_the_key(self, block, key, kind, swap):
+        value = _SWAPPED[kind.rstrip("!")] if swap == "kind" else None
+        cfg, path = _with_key(block, key, value)
+        with pytest.raises(ConfigError, match=re.escape(f"{path} must be")):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("block, wrong, meant", [
+        *[(block, key + key[-1], key) for block, key, _ in _SCHEMA_KEYS],
+        ("params", "lamda_bg", "lambda_bg"), ("domain", "N", "n"),
+        ("vortices", "mult", "multiplicity"), ("opts", "tolerance", "tol"),
+        ("opts", "secondsolution", "second_solution"), ("", "decay_centre", "decay_center"),
+    ])
+    def test_misspelled_key_names_the_nearest_known_key(self, block, wrong, meant):
+        cfg, path = _with_key(block, wrong, 1)
+        near = path[:-len(wrong)] + meant
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"unknown key {path}; did you mean {near}?")):
+            parse_config(cfg)
+
+    def test_readme_key_list_is_the_schema(self):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+            rows = [line.strip("| \n").split(" | ") for line in fh
+                    if re.match(r"\| (root|params|domain|vortices\[i\]|opts) \|", line)]
+        readme = {(block.replace("root", "").replace("[i]", ""), key.strip("`")):
+                  (kind.strip("`").replace("\\|", "|"), default.startswith("required"))
+                  for block, key, kind, default in rows}
+        assert readme == {(block, key): (kind.rstrip("!") if kind else "retired",
+                                         bool(kind) and kind.endswith("!"))
+                          for block, key, kind in _SCHEMA_KEYS}
 
 
 def _error_classes(cls=CsvortexError):
