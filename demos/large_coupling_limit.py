@@ -9,7 +9,7 @@ Run:  python demos/large_coupling_limit.py
 
 import numpy as np
 
-from csvortex import GridDomain, ModelParams, TorusSolveOpts, VortexSet, minimize_torus
+from csvortex import GridDomain, ModelParams, SolveOpts, VortexSet, minimize_torus
 from csvortex.fields import integrate_values
 
 domain = GridDomain.torus(2 * np.pi, 2 * np.pi, 128, 128)
@@ -19,7 +19,7 @@ print(f"{'alpha':>7} {'beta':>7} {'I':>14} {'deficit':>12} {'c1':>12}")
 for alpha in (15.0, 30.0, 60.0, 120.0):
     params = ModelParams(alpha=alpha, beta=1.5 * alpha, sigma=2.0)
     state, info = minimize_torus(params, vortices, domain,
-                                 TorusSolveOpts(tol=1e-10))
+                                 SolveOpts(tol=1e-10))
     bg = info["bg"]
     P = np.exp(bg.u0 + state.u)
     R = np.exp(state.v)

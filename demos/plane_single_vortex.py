@@ -12,7 +12,7 @@ import numpy as np
 from csvortex import (
     GridDomain,
     ModelParams,
-    PlaneSolveOpts,
+    SolveOpts,
     VortexSet,
     decay_fit,
     quantized_integrals_plane,
@@ -25,7 +25,7 @@ domain = GridDomain.box(half_width=20.0, n=256)   # n=512 reproduces the reports
 vortices = VortexSet.single([(0.0, 0.0)])
 
 print("solving the topological system on the truncated plane ...")
-state, info = solve_plane(params, vortices, domain, PlaneSolveOpts(tol=1e-10))
+state, info = solve_plane(params, vortices, domain, SolveOpts(tol=1e-10))
 u, u_list = info["u"], info["u_list"]
 print(f"  converged in {info['iterations']} iterations, "
       f"gradient max-norm {info['grad_inf']:.2e}, "

@@ -14,7 +14,7 @@ import numpy as np
 from csvortex import (
     GridDomain,
     ModelParams,
-    TorusSolveOpts,
+    SolveOpts,
     VortexSet,
     feasibility,
     max_principle_check,
@@ -38,7 +38,7 @@ print(f"  at alpha*beta = 0.5 the margin is "
       f"{feasibility(weak, 1, domain.area).margin:.2f}: the solver refuses")
 
 print("\nfirst solution: constrained minimization over the admissible set")
-first, info = minimize_torus(params, vortices, domain, TorusSolveOpts(tol=1e-10))
+first, info = minimize_torus(params, vortices, domain, SolveOpts(tol=1e-10))
 print(f"  I = {info['energy_I']:.8f}  (reduced functional J agrees to "
       f"{abs(info['energy_J'] - info['energy_I']):.1e})")
 print(f"  constants c1 = {first.c1:+.6f}, c2 = {first.c2:+.6f}  (both <= 0)")
@@ -46,7 +46,7 @@ print(f"  constraint-root residuals {info['c_solve'].residual_1:.1e}, "
       f"{info['c_solve'].residual_2:.1e}")
 
 print("\nsecond solution: mountain pass from the first")
-second, info2 = mountain_pass(params, first, TorusSolveOpts(tol=1e-9),
+second, info2 = mountain_pass(params, first, SolveOpts(tol=1e-9),
                               bg=info["bg"])
 print(f"  I(second) = {info2['energy_I']:.4f} > I(first) = "
       f"{info2['energy_first']:.4f}")

@@ -44,15 +44,13 @@ from .fields import (
     write_csv,
     write_field,
 )
-from .model import ModelParams
+from .model import ModelParams, SolveOpts
 from .plane import (
-    PlaneSolveOpts,
     PlaneState,
     solve_plane,
 )
 from .torus import (
     Feasibility,
-    TorusSolveOpts,
     TorusState,
     feasibility,
     gamma,

@@ -26,7 +26,6 @@ from .errors import ConfigError, CsvortexError, DiagnosticFailure, DomainError, 
 from .fields import GridDomain, ScalarField, read_field, write_csv, write_field
 from .plane import (
     PlaneOperator,
-    PlaneSolveOpts,
     PlaneState,
     pde_residual_fourth,
     same_op_checks,
@@ -34,7 +33,6 @@ from .plane import (
 )
 from .torus import (
     TorusOperator,
-    TorusSolveOpts,
     TorusState,
     admissibility_margins,
     feasibility,
@@ -154,8 +152,7 @@ def _emit(rep: diag.SolveReport, cfg: RunConfig, out: str, name: str) -> List[st
 
 def cmd_solve_plane(cfg: RunConfig) -> int:
     out = resolve_out_dir(cfg.opts)
-    opts = PlaneSolveOpts(tol=cfg.opts.tol, max_iter=cfg.opts.max_iter)
-    state, info = solve_plane(cfg.params, cfg.vortices, cfg.domain, opts)
+    state, info = solve_plane(cfg.params, cfg.vortices, cfg.domain, cfg.opts)
     u, u_list = info["u"], info["u_list"]
     _write_fields(out, cfg.domain,
                   [("f", state.f), ("u", u)]
@@ -166,8 +163,8 @@ def cmd_solve_plane(cfg: RunConfig) -> int:
     try:
         rep.decay = diag.decay_fit(u, u_list, cfg.params, cfg.domain,
                                    center=cfg.decay_center)
-    except DiagnosticFailure:
-        pass
+    except DiagnosticFailure as exc:  # reported; decay-fit exits 2 on it
+        rep.extra["decay_failure"] = str(exc)
     bad = _emit(rep, cfg, out, "report.txt")
     write_csv(os.path.join(out, "u.csv"), ScalarField(cfg.domain, u))
     if rep.decay is not None:
@@ -181,7 +178,6 @@ def cmd_solve_plane(cfg: RunConfig) -> int:
 
 def cmd_solve_torus(cfg: RunConfig) -> int:
     out = resolve_out_dir(cfg.opts)
-    opts = TorusSolveOpts(tol=cfg.opts.tol, max_iter=cfg.opts.max_iter)
 
     def finish(state: TorusState, info: dict, suffix: str, mode: str, name: str,
                **record) -> List[str]:
@@ -194,14 +190,14 @@ def cmd_solve_torus(cfg: RunConfig) -> int:
                             constraint_residual_2=cs.residual_2, **record)
         return _emit(rep, cfg, out, name)
 
-    state, info = minimize_torus(cfg.params, cfg.vortices, cfg.domain, opts)
+    state, info = minimize_torus(cfg.params, cfg.vortices, cfg.domain, cfg.opts)
     codes = [EXIT_OK]
     bad = finish(state, info, "", "torus", "report.txt", energy_J=info["energy_J"])
     if bad:
         print("FAIL(first): " + ", ".join(bad))
         codes.append(EXIT_DIAGNOSTIC)
     if cfg.opts.second_solution:
-        second, info2 = mountain_pass(cfg.params, state, opts, bg=info["bg"])
+        second, info2 = mountain_pass(cfg.params, state, cfg.opts, bg=info["bg"])
         bad2 = finish(second, info2, "2", "torus-second", "report_second.txt",
                       separation=info2["separation"], energy_first=info2["energy_first"],
                       path_max_energy=info2["path_max_energy"])

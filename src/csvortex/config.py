@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 from .background import VortexSet
 from .errors import ConfigError
 from .fields import GridDomain, _kind_code
-from .model import ModelParams
+from .model import ModelParams, SolveOpts
 
 SCHEMA_VERSION = 1
 
@@ -32,18 +32,13 @@ DEFAULTS = {
 
 
 @dataclass(frozen=True)
-class RunOpts:
-    tol: float = 1e-8
-    max_iter: int = 4000
+class RunOpts(SolveOpts):
     second_solution: bool = False
     quantized_tol: Optional[float] = None
     out_dir: str = "."
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ConfigError(f"tol must be positive and finite, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        super().__post_init__()
         if self.quantized_tol is not None and not 0 < self.quantized_tol < math.inf:
             raise ConfigError(
                 f"quantized_tol must be positive and finite, got {self.quantized_tol!r}")

@@ -36,6 +36,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from .errors import NonConvergenceError
+
 
 _HISTORY = 12  # L-BFGS correction pairs kept
 # newton_polish's MINRES forcing term: the larger of _FORCING_GAIN·‖g‖₂ and
@@ -476,3 +478,20 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
     return OptResult(x, np.nan, g, max_iter, ginf <= tol_inf, merits,
                      "" if ginf <= tol_inf else "newton iteration budget exhausted",
                      minres_unconverged=unconverged, minres_iters=inner)
+
+
+def finish_solve(what: str, lbfgs: OptResult, polish: OptResult, energy: float,
+                 grad_inf: float, tol: float, state) -> dict:
+    """The end of a solve on either domain: L-BFGS, then the polish from its
+    last point, whose result is taken as it is.  A gradient max-norm grad_inf
+    at the polished point above tol raises NonConvergenceError carrying state;
+    otherwise returns the record keys both domains share, energy being the
+    energy at the polished point."""
+    iterations = lbfgs.iterations + polish.iterations
+    if not grad_inf <= tol:
+        raise NonConvergenceError(
+            f"{what} stalled at gradient max-norm {grad_inf:.3e} (target {tol:.3e}) "
+            f"after {iterations} iterations", state=state, grad_norm=grad_inf)
+    return {"energies": list(lbfgs.energies) + [energy], "grad_inf": grad_inf,
+            "iterations": iterations, "minres_unconverged": polish.minres_unconverged,
+            "minres_iters": polish.minres_iters}

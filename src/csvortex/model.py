@@ -1,4 +1,4 @@
-"""Coupling parameters shared by the plane and torus solvers."""
+"""Coupling parameters and solve options shared by the plane and torus solvers."""
 
 from __future__ import annotations
 
@@ -62,3 +62,18 @@ class ModelParams:
             raise ConfigError(
                 f"beta/alpha = {self.beta / self.alpha:g} must stay below sigma = {self.sigma:g}"
             )
+
+
+@dataclass(frozen=True)
+class SolveOpts:
+    """Options of every solve, on the plane and on the torus: the gradient
+    max-norm target and the L-BFGS iteration cap."""
+
+    tol: float = 1e-8
+    max_iter: int = 4000
+
+    def __post_init__(self):
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be positive and finite, got {self.tol!r}")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be at least 1, got {self.max_iter!r}")

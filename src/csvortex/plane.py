@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .background import BackgroundPlane, VortexSet, plane_background, vortex_node_mask
-from .errors import DomainError, NonConvergenceError, NonFiniteFieldError
+from .errors import DomainError, NonFiniteFieldError
 # bench/spans.py traces the kernels through the names bound here, including
 # box_dirichlet_ring, which the operator no longer calls
 from .fields import (  # noqa: F401
@@ -49,8 +49,8 @@ from .fields import (  # noqa: F401
     laplacian4_values,
     laplacian_values,
 )
-from .minimize import minimize_lbfgs, newton_polish
-from .model import ModelParams
+from .minimize import finish_solve, minimize_lbfgs, newton_polish
+from .model import ModelParams, SolveOpts
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,8 @@ class PlaneState:
 _LBFGS_HANDOVER = 1e5
 
 
-@dataclass(frozen=True)
-class PlaneSolveOpts:
-    tol: float = 1e-8
-    max_iter: int = 4000
+# bench/workloads.py imports the solve options under this name
+PlaneSolveOpts = SolveOpts
 
 
 class PlaneOperator:
@@ -345,9 +343,14 @@ def pde_residual_fourth(state: PlaneState, op: PlaneOperator,
 
 
 def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
-                opts: PlaneSolveOpts = PlaneSolveOpts()):
+                opts: SolveOpts = SolveOpts()):
     """Minimize the plane energy from the zero state.
 
+    L-BFGS hands over at gradient max-norm _LBFGS_HANDOVER·opts.tol to a
+    Newton/MINRES polish, which returns at once when L-BFGS already met
+    opts.tol.  The polished point is taken as it is, as on the torus; the
+    energy and gradient there come from one evaluation, and a gradient
+    max-norm above opts.tol raises NonConvergenceError carrying that state.
     Returns (state, info) where info carries the reconstructed fields and the
     raw convergence record; higher-level reporting lives in diagnostics.
     """
@@ -369,35 +372,15 @@ def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
     x0 = np.zeros(op.shape).ravel()
     res = minimize_lbfgs(op.fun_grad_flat, x0, precond=op.precond_flat,
                          tol_inf=tol_flat * _LBFGS_HANDOVER, max_iter=opts.max_iter)
-    energies = list(res.energies)
-    iterations = res.iterations
-    minres_unconverged = minres_iters = 0
-    if float(np.max(np.abs(res.g))) > tol_flat:
-        pol = newton_polish(op.grad_flat, op.hess_vec_flat, res.x, g0=res.g,
-                            precond=op.precond_flat, tol_inf=tol_flat)
-        iterations += pol.iterations
-        minres_unconverged = pol.minres_unconverged
-        minres_iters = pol.minres_iters
-        if pol.converged:
-            e_pol = op.fun_grad_flat(pol.x)[0]
-            if e_pol <= energies[-1] + 1e-12 * max(1.0, abs(energies[-1])):
-                res = pol
-                energies.append(e_pol)
-    grad_inf = float(np.max(np.abs(res.g))) / domain.cell_area
-    state = PlaneState(domain, res.x.reshape(op.shape))
-    if grad_inf > opts.tol:
-        raise NonConvergenceError(
-            f"plane solve stalled at gradient max-norm {grad_inf:.3e} "
-            f"(target {opts.tol:.3e}) after {iterations} iterations",
-            state=state, grad_norm=grad_inf)
+    pol = newton_polish(op.grad_flat, op.hess_vec_flat, res.x, g0=res.g,
+                        precond=op.precond_flat, tol_inf=tol_flat)
+    state = PlaneState(domain, pol.x.reshape(op.shape))
+    energy, g = op.fun_grad_flat(pol.x)
+    info = finish_solve("plane solve", res, pol, energy,
+                        float(np.max(np.abs(g))) / domain.cell_area, opts.tol, state)
     u, u_list = reconstruct(state, bg)
-    info = {
-        "energy": energies[-1],  # the energy at res.x, already evaluated
-        "grad_inf": grad_inf,
-        "iterations": iterations,
-        "minres_unconverged": minres_unconverged,
-        "minres_iters": minres_iters,
-        "energies": energies,
+    info.update({
+        "energy": energy,
         "wall_time": time.perf_counter() - t0,
         "u": u,
         "u_list": u_list,
@@ -405,5 +388,5 @@ def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
         "operator": op,
         "clamp_hit": op.clamp_hit,
         "vortex_mask": vortex_node_mask(vortices, domain),
-    }
+    })
     return state, info

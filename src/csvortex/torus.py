@@ -47,7 +47,6 @@ from .errors import (
     ConfigError,
     InfeasibleError,
     MountainPassCollapseError,
-    NonConvergenceError,
 )
 # bench/spans.py traces the kernels through the names bound here, including
 # laplacian_values and dirichlet_inner_values, which the solver no longer calls
@@ -60,8 +59,8 @@ from .fields import (  # noqa: F401
     exp_clip,
     laplacian_values,
 )
-from .minimize import minimize_lbfgs, newton_polish
-from .model import ModelParams
+from .minimize import finish_solve, minimize_lbfgs, newton_polish
+from .model import ModelParams, SolveOpts
 
 _EPS = np.finfo(float).eps
 
@@ -717,13 +716,11 @@ _PROFILE_SHIFTS = 16
 _SEPARATION = 1e-3   # least Sobolev distance of the second solution from the first
 
 
-@dataclass(frozen=True)
-class TorusSolveOpts:
-    tol: float = 1e-8       # gradient max-norm target of each torus solve
-    max_iter: int = 4000    # L-BFGS iteration cap of each torus solve
+# bench/workloads.py imports the solve options under this name
+TorusSolveOpts = SolveOpts
 
 
-def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: TorusSolveOpts,
+def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: SolveOpts,
                   lbfgs_tol: float) -> Tuple[TorusState, dict]:
     """Minimize red's reduced energy from the mean-zero pair x0.
 
@@ -762,25 +759,13 @@ def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: TorusSolveOpts,
     X = red.lift(pol.x)
     state = TorusState.from_full(X[0], X[1], dom)
     energy, G = op._evaluate(X)
-    grad_inf = float(np.max(np.abs(G)))
-    if grad_inf > opts.tol:
-        raise NonConvergenceError(
-            f"{what} stalled at gradient max-norm {grad_inf:.3e} "
-            f"(target {opts.tol:.3e})", state=state, grad_norm=grad_inf)
-    return state, {
-        "energy_I": energy,
-        "energies": list(res.energies) + [energy],
-        "grad_inf": grad_inf,
-        "iterations": res.iterations + pol.iterations,
-        "minres_unconverged": pol.minres_unconverged,
-        "minres_iters": pol.minres_iters,
-        "c_solve": cs,
-        "clamp_hit": op.clamp_hit,
-    }
+    info = finish_solve(what, res, pol, energy, float(np.max(np.abs(G))), opts.tol, state)
+    info.update(energy_I=energy, c_solve=cs, clamp_hit=op.clamp_hit)
+    return state, info
 
 
 def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
-                   opts: TorusSolveOpts = TorusSolveOpts()):
+                   opts: SolveOpts = SolveOpts()):
     """Constrained first solution on the torus.
 
     From the vacuum lift (u', v') = (-u0 made mean-zero, 0), minimizes the
@@ -833,7 +818,7 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
 # second solution: saddle-branch descent from the barrier point
 # ---------------------------------------------------------------------------
 
-def mountain_pass(params: ModelParams, first: TorusState, opts: TorusSolveOpts,
+def mountain_pass(params: ModelParams, first: TorusState, opts: SolveOpts,
                   bg: BackgroundTorus):
     """Second critical point: the mountain-pass saddle of the full functional.
 

@@ -219,7 +219,9 @@ class TestConfigErrors:
     def test_refused_coercions_name_the_key(self, plane_cfg, tmp_path, garble, key):
         cfg = read_cfg(plane_cfg)
         cfg.update(garble)
-        with pytest.raises(ConfigError, match=re.escape(key)):
+        # the message opens with the key, so one that names it for another
+        # reason ("missing field 'alpha' in params") does not pass
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must "):
             load_config(write_cfg(tmp_path / "garbled.json", cfg))
 
     @pytest.mark.parametrize("garble, flag, key", [
@@ -651,6 +653,19 @@ class TestPlanePipeline:
         assert main(["decay-fit", "--config", p, "--out", str(out)]) == 2
         printed = capsys.readouterr().out
         assert printed.startswith("diagnostic failure: ") and "decay_center" in printed
+
+    def test_failed_decay_fit_is_reported(self, plane_cfg, tmp_path, capsys):
+        # about (5, 5) the annulus leaves the 8-box: the solve still exits 0,
+        # and its report says why it holds no decay fit
+        cfg = read_cfg(plane_cfg)
+        cfg["decay_center"] = [5.0, 5.0]
+        p = write_cfg(tmp_path / "corner.json", cfg)
+        out = tmp_path / "run"
+        assert main(["solve-plane", "--config", p, "--out", str(out)]) == 0
+        reason = _report_values(out / "report.txt")["decay_failure"]
+        assert "decay_center (5.0, 5.0) leaves the box" in reason
+        assert main(["verify", "--config", p, "--out", str(out)]) == 0
+        assert "decay" not in (out / "verify_report.txt").read_text()
 
     def test_env_output_override(self, plane_cfg, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
