@@ -24,13 +24,7 @@ from .background import plane_background, torus_background, vortex_node_mask
 from .config import RunConfig, load_config, resolve_out_dir
 from .errors import ConfigError, CsvortexError, DiagnosticFailure, DomainError, FieldFileError
 from .fields import GridDomain, ScalarField, read_field, write_csv, write_field
-from .plane import (
-    PlaneOperator,
-    PlaneState,
-    pde_residual_fourth,
-    same_op_checks,
-    solve_plane,
-)
+from .plane import PlaneOperator, solve_plane
 from .torus import (
     TorusOperator,
     TorusState,
@@ -38,7 +32,6 @@ from .torus import (
     feasibility,
     minimize_torus,
     mountain_pass,
-    pde_residual_fourth_torus,
     reconstruct_original,
 )
 
@@ -46,6 +39,9 @@ EXIT_OK = 0
 EXIT_DIAGNOSTIC = 2
 
 _RESIDUAL_FLOOR = 1e-6  # same-operator PDE residuals pass below max(this, 10*tol)
+# half-width of the vortex patches the fourth-order residual skips: the torus
+# background dip is only C^1-resolved near a vortex
+_FOURTH_ORDER_HALO = {"plane": 1, "torus": 3}
 
 
 def _write_rays_csv(path, fit: diag.DecayFit) -> None:
@@ -93,22 +89,26 @@ def _write_fields(out: str, domain: GridDomain, fields) -> None:
 def _field_report(cfg: RunConfig, op, mode: str, fields) -> diag.SolveReport:
     """Every diagnostic that the fields of one solution determine.
 
-    ``fields`` are the arrays a solve writes and verify reads back: (state,
-    u, u_list) on the plane, the full pair (u, v) on the torus, split once
-    into its mean-zero part and constants.  ``op`` is the solver's operator
-    or one built from the config; its background supplies u0.  The energy,
-    the gradient and the same-operator residual come from one evaluation of
-    it.  The report holds no solver record and no timing.
+    ``fields`` are the arrays a solve writes and verify reads back: (X, u,
+    u_list) on the plane, X the remainder stack (f, f_1..f_M), and the full
+    pair (u, v) on the torus, split once into its mean-zero part and
+    constants.  ``op`` is the solver's operator or one built from the config;
+    its background supplies u0.  The energy, the gradient and both equation
+    residuals come from one evaluation of it on either domain.  The report
+    holds no solver record and no timing.
     """
     params, domain = cfg.params, cfg.domain
-    mask = vortex_node_mask(cfg.vortices, domain)
+    plane = cfg.mode == "plane"
     rep = diag.SolveReport(mode=mode)
-    if cfg.mode == "plane":
-        state, u, u_list = fields
-        rep.energy, rep.grad_norm, rep.pde_residual_same = same_op_checks(state, op)
+    rep.energy, rep.grad_norm, rep.pde_residual_same, rep.pde_residual_fourth = (
+        diag.equation_residuals(op, fields[0] if plane else np.stack(fields),
+                                vortex_node_mask(cfg.vortices, domain,
+                                                 halo=_FOURTH_ORDER_HALO[cfg.mode])))
+    mask = vortex_node_mask(cfg.vortices, domain)
+    if plane:
+        _, u, u_list = fields
         rep.quantized = diag.quantized_integrals_plane(u, u_list, params, domain,
                                                        cfg.vortices.counts)
-        rep.pde_residual_fourth = pde_residual_fourth(state, op, exclude=mask)
         neg = diag.max_principle_check(u, np.zeros_like(u), exclude=mask)[0]
         rep.max_principle = [diag.BoundCheck("u", neg.status, neg.worst, neg.node)]
         return rep
@@ -116,13 +116,8 @@ def _field_report(cfg: RunConfig, op, mode: str, fields) -> diag.SolveReport:
     bg = op.bg
     state = TorusState.from_full(u, v, domain)
     big_u, big_v = reconstruct_original(state, bg)
-    rep.energy, gu, gv = op.fun_grad(u, v)
-    rep.grad_norm = max(float(np.max(np.abs(gu))), float(np.max(np.abs(gv))))
-    rep.pde_residual_same = rep.grad_norm
     rep.feasibility_margin = feasibility(params, bg.n, domain.area).margin
     rep.quantized = diag.quantized_integrals_torus(big_u, big_v, params, domain, bg.n)
-    rep.pde_residual_fourth = pde_residual_fourth_torus(
-        u, v, op, exclude=vortex_node_mask(cfg.vortices, domain, halo=3))
     rep.max_principle = diag.max_principle_check(big_u, big_v, exclude=mask)
     m1, m2 = admissibility_margins(state.u_prime, state.v_prime, bg, params)
     rep.extra.update(admissible_margin_1=m1, admissible_margin_2=m2,
@@ -158,7 +153,7 @@ def cmd_solve_plane(cfg: RunConfig) -> int:
                   [("f", state.f), ("u", u)]
                   + [(f"f_{i}", fi) for i, fi in enumerate(state.f_i)]
                   + [(f"u_{i}", ui) for i, ui in enumerate(u_list)])
-    rep = _solve_report(cfg, "plane", (state, u, u_list), info,
+    rep = _solve_report(cfg, "plane", (state.X, u, u_list), info,
                         lambda_bg=cfg.params.lambda_bg)
     try:
         rep.decay = diag.decay_fit(u, u_list, cfg.params, cfg.domain,
@@ -220,9 +215,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         return _read_values(os.path.join(out, name), cfg.domain)
 
     if cfg.mode == "plane":
-        state = PlaneState(cfg.domain, np.stack(
-            [load("f.bin")] + [load(f"f_{i}.bin") for i in species]))
-        fields = (state, load("u.bin"), [load(f"u_{i}.bin") for i in species])
+        fields = (np.stack([load("f.bin")] + [load(f"f_{i}.bin") for i in species]),
+                  load("u.bin"), [load(f"u_{i}.bin") for i in species])
         op = PlaneOperator(plane_background(cfg.vortices, cfg.params.lambda_bg,
                                             cfg.domain), cfg.params)
     else:

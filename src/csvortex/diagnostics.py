@@ -1,9 +1,10 @@
 """Read-only verification of every theorem-level claim against a solution.
 
-All functions are deterministic and take explicit arrays; residuals computed
-with the solver's own operators live next to the solvers, while everything
-here is independent: quantized flux integrals by direct quadrature, radial
-decay fits, and pointwise maximum-principle checks.
+All functions are deterministic and take explicit arrays.  The equation
+residuals of both domains come from one definition on the solver's own
+evaluation (equation_residuals); everything else here is independent of the
+solvers: quantized flux integrals by direct quadrature, radial decay fits,
+and pointwise maximum-principle checks.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DiagnosticFailure
-from .fields import GridDomain, exp_clip, integrate_values
+from .fields import GridDomain, exp_clip, integrate_values, laplacian4_values, laplacian_values
 from .model import ModelParams
 
 # rays of the radial decay fit
@@ -77,6 +78,41 @@ def quantized_integrals_torus(big_u: np.ndarray, big_v: np.ndarray,
     target = -4.0 * math.pi * n
     return [QuantizedIntegral("first", first, target),
             QuantizedIntegral("second", second, target)]
+
+
+# ---------------------------------------------------------------------------
+# equation residuals
+# ---------------------------------------------------------------------------
+
+
+def equation_residuals(op, X: np.ndarray, exclude: Optional[np.ndarray] = None
+                       ) -> Tuple[float, float, float, float]:
+    """(energy, max|G|, same-operator residual, fourth-order residual) of a
+    state stack X, from one evaluation of the solver's operator ``op``.
+
+    Both operators return the L2 gradient G = -S·Δ_h X + p(X): Δ_h is the
+    solver's Laplacian, p the pointwise reaction plus sources, and S the
+    stiffness (op.stiffness): 2c_k per field on the plane, [[a, b], [b, a]]
+    on the torus.  G = 0 is the discrete system, so the same-operator
+    residual is max |G| / op.residual_scale.  Replacing Δ_h by the
+    independent 4th-order stencil Δ_4 gives the fourth-order residual
+    max |G - S·(Δ_4 - Δ_h)X| / op.residual_scale: it measures the
+    discretization error of the converged field rather than the solver's
+    closure.  Its maximum skips the nodes in ``exclude`` and, on a box, the
+    two outer node rings that Δ_4 cannot reach.
+    """
+    energy, G = op._evaluate(X)
+    dom = op.domain
+    scale = op.residual_scale
+    size = np.abs(G)
+    grad = float(np.max(size))
+    same = float(np.max(size / scale))
+    G -= op.stiffness(laplacian4_values(X, dom) - laplacian_values(X, dom))
+    res = np.max(np.abs(G) / scale, axis=0)
+    keep = np.ones(dom.shape, dtype=bool) if exclude is None else ~exclude
+    if dom.kind == "box":
+        keep[:2, :] = keep[-2:, :] = keep[:, :2] = keep[:, -2:] = False
+    return energy, grad, same, float(np.max(res[keep]))
 
 
 # ---------------------------------------------------------------------------

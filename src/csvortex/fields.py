@@ -47,7 +47,7 @@ class GridDomain:
 
     For ``kind == "torus"`` the extents are the periods (L1, L2); for
     ``kind == "box"`` both extents equal the half-width L and the grid covers
-    [-L, L]^2 with cell-centered nodes.
+    [-L, L]^2 with n1 = n2 cell-centered nodes per axis, so its cells are square.
     """
 
     kind: str
@@ -79,6 +79,8 @@ class GridDomain:
                 "cannot square, invert or hold")
         if self.kind == "box" and self.extent1 != self.extent2:
             raise DomainError("box domain is square: extents must match")
+        if self.kind == "box" and self.n1 != self.n2:
+            raise DomainError("box domain is square: node counts must match")
 
     @staticmethod
     def torus(l1: float, l2: float, n1: int, n2: int) -> "GridDomain":
@@ -183,10 +185,11 @@ def _k2_weighted(domain: GridDomain) -> np.ndarray:
 def laplacian_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
     """Discrete Laplacian on raw node values (zero ghosts for the box).
 
-    On the box, leading axes index a stack of fields.
+    Leading axes index a stack of fields.
     """
     if domain.kind == "torus":
-        return irfftn(-_k2(domain) * rfftn(values), s=domain.shape)
+        return irfftn(-_k2(domain) * rfftn(values, axes=(-2, -1)), s=domain.shape,
+                      axes=(-2, -1))
     p = np.zeros(values.shape[:-2] + (domain.n1 + 2, domain.n2 + 2))
     p[..., 1:-1, 1:-1] = values
     return _box_laplacian_padded(p, domain)
@@ -195,39 +198,38 @@ def laplacian_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
 def _box_laplacian_padded(p: np.ndarray, domain: GridDomain) -> np.ndarray:
     """5-point Laplacian of the interior of p, whose outer ring holds the ghosts.
 
-    Acts on the trailing two axes.  Six array passes: three neighbour sums in
-    units of 1/h2^2, two for the centre term and one for the weight 1/h2^2;
-    off the square one more rescales the axis-0 pair by (h2/h1)^2.
+    Acts on the trailing two axes of a box, whose cells are square.  Six
+    array passes: three neighbour sums, two for the centre term and one for
+    the weight 1/h^2.
     """
-    w1, w2 = 1.0 / domain.h1**2, 1.0 / domain.h2**2
     out = np.add(p[..., :-2, 1:-1], p[..., 2:, 1:-1])
-    if w1 != w2:
-        out *= w1 / w2
     out += p[..., 1:-1, :-2]
     out += p[..., 1:-1, 2:]
-    out -= (2.0 + 2.0 * w1 / w2) * p[..., 1:-1, 1:-1]
-    out *= w2
+    out -= 4.0 * p[..., 1:-1, 1:-1]
+    out *= 1.0 / domain.h1**2
     return out
 
 
 def laplacian4_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
     """Independent 4th-order centered Laplacian, for discretization-error checks.
 
-    On the box the two outermost node rings are zeroed (the stencil would
-    reach past the ghost ring); callers restrict their norms accordingly.
+    Leading axes index a stack of fields.  On the box the two outermost node
+    rings are zeroed (the stencil would reach past the ghost ring); callers
+    restrict their norms accordingly.
     """
     box = domain.kind == "box"
-    p = np.pad(values, 2, mode="constant" if box else "wrap")
+    width = ((0, 0),) * (values.ndim - 2) + ((2, 2), (2, 2))
+    p = np.pad(values, width, mode="constant" if box else "wrap")
     out = np.zeros_like(values)
-    for axis, h in ((0, domain.h1), (1, domain.h2)):
+    for axis, h in ((-2, domain.h1), (-1, domain.h2)):
         acc = np.zeros_like(values)
         for k, w in zip((-2, -1, 0, 1, 2), (-1.0, 16.0, -30.0, 16.0, -1.0)):
             sl = [slice(2, -2), slice(2, -2)]
             sl[axis] = slice(2 + k, p.shape[axis] - 2 + k)
-            acc += w * p[tuple(sl)]
+            acc += w * p[(...,) + tuple(sl)]
         out += acc / (12.0 * h**2)
     if box:
-        out[:2, :] = out[-2:, :] = out[:, :2] = out[:, -2:] = 0.0
+        out[..., :2, :] = out[..., -2:, :] = out[..., :, :2] = out[..., :, -2:] = 0.0
     return out
 
 

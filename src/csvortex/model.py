@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -73,6 +74,11 @@ class SolveOpts:
     max_iter: int = 4000
 
     def __post_init__(self):
+        # bool is an Integral, and so a Real, but never a count or a tolerance
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ConfigError(f"tol must be a real number, got {self.tol!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ConfigError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_iter < 1:

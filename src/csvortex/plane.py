@@ -46,7 +46,6 @@ from .fields import (  # noqa: F401
     box_shifted_inverse,
     box_symbol,
     exp_clip,
-    laplacian4_values,
     laplacian_values,
 )
 from .minimize import finish_solve, minimize_lbfgs, newton_polish
@@ -130,7 +129,9 @@ class PlaneOperator:
         # the energy holds (M/α)|∇f|^2 + (1/β)Σ|∇f_i|^2 and the linear terms
         # (2M/α) f Σ_i h_i + (2/β) Σ f_i h_i, whose weights are the sources
         c_dir = np.array([m / a] + [1.0 / b] * m)
-        self._c_dir = c_dir[:, None, None]
+        # the L2 gradient is -S·Δ_h X + p(X) with stiffness S = 2c_k on field k,
+        # and an equation's residual is divided by its own 2c_k
+        self._stiff = self.residual_scale = 2.0 * c_dir[:, None, None]
         self.source = np.empty(self.shape)
         np.multiply(np.sum(bg.h, axis=0), 2.0 * m / a, out=self.source[0])
         np.multiply(bg.h, 2.0 / b, out=self.source[1:])
@@ -201,7 +202,7 @@ class PlaneOperator:
         """(energy or None, L2 gradient stack) at the state stack X."""
         p = self.params
         lap = box_laplacian_ring(X, self.ring, self.domain)
-        lap *= -2.0 * self._c_dir
+        lap *= -self._stiff
         G, sum_a, dm2 = self._reaction(*self._blocks(X))
         val = None
         if energy:
@@ -256,7 +257,7 @@ class PlaneOperator:
         a00, a0, b, dm = memo[1]
         df, dF = V[0], V[1:]
         H = laplacian_values(V, self.domain)
-        H *= -2.0 * self._c_dir
+        H *= -self._stiff
         H[0] += a00 * df
         H[0] += np.einsum("kij,kij->ij", a0, dF)
         rank1 = np.einsum("kij,kij->ij", dm, dF)
@@ -265,6 +266,10 @@ class PlaneOperator:
         H[1:] += b * dF
         H[1:] += dm * rank1
         return H
+
+    def stiffness(self, Y: np.ndarray) -> np.ndarray:
+        """S·Y for a stack Y: each field times its 2c_k."""
+        return self._stiff * Y
 
     # -- flat-vector interface for the optimizer --------------------------
     def fun_grad_flat(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -307,39 +312,6 @@ def reconstruct(state: PlaneState, bg: BackgroundPlane) -> Tuple[np.ndarray, Tup
     u = bg.u0_grid_sum + state.f
     u_list = tuple(bg.u0_grid + state.X[1:])
     return u, u_list
-
-
-def same_op_checks(state: PlaneState, op: PlaneOperator) -> Tuple[float, float, float]:
-    """The energy, the gradient max-norm and the same-operator PDE residual of
-    a state, from one evaluation.
-
-    The residual is the max-norm of the delta-free system under the solver's
-    operators: the first equation's is (alpha/2M) times the f-gradient, the
-    species equations' (beta/2) times the f_i-gradients.
-    """
-    val, G = op._evaluate(state.X)
-    return val, float(np.max(np.abs(G))), float(np.max(np.abs(G) / (2.0 * op._c_dir)))
-
-
-def pde_residual_fourth(state: PlaneState, op: PlaneOperator,
-                        exclude: Optional[np.ndarray] = None) -> float:
-    """Residual under an independent 4th-order Laplacian (interior nodes).
-
-    Measures the discretization error of the converged field rather than the
-    solver's closure; decreases at 2nd order under grid refinement.  The
-    right-hand sides are the gradient's pointwise part, scaled as in
-    same_op_checks' residual.
-    """
-    rhs = op._reaction(*op._blocks(state.X))[0]
-    rhs /= 2.0 * op._c_dir
-    res = np.zeros(op.domain.shape)
-    for field, r in zip(state.X, rhs):
-        np.maximum(res, np.abs(laplacian4_values(field, op.domain) - r), out=res)
-    keep = np.zeros(op.domain.shape, dtype=bool)
-    keep[2:-2, 2:-2] = True
-    if exclude is not None:
-        keep &= ~exclude
-    return float(np.max(res[keep]))
 
 
 def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,

@@ -315,7 +315,7 @@ class TorusOperator:
 
     A state is one (2, n1, n2) stack X = (u, v), a view of the optimizer's
     flat vector, as on the plane.  One body (_evaluate) serves energy,
-    gradient, fun_grad and fun_grad_flat: the clamped exponentials
+    gradient and fun_grad_flat: the clamped exponentials
     (P, R) = e^{X + (u0, 0)} in one pass over the stack, one batched real FFT
     of X, the Dirichlet and potential terms, and the stiffness terms
     -aΔu - bΔv, -bΔu - aΔv read off (û, v̂) and brought back in one inverse
@@ -468,6 +468,17 @@ class TorusOperator:
         H += K[1:] * W[1]
         return H
 
+    # the L2 gradient is -S·Δ_h X + p(X) with stiffness S = [[a, b], [b, a]];
+    # the residuals are not rescaled
+    residual_scale = 1.0
+
+    def stiffness(self, Y: np.ndarray) -> np.ndarray:
+        """S·Y for a stack Y = (y_u, y_v): (a y_u + b y_v, b y_u + a y_v)."""
+        out = self.a * Y
+        out[0] += self.b * Y[1]
+        out[1] += self.b * Y[0]
+        return out
+
     # -- (u, v) views ------------------------------------------------------
     def energy(self, u: np.ndarray, v: np.ndarray) -> float:
         return self._evaluate(np.stack((u, v)), gradient=False)[0]
@@ -475,12 +486,6 @@ class TorusOperator:
     def gradient(self, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         G = self._evaluate(np.stack((u, v)))[1]
         return G[0], G[1]
-
-    def fun_grad(self, u: np.ndarray,
-                 v: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
-        """(energy, gu, gv) from one evaluation."""
-        val, G = self._evaluate(np.stack((u, v)))
-        return val, G[0], G[1]
 
     def hess_vec(self, u: np.ndarray, v: np.ndarray, du: np.ndarray,
                  dv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -504,30 +509,6 @@ class TorusOperator:
         """
         wh = self._spectra(w.reshape(self.shape))
         return self._apply_symbol(wh, self._precond).ravel() / self.domain.cell_area
-
-
-def pde_residual_fourth_torus(u: np.ndarray, v: np.ndarray, op: TorusOperator,
-                              exclude: Optional[np.ndarray] = None) -> float:
-    """Residual of the transformed system under an independent 4th-order stencil.
-
-    Measures the discretization error of the converged fields rather than the
-    solver's closure; vortex patches are excluded (the background dip is only
-    C^1-resolved there).
-    """
-    from .fields import laplacian4_values
-
-    p = op.params
-    P, R = op._exp(np.stack((u, v)))
-    common = 2.0 * p.alpha * (P + R - 2.0)
-    diff = 2.0 * p.beta * (P - R)
-    l4u = laplacian4_values(u, op.domain)
-    l4v = laplacian4_values(v, op.domain)
-    res_u = op.a * l4u + op.b * l4v - (common + diff) * P - op.source * 2.0 * op.a
-    res_v = op.b * l4u + op.a * l4v - (common - diff) * R - op.source * 2.0 * op.b
-    res = np.maximum(np.abs(res_u), np.abs(res_v))
-    if exclude is not None:
-        res = res[~exclude]
-    return float(np.max(res))
 
 
 # ---------------------------------------------------------------------------

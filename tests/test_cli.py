@@ -522,21 +522,22 @@ class TestReportAgreement:
         ("solve-torus", "torus_cfg", TorusOperator)])
     def test_one_operator_evaluation_per_field_report(self, command, config, operator,
                                                        tmp_path, request, monkeypatch):
-        # verify's report takes its energy, gradient and same-operator
-        # residual from a single evaluation of the operator
+        # verify's report takes its energy, gradient and both equation
+        # residuals from a single evaluation of the operator, which takes the
+        # state's exponentials once (in _blocks on the plane, _exp on the torus)
+        exponentials = "_blocks" if operator is PlaneOperator else "_exp"
         cfg = request.getfixturevalue(config)
         args = ["--config", cfg, "--out", str(tmp_path / "run"), "--grid", "32"]
         assert main([command] + args) == 0
         calls = []
-        evaluate = operator._evaluate
+        for name in ("_evaluate", exponentials):
+            def counted(self, *a, _name=name, _method=getattr(operator, name), **k):
+                calls.append(_name)
+                return _method(self, *a, **k)
 
-        def counted(self, *a, **k):
-            calls.append(1)
-            return evaluate(self, *a, **k)
-
-        monkeypatch.setattr(operator, "_evaluate", counted)
+            monkeypatch.setattr(operator, name, counted)
         assert main(["verify"] + args) == 0
-        assert len(calls) == 1
+        assert sorted(calls) == sorted(["_evaluate", exponentials])
 
 
 class TestPlanePipeline:

@@ -6,18 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from csvortex.background import VortexSet, vortex_node_mask
 from csvortex.diagnostics import (
     BoundCheck,
     SolveReport,
     _bilinear,
     decay_fit,
+    equation_residuals,
     max_principle_check,
     quantized_integrals_plane,
     quantized_integrals_torus,
 )
 from csvortex.errors import DiagnosticFailure
-from csvortex.fields import GridDomain, integrate_values
-from csvortex.model import ModelParams
+from csvortex.fields import GridDomain, integrate_values, laplacian4_values
+from csvortex.model import ModelParams, SolveOpts
+from csvortex.plane import solve_plane
+from csvortex.torus import minimize_torus, mountain_pass
 
 
 class TestQuantized:
@@ -229,3 +233,60 @@ class TestSolveReport:
         assert rep.failures(0.01, 1e-6) == ["quantized.first"]
         # the decay-fit report carries no quantized integrals and no residual
         assert SolveReport(mode="decay-fit").failures(0.01, 1e-6) == []
+
+
+# -- the fourth-order residuals as each domain wrote them before they shared
+# one definition: the 4th-order stencil against the pointwise part alone
+
+def reference_fourth_plane(X, op, exclude):
+    """max_k |Δ_4 f_k - p_k / (2c_k)| over interior nodes outside exclude."""
+    rhs = op._reaction(*op._blocks(X))[0]
+    rhs /= op.residual_scale
+    res = np.zeros(op.domain.shape)
+    for field, r in zip(X, rhs):
+        np.maximum(res, np.abs(laplacian4_values(field, op.domain) - r), out=res)
+    keep = np.zeros(op.domain.shape, dtype=bool)
+    keep[2:-2, 2:-2] = True
+    keep &= ~exclude
+    return float(np.max(res[keep]))
+
+
+def reference_fourth_torus(u, v, op, exclude):
+    """max |S·Δ_4 (u, v) - p(u, v)| over nodes outside exclude."""
+    p = op.params
+    P, R = op._exp(np.stack((u, v)))
+    common = 2.0 * p.alpha * (P + R - 2.0)
+    diff = 2.0 * p.beta * (P - R)
+    l4u = laplacian4_values(u, op.domain)
+    l4v = laplacian4_values(v, op.domain)
+    res_u = op.a * l4u + op.b * l4v - (common + diff) * P - op.source * 2.0 * op.a
+    res_v = op.b * l4u + op.a * l4v - (common - diff) * R - op.source * 2.0 * op.b
+    return float(np.max(np.maximum(np.abs(res_u), np.abs(res_v))[~exclude]))
+
+
+class TestEquationResiduals:
+    def test_plane_matches_reference(self):
+        dom = GridDomain.box(6.0, 48)
+        vs = VortexSet((((0.5, 0.3, 1),), ((-0.8, 0.2, 1), (0.9, -1.1, 1))))
+        params = ModelParams(alpha=1.3, beta=0.8, species=2, lambda_bg=10.0)
+        state, info = solve_plane(params, vs, dom, SolveOpts(tol=1e-10))
+        op, mask = info["operator"], vortex_node_mask(vs, dom)
+        energy, grad, same, fourth = equation_residuals(op, state.X, mask)
+        assert energy == info["energy"]
+        assert grad == pytest.approx(info["grad_inf"], rel=1e-12)
+        assert same <= grad / (2.0 * min(params.species / params.alpha, 1 / params.beta))
+        assert fourth == pytest.approx(reference_fourth_plane(state.X, op, mask), rel=1e-12)
+
+    def test_torus_matches_reference_on_both_solutions(self):
+        dom = GridDomain.torus(2 * math.pi, 2 * math.pi, 32, 32)
+        params = ModelParams(alpha=30.0, beta=45.0, sigma=2.0)
+        vs = VortexSet.single([(math.pi, math.pi)])
+        first, info = minimize_torus(params, vs, dom, SolveOpts(tol=1e-10))
+        second, info2 = mountain_pass(params, first, SolveOpts(tol=1e-9), bg=info["bg"])
+        mask = vortex_node_mask(vs, dom, halo=3)
+        for state, rec in ((first, info), (second, info2)):
+            op = rec["operator"]
+            _, grad, same, fourth = equation_residuals(op, np.stack((state.u, state.v)), mask)
+            assert same == grad
+            assert fourth == pytest.approx(
+                reference_fourth_torus(state.u, state.v, op, mask), rel=1e-12)

@@ -4,6 +4,7 @@ command line reads."""
 
 import math
 
+import numpy as np
 import pytest
 
 import csvortex.plane as plane
@@ -11,7 +12,7 @@ import csvortex.torus as torus
 from csvortex.background import VortexSet
 from csvortex.errors import ConfigError
 from csvortex.fields import GridDomain
-from csvortex.model import ModelParams
+from csvortex.model import ModelParams, SolveOpts
 
 # the keys cli._solve_report and cmd_solve_torus read from a solver's record
 RECORD_KEYS = ("iterations", "minres_iters", "minres_unconverged", "clamp_hit",
@@ -19,8 +20,10 @@ RECORD_KEYS = ("iterations", "minres_iters", "minres_unconverged", "clamp_hit",
 
 # one bad value per case; the other option keeps its default
 BAD_OPTS = [({"tol": math.nan}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": -1e-9}, "tol"),
-            ({"max_iter": 0}, "max_iter")]
-BAD_IDS = ["tol-nan", "tol-zero", "tol-negative", "max-iter-zero"]
+            ({"max_iter": 0}, "max_iter"), ({"tol": True}, "tol"), ({"tol": "1e-9"}, "tol"),
+            ({"max_iter": True}, "max_iter"), ({"max_iter": 2.5}, "max_iter")]
+BAD_IDS = ["tol-nan", "tol-zero", "tol-negative", "max-iter-zero", "tol-bool", "tol-str",
+           "max-iter-bool", "max-iter-float"]
 
 PLANE_PARAMS = ModelParams(alpha=1.0, beta=1.0, species=1, lambda_bg=2.0)
 PLANE_BOX = GridDomain.box(6.0, 32)
@@ -47,8 +50,9 @@ def torus_runs():
 
 @pytest.mark.parametrize("bad, key", BAD_OPTS, ids=BAD_IDS)
 class TestBadOptionsRefused:
-    """A tolerance that is not positive and finite, or an iteration cap below
-    one, is refused by every solve with the message the command line prints."""
+    """A tolerance that is not a positive finite real number, or an iteration
+    cap that is not an integer of at least one, is refused by every solve
+    with a message that starts as the command line's do."""
 
     def test_solve_plane(self, bad, key):
         with pytest.raises(ConfigError, match=f"^{key} must"):
@@ -64,6 +68,11 @@ class TestBadOptionsRefused:
         params, _, _, (first, info), _ = torus_runs
         with pytest.raises(ConfigError, match=f"^{key} must"):
             torus.mountain_pass(params, first, torus.TorusSolveOpts(**bad), bg=info["bg"])
+
+
+def test_numpy_numbers_accepted():
+    opts = SolveOpts(tol=np.float32(1e-6), max_iter=np.int64(30))
+    assert (opts.tol, opts.max_iter) == (np.float32(1e-6), 30)
 
 
 def test_every_solve_returns_the_record(plane_run, torus_runs):
