@@ -218,16 +218,31 @@ def laplacian4_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
     restrict their norms accordingly.
     """
     box = domain.kind == "box"
-    width = ((0, 0),) * (values.ndim - 2) + ((2, 2), (2, 2))
-    p = np.pad(values, width, mode="constant" if box else "wrap")
-    out = np.zeros_like(values)
-    for axis, h in ((-2, domain.h1), (-1, domain.h2)):
-        acc = np.zeros_like(values)
-        for k, w in zip((-2, -1, 0, 1, 2), (-1.0, 16.0, -30.0, 16.0, -1.0)):
+    n1, n2 = values.shape[-2:]
+    # two ghost rings: zeros on the box, the periodic images on the torus;
+    # the corners are never read
+    p = np.zeros(values.shape[:-2] + (n1 + 4, n2 + 4))
+    p[..., 2:-2, 2:-2] = values
+    if not box:
+        p[..., :2, 2:-2] = values[..., -2:, :]
+        p[..., -2:, 2:-2] = values[..., :2, :]
+        p[..., 2:-2, :2] = values[..., :, -2:]
+        p[..., 2:-2, -2:] = values[..., :, :2]
+    # per axis, (-f[-2] + 16 f[-1] - 30 f[0] + 16 f[1] - f[2])/(12 h²), summed
+    # left to right in three buffers
+    out, acc, tmp = (np.empty_like(values) for _ in range(3))
+    for axis, n, h, dest in ((-2, n1, domain.h1, out), (-1, n2, domain.h2, acc)):
+        taps = []
+        for k in range(-2, 3):
             sl = [slice(2, -2), slice(2, -2)]
-            sl[axis] = slice(2 + k, p.shape[axis] - 2 + k)
-            acc += w * p[(...,) + tuple(sl)]
-        out += acc / (12.0 * h**2)
+            sl[axis] = slice(2 + k, n + 2 + k)
+            taps.append(p[(...,) + tuple(sl)])
+        np.negative(taps[0], out=dest)
+        for f, w in zip(taps[1:4], (16.0, -30.0, 16.0)):
+            dest += np.multiply(f, w, out=tmp)
+        dest -= taps[4]
+        dest /= 12.0 * h**2
+    out += acc
     if box:
         out[..., :2, :] = out[..., -2:, :] = out[..., :, :2] = out[..., :, -2:] = 0.0
     return out

@@ -4,8 +4,8 @@
 line search.  Its direction comes from the compact form of the inverse
 Hessian (Byrd, Nocedal and Schnabel 1994): two single-precision sweeps of
 one fixed float32 buffer of kept pairs, each row under its own power of two,
-two small k×k solves in float64, and one application of the preconditioner
-per iteration.  Accepted energies never
+one inverse of a small k×k triangle in float64, and one application of the
+preconditioner per iteration.  Accepted energies never
 increase, and they decrease strictly wherever the decrease is resolvable:
 once the predicted decrease of a step falls below 64 ulps of the energy, the
 line search accepts on the approximate-Wolfe slope test of Hager and Zhang
@@ -24,8 +24,10 @@ inner solve delivers the reduction it was asked for, and each is sized to the
 tolerance still to be met, never tighter than the outer step needs
 (Eisenstat and Walker 1996).  Inner solves that stop short of their
 tolerance, or break down, are still tried as steps, kept if the merit falls,
-and counted in ``OptResult.minres_unconverged``; ``OptResult.minres_iters``
-counts the inner MINRES iterations.
+and counted in ``OptResult.minres_unconverged``; on a singular, incompatible
+system ``minres`` returns a least-squares iterate with its own status, whose
+step is tried once.  ``OptResult.minres_iters`` counts the inner MINRES
+iterations, and ``OptResult.evals`` the L-BFGS evaluations.
 """
 
 from __future__ import annotations
@@ -46,6 +48,21 @@ _FORCING_GAIN, _FORCING_TARGET = 1e-2, 0.1
 _RTOL_MIN, _RTOL_MAX = 1e-12, 1e-2
 _MINRES_MAXITER = 500  # iteration cap of each of newton_polish's inner solves
 _EPS = float(np.finfo(float).eps)
+_SQRT_EPS = math.sqrt(_EPS)
+MINRES_SINGULAR = -2  # minres's info on a singular, incompatible system
+# slots oldest first, one row per position of the ring's head, and the upper
+# triangle that R keeps of SᵀY
+_ORDER = (np.arange(_HISTORY)[:, None] + np.arange(_HISTORY)) % _HISTORY
+_UPPER = np.triu(np.ones((_HISTORY, _HISTORY), bool))
+
+
+def _times_pow2(v: np.ndarray, e: int, **kwargs) -> np.ndarray:
+    """np.ldexp(v, e, **kwargs), by one multiplication where 2^e is a normal
+    double: a correctly rounded product by an exact power of two is the same
+    number, at about half the cost of ldexp."""
+    if -1022 <= e <= 1023:
+        return np.multiply(v, math.ldexp(1.0, e), **kwargs)
+    return np.ldexp(v, e, **kwargs)
 
 
 class LineSearchError(RuntimeError):
@@ -66,6 +83,7 @@ class OptResult:
     boundary_trapped: bool = False
     minres_unconverged: int = 0  # newton_polish inner solves that missed rtol
     minres_iters: int = 0        # newton_polish inner MINRES iterations
+    evals: int = 0               # minimize_lbfgs fun_grad evaluations
 
 
 def _slope(g: np.ndarray, d: np.ndarray) -> float:
@@ -204,7 +222,7 @@ class _Pairs:
     def _store(self, row: int, v: np.ndarray, bound: float) -> None:
         """Row ``row`` := v/2^e in float32, for the exponent e of ``bound`` >= max|v|."""
         self.exp[row] = e = math.frexp(bound)[1]
-        np.ldexp(v, -e, out=self.rows[row], casting="same_kind")
+        _times_pow2(v, -e, out=self.rows[row], casting="same_kind")
 
     def push(self, s: np.ndarray, y: np.ndarray, sy: float, s_norm: float,
              py: np.ndarray) -> None:
@@ -230,30 +248,36 @@ class _Pairs:
             return d
         rows, exp = self.rows[:2 * k], self.exp[:2 * k]
         e_g = math.frexp(g_max)[1]
-        g32 = np.ldexp(g, -e_g, out=np.empty(g.size, np.float32), casting="same_kind")
+        g32 = _times_pow2(g, -e_g, out=np.empty(g.size, np.float32), casting="same_kind")
         prod = np.ldexp(rows @ g32, exp + e_g, dtype=float)
         sg, pyg = prod[0::2], prod[1::2]
         if self.fresh is not None:
+            # the new slot's column, all but its diagonal (s·y and y·P y from push)
             j = self.fresh
-            old = np.arange(k) != j
-            self.sy[:k, j][old] = sg[old] - self.sg[:k][old]
-            self.ypy[:k, j][old] = self.ypy[j, :k][old] = pyg[old] - self.pyg[:k][old]
+            diag = self.sy[j, j], self.ypy[j, j]
+            np.subtract(sg, self.sg[:k], out=self.sy[:k, j])
+            self.ypy[j, :k] = np.subtract(pyg, self.pyg[:k], out=self.ypy[:k, j])
+            self.sy[j, j], self.ypy[j, j] = diag
             self.fresh = None
         self.sg[:k] = sg
         self.pyg[:k] = pyg
-        order = (self.head + np.arange(k)) % _HISTORY  # slots, oldest first
-        cols = np.ix_(order, order)
-        r = np.triu(self.sy[cols])
-        p = np.linalg.solve(r, sg[order])
-        w = np.diag(r) * p + self.gamma * (self.ypy[cols] @ p - pyg[order])
-        q = np.linalg.solve(r.T, w)
-        coef = np.empty(2 * k)
-        coef[2 * order] = -q
-        coef[2 * order + 1] = p * self.gamma
-        coef = np.ldexp(coef, exp)   # weight of each stored row
-        e_c = math.frexp(float(np.max(np.abs(coef))))[1]
+        if self.head == 0:   # slots in chronological order
+            order, cols = slice(None), (slice(k), slice(k))
+        else:                # the ring has wrapped: k = _HISTORY
+            order = _ORDER[self.head]
+            cols = np.ix_(order, order)
+        # one inverse of R: p = R⁻¹ Sᵀg and q = R⁻ᵀ(D p + γ(YᵀPY p - (PY)ᵀg))
+        r = np.where(_UPPER[:k, :k], self.sy[cols], 0.0)
+        r_inv = np.linalg.inv(r)
+        p = r_inv @ sg[order]
+        w = r.diagonal() * p + self.gamma * (self.ypy[cols] @ p - pyg[order])
+        coef = np.empty((k, 2))   # weights of the rows (s_i, P y_i), by slot
+        coef[order, 0] = -(w @ r_inv)
+        coef[order, 1] = p * self.gamma
+        coef = np.ldexp(coef.ravel(), exp)
+        e_c = math.frexp(float(np.abs(coef).max()))[1]
         c32 = np.ldexp(coef, -e_c, out=np.empty(2 * k, np.float32), casting="same_kind")
-        d += np.ldexp(c32 @ rows, e_c, dtype=float)
+        d += _times_pow2(c32 @ rows, e_c, dtype=float)
         return d
 
 
@@ -276,11 +300,22 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
     Converges when the gradient max-norm drops to ``tol_inf``.  ``precond``
     applies a fixed symmetric positive-definite initial inverse Hessian P; it
     is applied once per iteration, to the new gradient, and P y comes from
-    the difference of consecutive preconditioned gradients.
+    the difference of consecutive preconditioned gradients.  The result's
+    ``evals`` counts the calls of ``fun_grad``, the start's included.
     """
     apply_p = precond if precond is not None else (lambda v: v.copy())
+    evals = 0
+
+    def counted(xt: np.ndarray):
+        nonlocal evals
+        evals += 1
+        return fun_grad(xt)
+
+    def result(*args) -> OptResult:
+        return OptResult(*args, evals=evals)
+
     x = np.asarray(x0, dtype=float).copy()
-    f, g = fun_grad(x)
+    f, g = counted(x)
     energies = [f]
     pairs = _Pairs(x.size)
     pg = None       # P g at the current iterate
@@ -290,8 +325,8 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
     for it in range(1, max_iter + 1):
         g_max = float(np.max(np.abs(g)))
         if g_max <= tol_inf:
-            return OptResult(x, f, g, it - 1, True, energies,
-                             "gradient tolerance met", boundary)
+            return result(x, f, g, it - 1, True, energies,
+                          "gradient tolerance met", boundary)
         pg_new = apply_p(g)
         if pending is not None:
             pairs.push(*pending, pg_new - pg)
@@ -302,25 +337,25 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
             pairs.clear()
             d = -pg
         try:
-            t, f_new, g_new, x_new = _Wolfe(fun_grad, x, f, g, d, feasible).run()
+            t, f_new, g_new, x_new = _Wolfe(counted, x, f, g, d, feasible).run()
         except LineSearchError as exc:
             boundary = boundary or exc.feasibility_blocked
             if pairs.k == 0:
-                return OptResult(x, f, g, it, False, energies, str(exc), boundary)
+                return result(x, f, g, it, False, energies, str(exc), boundary)
             # retry once along the preconditioned steepest descent
             pairs.clear()
             try:
-                t, f_new, g_new, x_new = _Wolfe(fun_grad, x, f, g, -pg,
+                t, f_new, g_new, x_new = _Wolfe(counted, x, f, g, -pg,
                                                 feasible).run()
             except LineSearchError as exc2:
                 boundary = boundary or exc2.feasibility_blocked
-                return OptResult(x, f, g, it, False, energies, str(exc2), boundary)
+                return result(x, f, g, it, False, energies, str(exc2), boundary)
         pending = _curvature_pair(x_new - x, g_new - g)
         x, f, g = x_new, f_new, g_new
         energies.append(f)
     converged = float(np.max(np.abs(g))) <= tol_inf
-    return OptResult(x, f, g, it, converged, energies,
-                     "" if converged else "iteration budget exhausted", boundary)
+    return result(x, f, g, it, converged, energies,
+                  "" if converged else "iteration budget exhausted", boundary)
 
 
 def minres(A: Callable, b: np.ndarray, *, rtol: float, maxiter: int,
@@ -335,14 +370,27 @@ def minres(A: Callable, b: np.ndarray, *, rtol: float, maxiter: int,
     solve.  ``callback(x)`` runs once per iteration.  Returns (x, info):
 
     - info 0: the preconditioned residual φ̄ = ‖b - A x‖_P, which the
-      recurrence holds, fell to rtol·‖b‖_P; or, for a singular A, the
-      least-squares test ‖A r‖/(‖A‖‖r‖) <= rtol passed, ‖A‖ estimated from
-      the Lanczos tridiagonal; or b = 0, and x = 0.
+      recurrence holds, fell to rtol·‖b‖_P; or, for a nearly singular A, the
+      least-squares test ‖A r‖/(‖A‖‖r‖) <= rtol passed, ‖A‖ estimated by the
+      Frobenius norm of the Lanczos tridiagonal T_k; or b = 0, and x = 0.
     - info ``maxiter``: the cap bit first.
     - info -1: breakdown, x the last finite iterate.  bᵀPb or a Lanczos β²
       was negative or not finite: P is not SPD, or A returned non-finite
       values.  A zero β² is not a breakdown: the Krylov space is invariant,
       φ̄ falls to zero and x is exact.
+    - info ``MINRES_SINGULAR``: A is singular and b is not in its range.
+      ‖A r‖/(‖A‖‖r‖) fell to √ε while ‖r‖_P stays above rtol·‖b‖_P: x is
+      a least-squares solution to round-off.  The next step, whose pivot
+      is then at round-off too, would run along a null direction of A with
+      a length of order 1/ε; without this exit an exactly singular,
+      incompatible system returned such a step (about 1e15) with info 0.
+      The test runs before that step and returns the iterate it certifies.
+      A nonsingular A takes this exit only if its condition number exceeds
+      1/√ε.
+
+    T_k holds the Lanczos coefficients alone, not ‖b‖_P, so every test is
+    invariant under a scaling of b: minres(A, s·b) is s·minres(A, b), bit
+    for bit when s is a power of two and nothing overflows or underflows.
     """
     apply_m = M if M is not None else np.copy
     n = b.size
@@ -372,7 +420,8 @@ def minres(A: Callable, b: np.ndarray, *, rtol: float, maxiter: int,
         if not 0.0 <= beta2 < math.inf:
             return x, -1
         beta = math.sqrt(beta2)
-        tnorm2 += alfa * alfa + oldb * oldb + beta2
+        # ‖T_k‖_F²: β_1 = ‖b‖_P starts the recurrence but is no entry of T_k
+        tnorm2 += alfa * alfa + beta2 + (oldb * oldb if itn > 1 else 0.0)
         # apply the previous plane rotation, then form the next one
         oldeps = epsln
         delta = cs * dbar + sn * alfa
@@ -380,6 +429,13 @@ def minres(A: Callable, b: np.ndarray, *, rtol: float, maxiter: int,
         epsln = sn * beta
         dbar = -cs * beta
         root = math.hypot(gbar, dbar)        # ‖A r_{k-1}‖/‖r_{k-1}‖
+        a_norm = math.sqrt(tnorm2)
+        # at round-off the test certifies x_{k-1}, returned without step k:
+        # that step's pivot γ >= root, so it would run along a null direction
+        if root <= _SQRT_EPS * a_norm:
+            if callback is not None:
+                callback(x)
+            return x, MINRES_SINGULAR
         gamma = max(math.hypot(gbar, beta), _EPS)
         cs, sn = gbar / gamma, beta / gamma
         phi = cs * phibar
@@ -393,7 +449,7 @@ def minres(A: Callable, b: np.ndarray, *, rtol: float, maxiter: int,
         x += np.multiply(w, phi, out=tmp)
         if callback is not None:
             callback(x)
-        if phibar <= rtol * beta1 or root <= rtol * math.sqrt(tnorm2):
+        if phibar <= rtol * beta1 or root <= rtol * a_norm:
             return x, 0
     return x, maxiter
 
@@ -435,7 +491,9 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
     Policy for inner solves that miss rtol or break down (counted in
     ``minres_unconverged``): their steps are treated like any other, kept
     when the merit falls by the sufficient-decrease factor, halved when it
-    does not.  If halving fails, or the solve broke down before its first
+    does not.  The least-squares step of a singular system (info
+    ``MINRES_SINGULAR``) costs one gradient: it is tried at t = 1 only.  If
+    that or the halving fails, or the solve broke down before its first
     step, a preconditioned steepest-descent step is tried, and if that fails
     the polish stops unconverged.  Every accepted merit is below the one
     before.
@@ -463,7 +521,9 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
         if status != 0:
             unconverged += 1
         m0 = merits[-1]
-        step = _backtrack(grad, x, delta, m0, 0.5, 1e-8, 1e-4) if np.any(delta) else None
+        # a least-squares step of a singular system is tried at t = 1 only
+        t_min = 1.0 if status == MINRES_SINGULAR else 1e-8
+        step = _backtrack(grad, x, delta, m0, 0.5, t_min, 1e-4) if np.any(delta) else None
         if step is None:
             # steepest-descent fallback on the merit; if even that stalls, stop
             step = _backtrack(grad, x, -(precond(g) if precond is not None else g),
@@ -494,4 +554,4 @@ def finish_solve(what: str, lbfgs: OptResult, polish: OptResult, energy: float,
             f"after {iterations} iterations", state=state, grad_norm=grad_inf)
     return {"energies": list(lbfgs.energies) + [energy], "grad_inf": grad_inf,
             "iterations": iterations, "minres_unconverged": polish.minres_unconverged,
-            "minres_iters": polish.minres_iters}
+            "minres_iters": polish.minres_iters, "lbfgs_evals": lbfgs.evals}

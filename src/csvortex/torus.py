@@ -20,7 +20,11 @@ saddle branch (lower root of the first quadratic) turns it into a plain
 minimum, reached from the barrier point -- the first solution's mean-zero
 part with the saddle-branch constants.  Both solves are preconditioned by a
 frozen-coefficient inverse Hessian, 2x2 per Fourier mode: frozen at the
-vacuum for the first, at the barrier point for the second.
+vacuum for the first, at the barrier point for the second.  The energies the
+mountain pass reports along the straight path of constant shifts (the first
+solution, the sampled path, the endpoint) come from one profile pass
+(TorusOperator.energy_profile): constants carry no gradient, so its
+Dirichlet term is formed once, and the shifted potentials in batches.
 
 A state is one (2, n1, n2) stack (u, v), a view of the optimizer's flat
 vector, as on the plane: TorusOperator evaluates it in one body and
@@ -308,6 +312,7 @@ def admissibility_margins(u_prime: np.ndarray, v_prime: np.ndarray,
 # Eigenvalue magnitudes of a preconditioner symbol are floored at this fraction
 # of the largest one, so a mode whose eigenvalue crosses zero stays bounded.
 _SYMBOL_FLOOR = 1e-8
+_PROFILE_BLOCK = 1 << 16   # values per shifted-field block of energy_profile
 
 
 class TorusOperator:
@@ -361,13 +366,15 @@ class TorusOperator:
         self._precond = self._inverse_symbol(*self._vacuum)
 
     def _inverse_symbol(self, huu: float, huv: float, hvv: float):
-        """|M|^{-1} per Fourier mode, M = [[a k² + huu, b k² + huv], [·, a k² + hvv]].
+        """|M|^{-1}/|Ω_h| per Fourier mode, M = [[a k² + huu, b k² + huv], [·, a k² + hvv]].
 
         M is inverted through the absolute values of its two eigenvalues, so
         the result is SPD even where M is indefinite; the magnitudes are
-        floored at _SYMBOL_FLOOR times the largest.  The k = 0 mode takes the
-        vacuum coefficients: the reduced problems have no mean mode, and the
-        full one is preconditioned there as at the vacuum.
+        floored at _SYMBOL_FLOOR times the largest.  The flat gradient is the
+        L2 gradient times the cell area |Ω_h|, so the symbol carries its
+        reciprocal.  The k = 0 mode takes the vacuum coefficients: the
+        reduced problems have no mean mode, and the full one is
+        preconditioned there as at the vacuum.
         """
         m11 = self._stiff[0] + huu
         m12 = self._stiff[1] + huv
@@ -377,7 +384,8 @@ class TorusOperator:
         half = 0.5 * (m11 - m22)
         r = np.hypot(half, m12)
         lam = np.abs(np.stack((mid + r, mid - r)))
-        f1, f2 = 1.0 / np.maximum(lam, _SYMBOL_FLOOR * np.max(lam))
+        lam = np.maximum(lam, _SYMBOL_FLOOR * np.max(lam))
+        f1, f2 = 1.0 / (self.domain.cell_area * lam)
         # eigenvector angle θ of mid + r: cos 2θ = half/r, sin 2θ = m12/r
         cos2 = np.divide(half, r, out=np.ones_like(r), where=r > 0.0)
         sin2 = np.divide(m12, r, out=np.zeros_like(r), where=r > 0.0)
@@ -391,10 +399,29 @@ class TorusOperator:
     # -- the stacked body ----------------------------------------------------
     def _exp(self, X: np.ndarray) -> np.ndarray:
         """The clamped exponentials (P, R) = e^{X + (u0, 0)}, one new stack."""
-        E = np.add(X, self._lift)
+        return self._clamped_exp(np.add(X, self._lift))
+
+    def _clamped_exp(self, E: np.ndarray) -> np.ndarray:
+        """e^E in E's own buffer, clamped as exp_clip clamps; an exponent past
+        EXP_CLAMP sets clamp_hit."""
         if E.max() > EXP_CLAMP:
             self.clamp_hit = True
         return exp_clip(E, out=E)
+
+    def _potential(self, P: np.ndarray, R: np.ndarray, sums: np.ndarray):
+        """(α Σ(P+R-2)² + β Σ(P-R)² + the linear terms, P+R-2, P-R), every
+        sum over the last two axes; sums (..., 2) are the field sums (Σu, Σv)
+        the linear terms weigh by the sources.  The energy's sums are
+        pairwise (ndarray.sum), not BLAS dots: at 256² a dot's round-off
+        stalls the first descent's line search (248 evaluations for 9 L-BFGS
+        iterations at alpha=30, against 7 for 6)."""
+        p = self.params
+        s = P + R
+        s -= 2.0
+        d = P - R
+        pot = (p.alpha * (s * s).sum(axis=(-2, -1)) + p.beta * (d * d).sum(axis=(-2, -1))
+               + np.dot(sums, self._sources))
+        return pot, s, d
 
     @staticmethod
     def _spectra(X: np.ndarray) -> np.ndarray:
@@ -422,21 +449,12 @@ class TorusOperator:
 
     def _evaluate(self, X: np.ndarray,
                   gradient: bool = True) -> Tuple[float, Optional[np.ndarray]]:
-        """(energy, L2 gradient stack or None) at the state stack X.
-
-        The energy's sums are pairwise (ndarray.sum), not BLAS dots: at 256²
-        a dot's round-off stalls the first descent's line search (248
-        evaluations for 9 L-BFGS iterations at alpha=30, against 7 for 6).
-        """
+        """(energy, L2 gradient stack or None) at the state stack X."""
         p = self.params
         E = self._exp(X)
         P, R = E
         wh = self._spectra(X)
-        s = P + R
-        s -= 2.0
-        d = P - R
-        pot = (p.alpha * (s * s).sum() + p.beta * (d * d).sum()
-               + np.dot(self._sources, np.add.reduce(X, axis=(1, 2))))
+        pot, s, d = self._potential(P, R, np.add.reduce(X, axis=(1, 2)))
         val = self._dirichlet(wh) + float(pot) * self.domain.cell_area
         G = None
         if gradient:
@@ -483,6 +501,30 @@ class TorusOperator:
     def energy(self, u: np.ndarray, v: np.ndarray) -> float:
         return self._evaluate(np.stack((u, v)), gradient=False)[0]
 
+    def energy_profile(self, u: np.ndarray, v: np.ndarray, shifts) -> np.ndarray:
+        """energy(u + c, v) for every constant shift c in ``shifts``, from one pass.
+
+        Constants carry no gradient, so the Dirichlet term is formed once, and
+        e^v once.  The shifted exponentials e^{u0 + u + c} and their
+        potentials come from blocks of shifts stacked (block, n1, n2) and
+        reduced together by _potential, as energy reduces one state.  A block
+        holds at most _PROFILE_BLOCK values, so its temporaries stay near
+        2 MiB on any grid; at 32² the mountain pass's 17 shifts fit in one.
+        """
+        shifts = np.asarray(shifts, dtype=float)
+        R = self._clamped_exp(np.array(v, dtype=float))
+        sum_v = np.add.reduce(v, axis=(0, 1))
+        pot = np.empty(shifts.size)
+        step = max(1, _PROFILE_BLOCK // u.size)
+        for i in range(0, shifts.size, step):
+            U = np.add.outer(shifts[i:i + step], u)
+            sums = np.empty((U.shape[0], 2))
+            sums[:, 0] = np.add.reduce(U, axis=(1, 2))
+            sums[:, 1] = sum_v
+            U += self.bg.u0
+            pot[i:i + step] = self._potential(self._clamped_exp(U), R, sums)[0]
+        return self._dirichlet(self._spectra(np.stack((u, v)))) + pot * self.domain.cell_area
+
     def gradient(self, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         G = self._evaluate(np.stack((u, v)))[1]
         return G[0], G[1]
@@ -508,7 +550,7 @@ class TorusOperator:
         symbol at a state.
         """
         wh = self._spectra(w.reshape(self.shape))
-        return self._apply_symbol(wh, self._precond).ravel() / self.domain.cell_area
+        return self._apply_symbol(wh, self._precond).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -639,20 +681,22 @@ class _BranchReduced:
         memo = self._solve(x)
         if self._hess is None or self._hess[0] is not memo:
             K = op._coeffs(self.lift(x))
-            huu, huv, hvv = np.add.reduce(K, axis=(1, 2)) * ca
-            self._hess = (memo, K, np.array([[huu, huv], [huv, hvv]]))
-        _, K, hc = self._hess
+            huu, huv, hvv = (np.add.reduce(K, axis=(1, 2)) * ca).tolist()
+            self._hess = (memo, K, (huu, huv, hvv))
+        _, K, (huu, huv, hvv) = self._hess
         H = op._hess(K, w.reshape(op.shape))
-        rhs = -np.add.reduce(H, axis=(1, 2)) * ca
-        det = hc[0, 0] * hc[1, 1] - hc[0, 1] * hc[1, 0]
-        if abs(det) < 1e-14 * (abs(hc[0, 0] * hc[1, 1]) + 1.0):
-            dc = np.zeros(2)
+        r1, r2 = (-np.add.reduce(H, axis=(1, 2)) * ca).tolist()
+        # the constants' shift dc solves [[huu, huv], [huv, hvv]] dc = (r1, r2),
+        # by Cramer's rule
+        det = huu * hvv - huv * huv
+        if abs(det) < 1e-14 * (abs(huu * hvv) + 1.0):
+            dc1 = dc2 = 0.0
         else:
-            dc = np.linalg.solve(hc, rhs)
+            dc1, dc2 = (r1 * hvv - huv * r2) / det, (huu * r2 - huv * r1) / det
         # H(dw + dc) = H(dw) + H(dc), and the Laplacian annihilates the
         # constant shift dc: only the pointwise terms act on it
-        H += K[:2] * dc[0]
-        H += K[1:] * dc[1]
+        H += K[:2] * dc1
+        H += K[1:] * dc2
         H -= _field_means(H)
         H *= ca
         return H.ravel()
@@ -799,6 +843,12 @@ def minimize_torus(params: ModelParams, vortices: VortexSet, domain: GridDomain,
 # second solution: saddle-branch descent from the barrier point
 # ---------------------------------------------------------------------------
 
+def _path_shifts(c_tilde: float) -> np.ndarray:
+    """The sampled constant shifts -s of the straight path, s geometric from
+    0.25 to -c_tilde; the last is c_tilde, the endpoint, exactly."""
+    return -np.geomspace(0.25, -c_tilde, _PROFILE_SHIFTS)
+
+
 def mountain_pass(params: ModelParams, first: TorusState, opts: SolveOpts,
                   bg: BackgroundTorus):
     """Second critical point: the mountain-pass saddle of the full functional.
@@ -816,7 +866,10 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: SolveOpts,
     Certificates in info: separation (>= _SEPARATION), energy_first,
     endpoint_energy, and path_max_energy, the highest sampled energy on the
     straight path of constant shifts to the endpoint, which bounds the
-    mountain-pass level from above.
+    mountain-pass level from above.  All three energies come from one
+    TorusOperator.energy_profile pass over the shifts 0 and _path_shifts,
+    whose last is the endpoint; each doubling of c_tilde, where the endpoint
+    is not yet low enough, takes one more pass over the new path.
     """
     if bg.n == 0:
         raise MountainPassCollapseError(
@@ -828,17 +881,16 @@ def mountain_pass(params: ModelParams, first: TorusState, opts: SolveOpts,
     p = params
     X1 = np.stack((first.u, first.v))
     u1, v1 = X1
-    e_first = op.energy(u1, v1)
 
     # endpoint from the affine bound for constant shifts
     slope = 4.0 * math.pi * bg.n * (1.0 / p.alpha + 1.0 / p.beta)
     c_tilde = -((4.0 * p.alpha + p.beta) * dom.area + 1.0 + _ENDPOINT_MARGIN) / slope
-    e_end = op.energy(u1 + c_tilde, v1)
-    while e_end > e_first - 1.0:
+    prof = op.energy_profile(u1, v1, np.append(0.0, _path_shifts(c_tilde)))
+    e_first = float(prof[0])
+    while prof[-1] > e_first - 1.0:
         c_tilde *= 2.0
-        e_end = op.energy(u1 + c_tilde, v1)
-    path_max = max(op.energy(u1 - s, v1)
-                   for s in np.geomspace(0.25, -c_tilde, _PROFILE_SHIFTS))
+        prof[1:] = op.energy_profile(u1, v1, _path_shifts(c_tilde))
+    e_end, path_max = float(prof[-1]), float(prof[1:].max())
 
     # descend the saddle-branch reduced energy from the barrier point, with
     # the preconditioner frozen at the lifted barrier point for the descent

@@ -512,7 +512,7 @@ class TestReportAgreement:
             for key in ("pde_residual.fourth_order", "admissible_margin_1",
                         "admissible_margin_2", "c1", "c2"):
                 assert key in verified, key
-        for key in ("iterations", "minres_iters", "clamp_hit", "wall_time_seconds",
+        for key in ("iterations", "lbfgs_evals", "minres_iters", "clamp_hit", "wall_time_seconds",
                     "constraint_residual_1", "energy_J", "decay.slope"):
             assert key not in verified, key
 
@@ -549,7 +549,7 @@ class TestPlanePipeline:
         text = (out / "report.txt").read_text()
         assert "quantized.total.rel_error" in text
         assert "mode = plane" in text
-        for key in ("minres_iters", "minres_unconverged", "clamp_hit = False"):
+        for key in ("lbfgs_evals", "minres_iters", "minres_unconverged", "clamp_hit = False"):
             assert key in text
 
     def test_verify_roundtrip_and_idempotent(self, plane_cfg, tmp_path):
@@ -713,6 +713,8 @@ class TestTorusPipeline:
         text = (out / "report.txt").read_text()
         assert "feasibility_margin" in text
         assert "max_principle.U = pass" in text
+        evals = [line for line in text.splitlines() if line.startswith("lbfgs_evals = ")]
+        assert len(evals) == 1 and int(evals[0].split(" = ")[1]) > 0
 
     def test_torus_verify_and_tamper(self, torus_cfg, tmp_path, capsys):
         out = tmp_path / "run"
@@ -749,7 +751,7 @@ class TestTorusPipeline:
         assert "separation" in text
         assert "path_max_energy" in text
         assert "mode = torus-second" in text
-        for key in ("minres_iters", "minres_unconverged = 0", "clamp_hit"):
+        for key in ("lbfgs_evals", "minres_iters", "minres_unconverged = 0", "clamp_hit"):
             assert key in text
         iterations = [line for line in text.splitlines() if line.startswith("iterations = ")]
         assert len(iterations) == 1 and int(iterations[0].split(" = ")[1]) > 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csvortex.minimize as minimize_mod
-from csvortex.minimize import _HISTORY, minimize_lbfgs, minres, newton_polish
+from csvortex.minimize import MINRES_SINGULAR, _HISTORY, minimize_lbfgs, minres, newton_polish
 
 
 # The kept pairs are stored in float32, so the compact direction, the kept
@@ -281,6 +281,20 @@ class TestNewtonPolish:
         assert res.converged
         assert np.max(np.abs(res.x)) < 1e-10
 
+    def test_large_gradient_takes_the_newton_step(self):
+        # ‖g‖₂ = 2e6 puts the inner rtol at its loosest; the exact Newton step
+        # of this quadratic is still found, at t = 1
+        lam, target = np.array([2.0, 0.5, -1.0, 3.0]), 1e6 * np.ones(4)
+        seen = []
+
+        def grad(x):
+            seen.append(x.copy())
+            return lam * (x - target)
+
+        res = newton_polish(grad, lambda x, v: lam * v, np.zeros(4), tol_inf=1e-6)
+        assert res.converged and res.iterations == 1 and res.minres_unconverged == 0
+        np.testing.assert_allclose(seen[1], target, rtol=1e-12, atol=0.0)
+
     def test_counts_unconverged_inner_solves(self, rng, monkeypatch):
         d = rng.uniform(0.5, 50.0, size=40)
         b = rng.standard_normal(40)
@@ -414,6 +428,30 @@ class TestNewtonPolish:
         np.testing.assert_allclose(seen, np.outer([1.0] + newton + fallback, x0),
                                    rtol=1e-12, atol=0.0)
 
+    def test_singular_step_costs_one_gradient(self):
+        # the model Hessian diag(2, -1, 0.5, 0) is singular and b = ones is
+        # outside its range: MINRES returns its least-squares step with
+        # MINRES_SINGULAR.  The true gradient has the opposite sign, so that
+        # step raises the merit; it is tried at t = 1 only, and the
+        # steepest-descent fallback -g follows
+        lam = np.array([2.0, -1.0, 0.5, 0.0])
+        b = np.ones(4)
+        seen = []
+
+        def grad(x):
+            seen.append(x.copy())
+            return -(lam + np.array([0.0, 0.0, 0.0, 1.0])) * x - b
+
+        res = newton_polish(grad, lambda x, v: lam * v, np.zeros(4), tol_inf=1e-12,
+                            max_iter=1)
+        assert res.minres_unconverged == 1
+        newton, fallback = seen[1], np.array(seen[2:])
+        assert np.all(np.isfinite(newton)) and np.linalg.norm(newton) <= 10.0
+        # every later trial lies on the fallback ray t b, t = 1, 1/4, ...
+        assert len(fallback) >= 1
+        np.testing.assert_allclose(fallback, np.outer(0.25 ** np.arange(len(fallback)), b),
+                                   rtol=1e-15, atol=0.0)
+
 
 def _symmetric_system(n, seed):
     """Symmetric, possibly indefinite A with |eigenvalues| in [0.5, 5], an SPD
@@ -480,6 +518,79 @@ class TestMinres:
         assert np.max(np.abs(x[:49] * lam - 1.0)) <= 1e-5
         assert abs(x[49]) <= 1.0
         assert np.linalg.norm(b - a @ x) >= 0.99
+
+    @staticmethod
+    def _null_space_system():
+        """The symmetric 25×25 A with a 5-dimensional null space and a b with
+        a part in it, from one default_rng(0) stream."""
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((25, 25))
+        basis, _ = np.linalg.qr(rng.standard_normal((25, 5)))
+        proj = np.eye(25) - basis @ basis.T
+        return proj @ (g + g.T) @ proj, rng.standard_normal(25)
+
+    @pytest.mark.parametrize("rtol", [1e-6, 1e-10, 1e-12])
+    @pytest.mark.parametrize("case", ["diagonal", "null-space"])
+    def test_singular_incompatible_system_is_a_status(self, case, rtol):
+        # without this exit both returned steps of about 1e15 with info 0
+        if case == "diagonal":
+            a, b = np.diag([2.0, -1.0, 0.5, 0.0]), np.ones(4)
+        else:
+            a, b = self._null_space_system()
+        x_ls = np.linalg.pinv(a) @ b
+        steps = []
+        x, info = minres(lambda v: a @ v, b, rtol=rtol, maxiter=1000, callback=steps.append)
+        assert info == MINRES_SINGULAR
+        assert len(steps) <= b.size
+        # a least-squares solution, bounded
+        assert np.linalg.norm(a @ x - b) <= (1.0 + 1e-6) * np.linalg.norm(a @ x_ls - b)
+        assert np.linalg.norm(x) <= 10.0 * np.linalg.norm(x_ls)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), null=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           log_rtol=st.floats(-12.0, -2.0), preconditioned=st.booleans())
+    def test_singular_system_gives_bounded_x_or_a_status(self, n, null, seed, log_rtol,
+                                                         preconditioned):
+        # A symmetric, indefinite, with a null space of dimension `null` and
+        # its other eigenvalues of magnitude in [0.5, 5]; b has a part in the
+        # null space.  Either x stays within a few least-squares lengths
+        # ‖b‖/0.5, or the status says why not
+        null = min(null, n - 1)
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 5.0, n)
+        lam[:null] = 0.0
+        a = (q * lam) @ q.T
+        b = rng.standard_normal(n)
+        p = rng.uniform(0.5, 2.0, n)
+        x, info = minres(lambda v: a @ v, b, rtol=10.0**log_rtol, maxiter=10 * n + 10,
+                         M=(lambda r: p * r) if preconditioned else None)
+        bounded = bool(np.all(np.isfinite(x))) and np.linalg.norm(x) <= 20.0 * np.linalg.norm(b)
+        assert bounded or info != 0
+
+    @pytest.mark.parametrize("scale", [2.0**30, 2.0**-30])
+    @pytest.mark.parametrize("rtol", [1e-2, 1e-12])
+    @pytest.mark.parametrize("case", ["identity", "indefinite", "null-space"])
+    def test_right_hand_side_scaling_is_exact(self, case, rtol, scale):
+        # no exit depends on ‖b‖: a power-of-two scaling of b scales x bit
+        # for bit and keeps the status.  With ‖b‖_P in the ‖A‖ estimate, a
+        # large b passed the least-squares test at the first iteration and
+        # returned x = 0, even for A = I
+        m = None
+        if case == "identity":
+            a, b = np.eye(6), np.arange(1.0, 7.0)
+        elif case == "indefinite":
+            a, p, b = _symmetric_system(20, 3)
+            m = lambda r: p * r  # noqa: E731
+        else:
+            a, b = self._null_space_system()
+        x, info = minres(lambda v: a @ v, b, rtol=rtol, maxiter=200, M=m)
+        xs, info_s = minres(lambda v: a @ v, scale * b, rtol=rtol, maxiter=200, M=m)
+        assert info_s == info
+        np.testing.assert_array_equal(xs, scale * x)
+        if case == "identity":
+            assert info == 0
+            np.testing.assert_allclose(x, b, rtol=4 * np.finfo(float).eps, atol=0.0)
 
     def test_breakdown_is_a_status(self, rng):
         a, p, b = _symmetric_system(10, 7)

@@ -15,8 +15,8 @@ from csvortex.fields import GridDomain
 from csvortex.model import ModelParams, SolveOpts
 
 # the keys cli._solve_report and cmd_solve_torus read from a solver's record
-RECORD_KEYS = ("iterations", "minres_iters", "minres_unconverged", "clamp_hit",
-               "wall_time", "operator", "bg", "energies", "grad_inf")
+RECORD_KEYS = ("iterations", "lbfgs_evals", "minres_iters", "minres_unconverged",
+               "clamp_hit", "wall_time", "operator", "bg", "energies", "grad_inf")
 
 # one bad value per case; the other option keeps its default
 BAD_OPTS = [({"tol": math.nan}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": -1e-9}, "tol"),
@@ -83,3 +83,28 @@ def test_every_solve_returns_the_record(plane_run, torus_runs):
         assert [key for key in RECORD_KEYS if key not in info] == [], name
         assert info["energies"][-1] == info[energy_key], name
 
+
+@pytest.mark.parametrize("domain", ["plane", "torus"])
+def test_lbfgs_evals_counts_every_evaluation(domain, monkeypatch):
+    # info["lbfgs_evals"] against a wrapper that counts every call of the
+    # function the solve hands to minimize_lbfgs
+    module = plane if domain == "plane" else torus
+    calls = []
+    lbfgs = module.minimize_lbfgs
+
+    def counting(fun_grad, x0, **kwargs):
+        def counted(x):
+            calls.append(1)
+            return fun_grad(x)
+        return lbfgs(counted, x0, **kwargs)
+
+    monkeypatch.setattr(module, "minimize_lbfgs", counting)
+    if domain == "plane":
+        _, info = plane.solve_plane(PLANE_PARAMS, PLANE_VORTEX, PLANE_BOX,
+                                    plane.PlaneSolveOpts(tol=1e-9))
+    else:
+        _, info = torus.minimize_torus(ModelParams(alpha=30.0, beta=45.0, sigma=2.0),
+                                       VortexSet.single([(math.pi, math.pi)]),
+                                       GridDomain.torus(2 * math.pi, 2 * math.pi, 16, 16),
+                                       torus.TorusSolveOpts(tol=1e-10))
+    assert info["lbfgs_evals"] == len(calls) > 1

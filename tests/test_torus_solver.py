@@ -17,6 +17,7 @@ from csvortex.errors import (
     MountainPassCollapseError,
 )
 from csvortex.fields import (
+    EXP_CLAMP,
     GridDomain,
     _k2,
     dirichlet_inner_values,
@@ -152,6 +153,88 @@ class TestEnergyGradient:
         assert np.max(np.abs(fd - hv)) <= 1e-6 * np.max(np.abs(hv))
 
 
+class TestEnergyProfile:
+    """TorusOperator.energy_profile against one energy call per shift."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), amp=st.floats(0.0, 2.0),
+           offset=st.floats(-5.0, 60.0),
+           shifts=st.lists(st.floats(-1e4, 10.0), min_size=1, max_size=20))
+    def test_matches_energy_per_shift(self, small, seed, amp, offset, shifts):
+        # offsets above EXP_CLAMP - max(u0) put some shifted exponents past the clamp
+        dom, bg, params, _ = small
+        rng = np.random.default_rng(seed)
+        u = smooth_random(dom, rng, amp, mean_zero=False) + offset
+        v = smooth_random(dom, rng, amp, mean_zero=False)
+        prof_op, ref_op = TorusOperator(bg, params), TorusOperator(bg, params)
+        prof = prof_op.energy_profile(u, v, shifts)
+        ref = np.array([ref_op.energy(u + c, v) for c in shifts])
+        assert prof.shape == ref.shape
+        # relative to the sum of the magnitudes of the energy's terms: the
+        # linear one cancels the nonnegative rest where the profile crosses zero
+        src = 4 * np.pi * bg.n / dom.area
+        lin = np.array([src * ((1 / params.alpha + 1 / params.beta) * integrate_values(u + c, dom)
+                               + (1 / params.alpha - 1 / params.beta) * integrate_values(v, dom))
+                        for c in shifts])
+        assert np.all(np.abs(prof - ref) <= 1e-13 * (np.abs(ref - lin) + np.abs(lin)))
+        assert prof_op.clamp_hit == ref_op.clamp_hit
+
+    @pytest.mark.parametrize("per_block", [1, 2, 5])
+    def test_blocks_match_one_pass(self, small, per_block, monkeypatch):
+        # a pass split into blocks of per_block shifts gives the same values
+        dom, bg, params, first = small
+        shifts = -np.geomspace(0.25, 40.0, 11)
+        whole = TorusOperator(bg, params).energy_profile(first.u, first.v, shifts)
+        monkeypatch.setattr(torus_mod, "_PROFILE_BLOCK", per_block * first.u.size)
+        split = TorusOperator(bg, params).energy_profile(first.u, first.v, shifts)
+        np.testing.assert_array_equal(split, whole)
+
+    def test_clamp_flagged(self, small):
+        # the first solution shifted up by 60 passes the clamp, shifted down
+        # it does not; both are flagged only where energy flags them
+        dom, bg, params, first = small
+        assert np.max(bg.u0 + first.u) + 60.0 > EXP_CLAMP
+        for shifts, hit in (([-1.0, -10.0], False), ([-10.0, 60.0], True)):
+            op = TorusOperator(bg, params)
+            op.energy_profile(first.u, first.v, shifts)
+            assert op.clamp_hit is hit
+
+    @pytest.mark.parametrize("start", [1.0, 0.01])
+    def test_mountain_pass_profile_matches_energy_calls(self, small, start, monkeypatch):
+        # the first energy, the endpoint and the path maximum agree with one
+        # energy call per shift, as the mountain pass sampled them before;
+        # start 0.01 begins c_tilde at a hundredth of the affine bound's, so
+        # the endpoint is doubled several times
+        dom, bg, params, first = small
+        a, b = params.alpha, params.beta
+        bound = (4.0 * a + b) * dom.area + 1.0
+        margin = start * (bound + torus_mod._ENDPOINT_MARGIN) - bound
+        monkeypatch.setattr(torus_mod, "_ENDPOINT_MARGIN", margin)
+        passes = []
+        profile = TorusOperator.energy_profile
+
+        def counted(self, u, v, shifts):
+            passes.append(len(shifts))
+            return profile(self, u, v, shifts)
+
+        monkeypatch.setattr(TorusOperator, "energy_profile", counted)
+        info2 = mountain_pass(params, first, TorusSolveOpts(tol=1e-9), bg=bg)[1]
+        op = TorusOperator(bg, params)
+        e_first = op.energy(first.u, first.v)
+        c_tilde = -(bound + margin) / (4.0 * np.pi * bg.n * (1.0 / a + 1.0 / b))
+        doublings = 0
+        while op.energy(first.u + c_tilde, first.v) > e_first - 1.0:
+            c_tilde *= 2.0
+            doublings += 1
+        path = [op.energy(first.u - s, first.v)
+                for s in np.geomspace(0.25, -c_tilde, torus_mod._PROFILE_SHIFTS)]
+        assert (doublings > 0) == (start < 1.0)
+        assert passes == [1 + torus_mod._PROFILE_SHIFTS] + [torus_mod._PROFILE_SHIFTS] * doublings
+        for key, want in (("energy_first", e_first), ("endpoint_energy", path[-1]),
+                          ("path_max_energy", max(path))):
+            assert info2[key] == pytest.approx(want, rel=1e-13), key
+
+
 class TestReducedFunctional:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([3.0, 30.0]),
@@ -243,15 +326,16 @@ class TestPreconditioner:
         assert np.dot(pa, a) > 0.0
 
     def test_vacuum_symbol(self, small):
-        # at P = R = 1 the frozen symbol is the exact inverse vacuum Hessian,
-        # compared on the kept half of the spectrum the operator holds
+        # at P = R = 1 the frozen symbol is the exact inverse vacuum Hessian
+        # of the flat problem (the L2 one times the cell area), compared on
+        # the kept half of the spectrum the operator holds
         dom, bg, params, _ = small
         op = TorusOperator(bg, params)
         k2 = _k2(dom)
         assert k2.shape == op._precond[0].shape == (dom.n1, dom.n2 // 2 + 1)
         aa = op.a * k2 + 2.0 * (params.alpha + params.beta)
         bb = op.b * k2 + 2.0 * (params.alpha - params.beta)
-        det = aa * aa - bb * bb
+        det = (aa * aa - bb * bb) * dom.cell_area
         exact = (aa / det, -bb / det, aa / det)
         scale = np.abs(aa / det) + np.abs(bb / det)
         built = op._precond
@@ -288,7 +372,7 @@ class FullSpectrumOperator(TorusOperator):
 
     def precond_flat(self, w):
         wh = np.fft.fft2(w.reshape((2,) + self.domain.shape))
-        return self._apply_symbol(wh, self._precond).ravel() / self.domain.cell_area
+        return self._apply_symbol(wh, self._precond).ravel()
 
 
 @pytest.fixture(scope="module", params=[(32, 32, 2 * np.pi, 2 * np.pi),

@@ -7,11 +7,19 @@ silently empty; here it fails the counts instead.
 
 import math
 
+import pytest
+
 from csvortex.background import VortexSet
 from csvortex.fields import GridDomain
 from csvortex.model import ModelParams
 from csvortex.plane import PlaneSolveOpts, solve_plane
-from csvortex.torus import _PROFILE_SHIFTS, TorusSolveOpts, minimize_torus, mountain_pass
+from csvortex.torus import (
+    _PROFILE_SHIFTS,
+    TorusOperator,
+    TorusSolveOpts,
+    minimize_torus,
+    mountain_pass,
+)
 
 from test_bench_hooks import _load_spans
 
@@ -43,7 +51,15 @@ def test_torus_kernels_go_through_traced_names():
         first, info = minimize_torus(params, vs, dom, TorusSolveOpts(tol=1e-10))
         mountain_pass(params, first, TorusSolveOpts(tol=1e-9), bg=info["bg"])
 
-    with tracer.operation() as timed:
+    profiles = []
+    profile = TorusOperator.energy_profile
+
+    def counted(self, u, v, shifts):
+        profiles.append(len(shifts))
+        return profile(self, u, v, shifts)
+
+    with pytest.MonkeyPatch.context() as mp, tracer.operation() as timed:
+        mp.setattr(TorusOperator, "energy_profile", counted)
         timed(both)
     counts = tracer.summary()
     minres_iters = counts["minimize.minres.iters"]
@@ -59,6 +75,8 @@ def test_torus_kernels_go_through_traced_names():
     assert counts["torus.feasible.rejected"] == 0
     # every L-BFGS evaluation but each branch solve's start is feasibility-tested
     assert counts["torus.feasible.calls"] == counts["minimize.lbfgs.evals"] - 2
-    # the mountain pass evaluates the energy at the first solution, at one
-    # endpoint and along the sampled path, and nowhere it does not report
-    assert counts["torus.energy.calls"] == 2 + _PROFILE_SHIFTS
+    # the mountain pass takes the energies it reports (the first solution,
+    # the sampled path and its endpoint) from one profile pass, which the
+    # tracer does not patch, and calls energy nowhere
+    assert counts["torus.energy.calls"] == 0
+    assert profiles == [1 + _PROFILE_SHIFTS]
