@@ -154,7 +154,9 @@ def cmd_solve_plane(cfg: RunConfig) -> int:
                   + [(f"f_{i}", fi) for i, fi in enumerate(state.f_i)]
                   + [(f"u_{i}", ui) for i, ui in enumerate(u_list)])
     rep = _solve_report(cfg, "plane", (state.X, u, u_list), info,
-                        lambda_bg=cfg.params.lambda_bg)
+                        lambda_bg=cfg.params.lambda_bg,
+                        coarse_iterations=info["coarse_iterations"],
+                        coarse_lbfgs_evals=info["coarse_lbfgs_evals"])
     try:
         rep.decay = diag.decay_fit(u, u_list, cfg.params, cfg.domain,
                                    center=cfg.decay_center)

@@ -5,11 +5,13 @@ line search.  Its direction comes from the compact form of the inverse
 Hessian (Byrd, Nocedal and Schnabel 1994): two single-precision sweeps of
 one fixed float32 buffer of kept pairs, each row under its own power of two,
 one inverse of a small k×k triangle in float64, and one application of the
-preconditioner per iteration.  Accepted energies never
-increase, and they decrease strictly wherever the decrease is resolvable:
-once the predicted decrease of a step falls below 64 ulps of the energy, the
-line search accepts on the approximate-Wolfe slope test of Hager and Zhang
-(2005) instead.  A caller may install a feasibility predicate; trial points
+preconditioner per iteration.  Accepted energies are non-increasing up to
+ε_k, 64 ulps of the energy at the step's start, and they decrease strictly
+wherever the decrease is resolvable: once the predicted decrease of a step
+falls below ε_k, the line search accepts on the ε-approximate Wolfe
+conditions of Hager and Zhang (2005) instead, f(t) <= f(0) + ε_k and the
+slope test, so a search at the energy's round-off does not halve down to a
+collapsed interval.  A caller may install a feasibility predicate; trial points
 outside the feasible set are treated as infinitely costly, which makes the
 line search reject them and halve the step — the rejection semantics
 required at the admissible-set boundary of the constrained torus problem.
@@ -124,13 +126,16 @@ class _Wolfe:
     def _rejected(self, t, ft, gdt, f_ref):
         """Trial t fails sufficient decrease, or does not improve on f_ref.
 
-        Where the predicted decrease c1·t·|gᵀd| is below 64 ulps of |f0| the
-        energies cannot resolve it: the trial then passes on f(t) <= f0 and
-        the approximate-Wolfe slope test gᵀ(t)d <= (2c1 - 1)gᵀd (Hager and
-        Zhang), without comparing f against f_ref.
+        Where the predicted decrease c1·t·|gᵀd| is below ε_k = 64 ulps of |f0|
+        the energies cannot resolve it: the trial then passes on Hager and
+        Zhang's ε-approximate Wolfe conditions, f(t) <= f0 + ε_k and the slope
+        test gᵀ(t)d <= (2c1 - 1)gᵀd, without comparing f against f_ref.  The
+        slope carries the decrease there; f(t) <= f0 alone rejects every trial
+        once the energy's round-off exceeds the true decrease.
         """
         if -self.c1 * t * self.gd0 < self.resolvable:
-            return not (ft <= self.f0 and gdt <= (2.0 * self.c1 - 1.0) * self.gd0)
+            return not (ft <= self.f0 + self.resolvable
+                        and gdt <= (2.0 * self.c1 - 1.0) * self.gd0)
         return ft > self.f0 + self.c1 * t * self.gd0 or ft >= f_ref
 
     def run(self):
@@ -294,10 +299,13 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
                    precond: Optional[Callable] = None,
                    feasible: Optional[Callable] = None,
                    tol_inf: float = 1e-8,
+                   tol_rel: float = 0.0,
                    max_iter: int = 2000) -> OptResult:
-    """Preconditioned L-BFGS with Wolfe steps; energies never increase.
+    """Preconditioned L-BFGS with Wolfe steps; each accepted energy is at most
+    the one before plus 64 ulps of it (see ``_Wolfe._rejected``).
 
-    Converges when the gradient max-norm drops to ``tol_inf``.  ``precond``
+    Converges when the gradient max-norm drops to ``tol_inf``, or to
+    ``tol_rel`` times its value at x0, whichever is larger.  ``precond``
     applies a fixed symmetric positive-definite initial inverse Hessian P; it
     is applied once per iteration, to the new gradient, and P y comes from
     the difference of consecutive preconditioned gradients.  The result's
@@ -316,6 +324,7 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
 
     x = np.asarray(x0, dtype=float).copy()
     f, g = counted(x)
+    tol_inf = max(tol_inf, tol_rel * float(np.max(np.abs(g))))
     energies = [f]
     pairs = _Pairs(x.size)
     pg = None       # P g at the current iterate
@@ -364,10 +373,12 @@ def minres(A: Callable, b: np.ndarray, *, rtol: float, maxiter: int,
     """Preconditioned MINRES (Paige and Saunders 1975) for A x = b from x = 0.
 
     A is symmetric, possibly indefinite or singular; M applies an SPD
-    preconditioner P (the identity if None).  Both are plain callables that
-    return fresh arrays, which the recurrence then updates in place; its own
-    vectors (x, two search directions, one scratch) are allocated once per
-    solve.  ``callback(x)`` runs once per iteration.  Returns (x, info):
+    preconditioner P (the identity if None).  Both are plain callables whose
+    results the recurrence updates in place; a result that is the callable's
+    own input array (``lambda v: v``) is copied first, so neither b nor a
+    Lanczos vector is overwritten.  Its own vectors (x, two search
+    directions, one scratch) are allocated once per solve.  ``callback(x)``
+    runs once per iteration.  Returns (x, info):
 
     - info 0: the preconditioned residual φ̄ = ‖b - A x‖_P, which the
       recurrence holds, fell to rtol·‖b‖_P; or, for a nearly singular A, the
@@ -392,10 +403,14 @@ def minres(A: Callable, b: np.ndarray, *, rtol: float, maxiter: int,
     invariant under a scaling of b: minres(A, s·b) is s·minres(A, b), bit
     for bit when s is a power of two and nothing overflows or underflows.
     """
+    def fresh(op: Callable, v: np.ndarray) -> np.ndarray:
+        y = op(v)
+        return y.copy() if y is v else y
+
     apply_m = M if M is not None else np.copy
     n = b.size
     x = np.zeros(n)
-    y = apply_m(b)
+    y = fresh(apply_m, b)
     beta1 = float(np.dot(b, y))
     if not 0.0 < beta1 < math.inf:
         return x, 0 if beta1 == 0.0 else -1
@@ -408,13 +423,13 @@ def minres(A: Callable, b: np.ndarray, *, rtol: float, maxiter: int,
     for itn in range(1, maxiter + 1):
         v = y
         v *= 1.0 / beta
-        y = A(v)
+        y = fresh(A, v)
         if itn > 1:
             y -= np.multiply(r1, beta / oldb, out=tmp)
         alfa = float(np.dot(v, y))
         y -= np.multiply(r2, alfa / beta, out=tmp)
         r1, r2 = r2, y
-        y = apply_m(r2)
+        y = fresh(apply_m, r2)
         oldb = beta
         beta2 = float(np.dot(r2, y))
         if not 0.0 <= beta2 < math.inf:

@@ -18,12 +18,18 @@ vacuum preconditioner.  That pair alone runs in float32: it only shapes
 search directions, while the energy, gradient, Hessian products and every
 convergence test stay in float64.
 
-Minimization: preconditioned L-BFGS (Wolfe steps, energies never
-increasing) from the zero state, followed by a Newton/MINRES polish that
-drives the gradient max-norm to the requested tolerance.  Each Hessian
-product of the polish is one stencil of the direction on a zero ghost ring
-and about eight array passes against the pointwise reaction matrix, which
-is computed once per Newton iterate.
+Minimization: preconditioned L-BFGS (Wolfe steps; accepted energies are
+non-increasing up to 64 ulps of the energy, see ``minimize``), followed by a
+Newton/MINRES polish that drives the gradient max-norm to the requested
+tolerance.  Each Hessian product of the polish is one stencil of the
+direction on a zero ghost ring and about eight array passes against the
+pointwise reaction matrix, which is computed once per Newton iterate.
+
+The fine L-BFGS starts from the zero state, or, on a grid of n >=
+_COARSE_FLOOR nodes per axis with n a multiple of 4, from a loosely solved
+n/2 grid (nested iteration, one level): L-BFGS from zero there, with that
+grid's own background, until its gradient max-norm falls to _COARSE_STOP
+times its start, then a bilinear prolongation of the remainders.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .fields import (  # noqa: F401
     GridDomain,
     box_dirichlet_ring,
     box_laplacian_ring,
+    box_pad_with_ring,
     box_shifted_inverse,
     box_symbol,
     exp_clip,
@@ -71,6 +78,15 @@ class PlaneState:
 # L-BFGS hands over to Newton at this multiple of tol, before its line searches
 # reach the energy's round-off; Newton/MINRES is cheaper for the rest
 _LBFGS_HANDOVER = 1e5
+# nested iteration: a grid of n >= _COARSE_FLOOR nodes per axis, n a multiple
+# of 4, starts from the n/2 grid's L-BFGS iterate at gradient max-norm
+# _COARSE_STOP times its start.  A tighter stop is wasted: on plane_m2 the
+# prolonged start's fine gradient is the same for every stop from 1e-2 down
+# to 1e-8, the coarse grid's own discretization error.  The floor is
+# measured: the coarse run costs 7-16% more than it saves at n = 64, about
+# what it saves at n = 96, and pays from n = 128 on
+_COARSE_FLOOR = 128
+_COARSE_STOP = 1e-3
 
 
 # bench/workloads.py imports the solve options under this name
@@ -314,10 +330,55 @@ def reconstruct(state: PlaneState, bg: BackgroundPlane) -> Tuple[np.ndarray, Tup
     return u, u_list
 
 
+def _prolong(padded: np.ndarray) -> np.ndarray:
+    """Cell-centred bilinear prolongation to the grid of twice the resolution.
+
+    ``padded`` is a (k, n + 2, n + 2) stack whose outer ring holds the ghost
+    values; the result is (k, 2n, 2n).  Each fine node lies a quarter of a
+    coarse cell from its coarse node, so along each axis it takes 3/4 of that
+    node and 1/4 of the next one outward: in 2-D the weights are 9/16, 3/16,
+    3/16 and 1/16, and bilinear data is reproduced exactly.
+    """
+    out = padded
+    for axis in (-2, -1):
+        c = np.moveaxis(out, axis, 0)
+        mid = 0.75 * c[1:-1]
+        fine = np.empty((2 * (c.shape[0] - 2),) + c.shape[1:])
+        np.add(mid, 0.25 * c[:-2], out=fine[0::2])
+        np.add(mid, 0.25 * c[2:], out=fine[1::2])
+        out = np.moveaxis(fine, 0, axis)
+    return out
+
+
+def _coarse_start(params: ModelParams, vortices: VortexSet, domain: GridDomain,
+                  max_iter: int) -> Tuple[np.ndarray, int, int]:
+    """(x0, coarse iterations, coarse evaluations) for the fine solve on ``domain``.
+
+    L-BFGS from zero on the n/2 grid, with its own consistent background,
+    until the gradient max-norm falls to _COARSE_STOP times its start; then
+    the remainders (f, f_i), padded with that grid's ghost ring, are
+    prolonged to ``domain``.  The remainders, not u, are prolonged: each
+    grid's background differs at the discretization level.  A coarse run
+    that stops short is only a start.  Only x0 and the counts outlive the
+    call, so the coarse operator and history are released before the fine
+    background is built.
+    """
+    coarse = GridDomain.box(domain.extent1, domain.n1 // 2)
+    op = PlaneOperator(plane_background(vortices, params.lambda_bg, coarse), params)
+    res = minimize_lbfgs(op.fun_grad_flat, np.zeros(op.shape).ravel(),
+                         precond=op.precond_flat, tol_inf=0.0, tol_rel=_COARSE_STOP,
+                         max_iter=max_iter)
+    x0 = _prolong(box_pad_with_ring(res.x.reshape(op.shape), op.ring)).ravel()
+    return x0, res.iterations, res.evals
+
+
 def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
                 opts: SolveOpts = SolveOpts()):
-    """Minimize the plane energy from the zero state.
+    """Minimize the plane energy, from a loosely solved n/2 grid if there is one.
 
+    On a grid of n >= _COARSE_FLOOR nodes per axis, n a multiple of 4, the
+    fine L-BFGS starts from ``_coarse_start``'s prolongation, and the coarse
+    iterations are spent from opts.max_iter; otherwise it starts from zero.
     L-BFGS hands over at gradient max-norm _LBFGS_HANDOVER·opts.tol to a
     Newton/MINRES polish, which returns at once when L-BFGS already met
     opts.tol.  The polished point is taken as it is, as on the torus; the
@@ -325,6 +386,9 @@ def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
     max-norm above opts.tol raises NonConvergenceError carrying that state.
     Returns (state, info) where info carries the reconstructed fields and the
     raw convergence record; higher-level reporting lives in diagnostics.
+    ``energies``, ``iterations`` and ``lbfgs_evals`` are the fine grid's
+    record; ``coarse_iterations`` and ``coarse_lbfgs_evals`` count the coarse
+    L-BFGS run (0 without one).
     """
     if domain.kind != "box":
         raise DomainError("plane solve requires a box domain")
@@ -338,12 +402,18 @@ def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
                     "every vortex must sit at distance >= L/4 from the box boundary"
                 )
     t0 = time.perf_counter()
+    if domain.n1 >= _COARSE_FLOOR and domain.n1 % 4 == 0:
+        x0, coarse_iterations, coarse_evals = _coarse_start(params, vortices, domain,
+                                                            opts.max_iter)
+    else:
+        x0 = np.zeros((params.species + 1) * domain.n1 * domain.n2)
+        coarse_iterations = coarse_evals = 0
     bg = plane_background(vortices, params.lambda_bg, domain)
     op = PlaneOperator(bg, params)
     tol_flat = opts.tol * domain.cell_area
-    x0 = np.zeros(op.shape).ravel()
     res = minimize_lbfgs(op.fun_grad_flat, x0, precond=op.precond_flat,
-                         tol_inf=tol_flat * _LBFGS_HANDOVER, max_iter=opts.max_iter)
+                         tol_inf=tol_flat * _LBFGS_HANDOVER,
+                         max_iter=opts.max_iter - coarse_iterations)
     pol = newton_polish(op.grad_flat, op.hess_vec_flat, res.x, g0=res.g,
                         precond=op.precond_flat, tol_inf=tol_flat)
     state = PlaneState(domain, pol.x.reshape(op.shape))
@@ -360,5 +430,7 @@ def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
         "operator": op,
         "clamp_hit": op.clamp_hit,
         "vortex_mask": vortex_node_mask(vortices, domain),
+        "coarse_iterations": coarse_iterations,
+        "coarse_lbfgs_evals": coarse_evals,
     })
     return state, info

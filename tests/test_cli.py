@@ -513,6 +513,7 @@ class TestReportAgreement:
                         "admissible_margin_2", "c1", "c2"):
                 assert key in verified, key
         for key in ("iterations", "lbfgs_evals", "minres_iters", "clamp_hit", "wall_time_seconds",
+                    "coarse_iterations", "coarse_lbfgs_evals",
                     "constraint_residual_1", "energy_J", "decay.slope"):
             assert key not in verified, key
 
@@ -549,8 +550,22 @@ class TestPlanePipeline:
         text = (out / "report.txt").read_text()
         assert "quantized.total.rel_error" in text
         assert "mode = plane" in text
-        for key in ("lbfgs_evals", "minres_iters", "minres_unconverged", "clamp_hit = False"):
+        for key in ("lbfgs_evals", "minres_iters", "minres_unconverged", "clamp_hit = False",
+                    "coarse_iterations = 0", "coarse_lbfgs_evals = 0"):
             assert key in text
+
+    def test_report_counts_the_coarse_level(self, plane_cfg, tmp_path):
+        # a 128² solve starts from the 64² grid: report.txt counts both
+        # levels, verify_report.txt neither
+        out = tmp_path / "run"
+        args = ["--config", plane_cfg, "--out", str(out), "--grid", "128"]
+        assert main(["solve-plane"] + args) == 0
+        assert main(["verify"] + args) == 0
+        solved = _report_values(out / "report.txt")
+        assert 0 < int(solved["coarse_iterations"]) < int(solved["coarse_lbfgs_evals"])
+        assert int(solved["lbfgs_evals"]) > 0
+        verified = _report_values(out / "verify_report.txt")
+        assert "coarse_iterations" not in verified and "coarse_lbfgs_evals" not in verified
 
     def test_verify_roundtrip_and_idempotent(self, plane_cfg, tmp_path):
         out = tmp_path / "run"

@@ -126,6 +126,51 @@ class TestLBFGS:
         assert not res.converged
         assert res.iterations == 2
 
+    def test_uncentred_quadratic_converges_on_every_seed(self):
+        # ½xᵀDx - bᵀx carries round-off in f of about 1e-14, far above its
+        # last steps' decrease: with f(t) <= f0 as the approximate-Wolfe
+        # energy test, all 40 seeds stopped with "line search interval
+        # collapsed" after 57-92 iterations; f(t) <= f0 + ε_k accepts them
+        for seed in range(40):
+            fun_grad, _, _ = quad_problem(200, np.random.default_rng(seed))
+            res = minimize_lbfgs(fun_grad, np.zeros(200), tol_inf=1e-9, max_iter=2000)
+            assert res.converged, (seed, res.message)
+            assert res.evals <= 2 * res.iterations, seed
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 200), k=st.integers(0, 8))
+    def test_offset_energy_converges(self, seed, n, k):
+        # an offset of 10^k puts every late step's decrease below 64 ulps of
+        # f, down to its round-off; L-BFGS still reaches tol_inf 1e-9 with at
+        # most two evaluations per iteration.  The offset takes the sign of
+        # the quadratic's minimum, so |f| is never a cancellation of larger
+        # terms, whose round-off 64 ulps of |f| would not cover
+        fun_grad, _, _ = quad_problem(n, np.random.default_rng(seed))
+
+        def offset(x):
+            f, g = fun_grad(x)
+            return f - 10.0**k, g
+
+        res = minimize_lbfgs(offset, np.zeros(n), tol_inf=1e-9, max_iter=2000)
+        assert res.converged, res.message
+        assert res.evals <= 2 * res.iterations
+        assert all(e2 <= e1 + 64 * np.spacing(abs(e1))
+                   for e1, e2 in zip(res.energies, res.energies[1:]))
+
+    @pytest.mark.parametrize("tol_rel", [1e-1, 1e-3])
+    def test_relative_tolerance(self, rng, tol_rel):
+        # tol_rel stops the run at that fraction of the start's gradient
+        # max-norm, the larger of the two tolerances
+        fun_grad, _, _ = quad_problem(50, rng)
+        g0 = float(np.max(np.abs(fun_grad(np.zeros(50))[1])))
+        res = minimize_lbfgs(fun_grad, np.zeros(50), tol_inf=1e-12, tol_rel=tol_rel,
+                             max_iter=500)
+        assert res.converged
+        assert float(np.max(np.abs(res.g))) <= tol_rel * g0
+        full = minimize_lbfgs(fun_grad, np.zeros(50), tol_inf=1e-12, max_iter=500)
+        assert res.iterations < full.iterations
+        assert res.energies == full.energies[:len(res.energies)]
+
 
 def _spd(rng, n, cond):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -605,3 +650,20 @@ class TestMinres:
     def test_zero_right_hand_side(self):
         x, info = minres(lambda v: 2.0 * v, np.zeros(5), rtol=1e-8, maxiter=5)
         assert info == 0 and not np.any(x)
+
+    @pytest.mark.parametrize("b", [1000.0, 1e8])
+    @pytest.mark.parametrize("returns_input", ["A", "M", "both"])
+    @pytest.mark.parametrize("rtol", [1e-2, 1e-12])
+    def test_callable_returning_its_input(self, returns_input, b, rtol):
+        # the recurrence updates what A and M return in place: handed back
+        # its own input, it overwrote b or a Lanczos vector, and A = I gave
+        # x = [0] with info 0, or with M the identity x = -601.5 (5.0e7 for
+        # b = [1e8]) with MINRES_SINGULAR
+        same = lambda v: v  # noqa: E731
+        fresh = lambda v: v.copy()  # noqa: E731
+        a = same if returns_input in ("A", "both") else fresh
+        m = same if returns_input in ("M", "both") else None
+        rhs = np.array([b])
+        x, info = minres(a, rhs, rtol=rtol, maxiter=5, M=m)
+        assert info == 0
+        assert x.tolist() == [b] and rhs.tolist() == [b]

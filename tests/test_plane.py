@@ -14,6 +14,7 @@ from csvortex.fields import (
     integrate_values,
 )
 from csvortex.model import ModelParams
+import csvortex.plane as plane
 from csvortex.plane import (
     PlaneOperator,
     PlaneSolveOpts,
@@ -280,7 +281,9 @@ class TestSolvePlane:
         assert fourth < 1.0
 
     def test_preconditioner_once_per_iteration(self, monkeypatch):
-        # one application per L-BFGS iteration and per MINRES iteration
+        # one application per L-BFGS iteration, on either grid, and per
+        # MINRES iteration; the floor lowered so that the 32² grid starts it
+        monkeypatch.setattr(plane, "_COARSE_FLOOR", 64)
         calls = []
         apply = PlaneOperator.precond_flat
 
@@ -293,21 +296,28 @@ class TestSolvePlane:
         params = ModelParams(alpha=1.0, beta=1.0, species=2, lambda_bg=10.0)
         vs = VortexSet((((0.0, 0.0, 1),), ((1.1, 0.0, 1), (-0.7, 0.9, 1))))
         _, info = solve_plane(params, vs, dom, PlaneSolveOpts(tol=1e-9))
-        assert info["minres_iters"] > 0
-        assert len(calls) <= info["iterations"] + info["minres_iters"] + 3
+        assert info["minres_iters"] > 0 and info["coarse_iterations"] > 0
+        assert len(calls) <= (info["coarse_iterations"] + info["iterations"]
+                              + info["minres_iters"] + 3)
 
     def test_float32_preconditioner_moves_no_answer(self, monkeypatch):
         # the preconditioner only shapes search directions: the same solve
         # with a float64 pair reaches the same energy in as many L-BFGS
-        # iterations, give or take one
-        import csvortex.plane as plane
-
-        dom = GridDomain.box(8.0, 64)
+        # iterations on each grid, give or take one; the floor lowered so
+        # that the 32² grid starts it
+        monkeypatch.setattr(plane, "_COARSE_FLOOR", 64)
         params = ModelParams(alpha=1.0, beta=1.0, species=2, lambda_bg=10.0)
         vs = VortexSet((((0.0, 0.0, 1),), ((1.1, 0.0, 1), (-0.7, 0.9, 1))))
         m, a, b = params.species, params.alpha, params.beta
-        symbol = box_symbol(dom, 2.0 * np.array([m / a] + [1.0 / b] * m) * dom.cell_area,
-                            np.array([8.0 * a * m] + [8.0 * b] * m) * dom.cell_area, _type=2)
+
+        def symbol(dom):
+            return box_symbol(dom, 2.0 * np.array([m / a] + [1.0 / b] * m) * dom.cell_area,
+                              np.array([8.0 * a * m] + [8.0 * b] * m) * dom.cell_area,
+                              _type=2)
+
+        dom = GridDomain.box(8.0, 64)
+        # one float64 symbol per operator shape: the coarse grid's and the fine one's
+        symbols = {(m + 1, n, n): symbol(GridDomain.box(8.0, n)) for n in (32, 64)}
         lbfgs_iters = []
         lbfgs = plane.minimize_lbfgs
 
@@ -319,14 +329,19 @@ class TestSolvePlane:
         monkeypatch.setattr(plane, "minimize_lbfgs", counted)
         _, single = solve_plane(params, vs, dom, PlaneSolveOpts(tol=1e-9))
         monkeypatch.setattr(PlaneOperator, "precond_flat", lambda self, v: box_shifted_inverse(
-            v.reshape(self.shape), symbol, _type=2).ravel())
+            v.reshape(self.shape), symbols[self.shape], _type=2).ravel())
         _, double = solve_plane(params, vs, dom, PlaneSolveOpts(tol=1e-9))
         assert single["energy"] == pytest.approx(double["energy"], rel=1e-12)
-        assert abs(lbfgs_iters[0] - lbfgs_iters[1]) <= 1
+        # (coarse, fine) L-BFGS runs of each solve
+        assert len(lbfgs_iters) == 4
+        for level in (0, 1):
+            assert abs(lbfgs_iters[level] - lbfgs_iters[2 + level]) <= 1
 
     def test_tight_tolerance_wastes_no_line_search(self, monkeypatch):
         # at tol 1e-12, L-BFGS must hand over before its line searches stop
-        # resolving the energy: about one evaluation per iteration
+        # resolving the energy: about one evaluation per iteration, on either
+        # grid; the floor lowered so that the 32² grid starts it
+        monkeypatch.setattr(plane, "_COARSE_FLOOR", 64)
         calls = []
         evaluate = PlaneOperator.fun_grad_flat
 
@@ -339,8 +354,8 @@ class TestSolvePlane:
         params = ModelParams(alpha=0.5, beta=2.0, species=1, lambda_bg=10.0)
         _, info = solve_plane(params, VortexSet.single([(0.0, 0.0)]), dom,
                               PlaneSolveOpts(tol=1e-12))
-        assert info["grad_inf"] <= 1e-12
-        assert len(calls) <= 1.5 * info["iterations"] + 2
+        assert info["grad_inf"] <= 1e-12 and info["coarse_iterations"] > 0
+        assert len(calls) <= 1.5 * (info["coarse_iterations"] + info["iterations"]) + 2
 
     def test_zero_vortex_residual_is_roundoff(self):
         dom = GridDomain.box(6.0, 32)
@@ -401,3 +416,101 @@ class TestSolvePlane:
         params = ModelParams(alpha=1.0, beta=1.0, species=2)
         with pytest.raises(DomainError):
             solve_plane(params, VortexSet.single([(0.0, 0.0)]), dom)
+
+
+class TestNestedIteration:
+    @settings(max_examples=30, deadline=None)
+    @given(nc=st.integers(8, 24).map(lambda k: 2 * k), half_width=st.floats(0.5, 50.0),
+           coef=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+           species=st.integers(1, 3))
+    def test_prolongation_reproduces_bilinear(self, nc, half_width, coef, species):
+        # sampled on the coarse nodes and their ghost ring, a + bx + cy + dxy
+        # comes out exact at every node of the grid of twice the resolution,
+        # the nodes beside the wall included, which read the ghost ring
+        a, b, c, d = coef
+
+        def bilinear(n, pad):
+            h = 2.0 * half_width / n
+            x = -half_width + h * (np.arange(-pad, n + pad) + 0.5)
+            X, Y = np.meshgrid(x, x, indexing="ij")
+            return a + b * X + c * Y + d * X * Y
+
+        coarse = np.stack([(k + 1) * bilinear(nc, 1) for k in range(species)])
+        fine = np.stack([(k + 1) * bilinear(2 * nc, 0) for k in range(species)])
+        out = plane._prolong(coarse)
+        assert out.shape == (species, 2 * nc, 2 * nc)
+        scale = species * (abs(a) + (abs(b) + abs(c)) * half_width + abs(d) * half_width**2)
+        assert np.max(np.abs(out - fine)) <= 1e-13 * max(scale, 1.0)
+        # a ring that disagrees with the data moves the boundary nodes only
+        coarse[:, 0, :] += 1.0
+        moved = np.any(plane._prolong(coarse) != out, axis=(0, 2))
+        assert moved[0] and not moved[1:].any()
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_coarse_start_matches_zero_start(self, n, monkeypatch):
+        # the same solve from the prolonged n/2 iterate and from zero: both
+        # meet tol, and their energies agree within rtol 1e-9
+        dom = GridDomain.box(8.0, n)
+        params = ModelParams(alpha=1.0, beta=1.0, species=2, lambda_bg=10.0)
+        vs = VortexSet((((0.0, 0.0, 1),), ((1.1, 0.0, 1), (-0.7, 0.9, 1))))
+        opts = PlaneSolveOpts(tol=1e-9)
+        monkeypatch.setattr(plane, "_COARSE_FLOOR", 64)
+        _, nested = solve_plane(params, vs, dom, opts)
+        monkeypatch.setattr(plane, "_COARSE_FLOOR", 10**9)
+        _, direct = solve_plane(params, vs, dom, opts)
+        assert nested["coarse_iterations"] > 0
+        assert nested["coarse_lbfgs_evals"] >= nested["coarse_iterations"] + 1
+        assert direct["coarse_iterations"] == direct["coarse_lbfgs_evals"] == 0
+        for info in (nested, direct):
+            assert info["grad_inf"] <= opts.tol
+        assert nested["energy"] == pytest.approx(direct["energy"], rel=1e-9)
+
+    def test_floor_and_multiple_of_four(self, monkeypatch):
+        # n = 128 starts from the 64² grid; n = 130 would need an odd 65²
+        # grid, and n = 64 is below the floor: both start from zero
+        starts = []
+        lbfgs = plane.minimize_lbfgs
+
+        def recorded(fun_grad, x0, **kwargs):
+            starts.append(x0.size)
+            return lbfgs(fun_grad, x0, **kwargs)
+
+        monkeypatch.setattr(plane, "minimize_lbfgs", recorded)
+        params = ModelParams(alpha=1.0, beta=1.0, species=1, lambda_bg=10.0)
+        vs = VortexSet.single([(0.0, 0.0)])
+        for n in (128, 130, 64):
+            starts.clear()
+            _, info = solve_plane(params, vs, GridDomain.box(8.0, n), PlaneSolveOpts(tol=1e-8))
+            nested = n == 128
+            assert starts == ([2 * 64 * 64] if nested else []) + [2 * n * n], n
+            assert (info["coarse_iterations"] > 0) == nested
+
+    def test_coarse_iterations_spent_from_max_iter(self, monkeypatch):
+        # the two L-BFGS runs together take at most opts.max_iter iterations
+        iterations = []
+        lbfgs = plane.minimize_lbfgs
+
+        def counted(*args, **kwargs):
+            res = lbfgs(*args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(plane, "minimize_lbfgs", counted)
+        params = ModelParams(alpha=1.0, beta=1.0, species=1, lambda_bg=10.0)
+        vs = VortexSet.single([(0.0, 0.0)])
+        _, info = solve_plane(params, vs, GridDomain.box(8.0, 128),
+                              PlaneSolveOpts(tol=1e-8, max_iter=12))
+        assert len(iterations) == 2 and sum(iterations) <= 12
+        assert info["coarse_iterations"] == iterations[0]
+
+    def test_coarse_stall_is_only_a_start(self, monkeypatch):
+        # one iteration in all: the coarse run stops short without raising,
+        # and the error comes from the fine grid and carries its state
+        monkeypatch.setattr(plane, "_COARSE_FLOOR", 64)
+        dom = GridDomain.box(6.0, 64)
+        params = ModelParams(alpha=1.0, beta=1.0, species=1, lambda_bg=2.0)
+        with pytest.raises(NonConvergenceError) as err:
+            solve_plane(params, VortexSet.single([(0.0, 0.0)]), dom,
+                        PlaneSolveOpts(tol=1e-20, max_iter=1))
+        assert err.value.state.domain == dom
+        assert err.value.grad_norm > 0

@@ -12,6 +12,7 @@ import pytest
 from csvortex.background import VortexSet
 from csvortex.fields import GridDomain
 from csvortex.model import ModelParams
+import csvortex.plane as plane
 from csvortex.plane import PlaneSolveOpts, solve_plane
 from csvortex.torus import (
     _PROFILE_SHIFTS,
@@ -24,21 +25,41 @@ from csvortex.torus import (
 from test_bench_hooks import _load_spans
 
 
-def test_plane_kernels_go_through_traced_names():
+def _traced_plane_solve(n):
     tracer = _load_spans().Tracer()
-    dom = GridDomain.box(6.0, 32)
+    dom = GridDomain.box(6.0, n)
     params = ModelParams(alpha=1.0, beta=1.0, species=2, lambda_bg=10.0)
     vs = VortexSet((((0.0, 0.0, 1),), ((1.1, 0.0, 1), (-0.7, 0.9, 1))))
     with tracer.operation() as timed:
-        timed(lambda: solve_plane(params, vs, dom, PlaneSolveOpts(tol=1e-9)))
-    counts = tracer.summary()
+        _, info = timed(lambda: solve_plane(params, vs, dom, PlaneSolveOpts(tol=1e-9)))
+    return tracer.summary(), info
+
+
+def _assert_plane_counts(counts, levels):
     assert counts["plane.hess_vec.calls"] > 0
     # one stencil per evaluation and Hessian product, one sine-transform pair
-    # per preconditioner application; the background solve adds one of each
+    # per preconditioner application; each grid's background solve adds one
+    # of each
     assert counts["fields.box_stencil.calls"] == (
         counts["plane.fun_grad.calls"] + counts["plane.grad.calls"]
-        + counts["plane.hess_vec.calls"] + 1)
-    assert counts["fields.dst.calls"] == counts["plane.precond.calls"] + 1
+        + counts["plane.hess_vec.calls"] + levels)
+    assert counts["fields.dst.calls"] == counts["plane.precond.calls"] + levels
+
+
+def test_plane_kernels_go_through_traced_names():
+    counts, info = _traced_plane_solve(32)
+    assert info["coarse_iterations"] == 0
+    _assert_plane_counts(counts, levels=1)
+
+
+def test_nested_plane_solve_goes_through_traced_names(monkeypatch):
+    # the coarse grid's run goes through the same traced names, and the
+    # tracer's L-BFGS counts hold both grids'
+    monkeypatch.setattr(plane, "_COARSE_FLOOR", 64)
+    counts, info = _traced_plane_solve(64)
+    assert info["coarse_iterations"] > 0
+    _assert_plane_counts(counts, levels=2)
+    assert counts["minimize.lbfgs.evals"] == info["coarse_lbfgs_evals"] + info["lbfgs_evals"]
 
 
 def test_torus_kernels_go_through_traced_names():
