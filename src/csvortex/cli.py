@@ -131,7 +131,8 @@ def _solve_report(cfg: RunConfig, mode: str, fields, info: dict,
     rep = _field_report(cfg, info["operator"], mode, fields)
     rep.iterations = info["iterations"]
     rep.wall_time = info["wall_time"]
-    for key in ("lbfgs_evals", "minres_iters", "minres_unconverged", "clamp_hit"):
+    for key in ("lbfgs_evals", "newton_iterations", "minres_iters", "minres_unconverged",
+                "clamp_hit"):
         rep.extra[key] = info[key]
     rep.extra.update(record)
     return rep

@@ -24,9 +24,11 @@ minima and mountain-pass saddle points.  ``minres`` stops on the
 preconditioned residual the recurrence holds, ‖r‖_P <= rtol·‖b‖_P, so each
 inner solve delivers the reduction it was asked for, and each is sized to the
 tolerance still to be met, never tighter than the outer step needs
-(Eisenstat and Walker 1996).  Inner solves that stop short of their
-tolerance, or break down, are still tried as steps, kept if the merit falls,
-and counted in ``OptResult.minres_unconverged``; on a singular, incompatible
+(Eisenstat and Walker 1996): a step that starts within a few times the
+tolerance is asked for the reduction that meets it with a margin of two.
+Inner solves that stop short of their tolerance, or break down, are still
+tried as steps, kept if the merit falls, and counted in
+``OptResult.minres_unconverged``; on a singular, incompatible
 system ``minres`` returns a least-squares iterate with its own status, whose
 step is tried once.  ``OptResult.minres_iters`` counts the inner MINRES
 iterations, and ``OptResult.evals`` the L-BFGS evaluations.
@@ -44,9 +46,10 @@ from .errors import NonConvergenceError
 
 
 _HISTORY = 12  # L-BFGS correction pairs kept
-# newton_polish's MINRES forcing term: the larger of _FORCING_GAIN·‖g‖₂ and
-# _FORCING_TARGET·tol_inf/‖g‖∞, clipped to [_RTOL_MIN, _RTOL_MAX]
-_FORCING_GAIN, _FORCING_TARGET = 1e-2, 0.1
+# newton_polish's MINRES forcing term: the largest of the progress term
+# min(_FORCING_GAIN·‖g‖₂, _RTOL_MAX), the over-solving safeguard
+# min(_FORCING_TARGET·tol_inf/‖g‖∞, _FORCING_TARGET) and _RTOL_MIN
+_FORCING_GAIN, _FORCING_TARGET = 1e-2, 0.5
 _RTOL_MIN, _RTOL_MAX = 1e-12, 1e-2
 _MINRES_MAXITER = 500  # iteration cap of each of newton_polish's inner solves
 _EPS = float(np.finfo(float).eps)
@@ -496,12 +499,16 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
     ``g0``, if given, is grad(x0), which the caller already holds.
 
     Each inner solve is only as accurate as the outer step needs (Eisenstat
-    and Walker 1996).  ``minres`` gets the larger of _FORCING_GAIN·‖g‖₂, for
-    fast local convergence, and _FORCING_TARGET·tol_inf/‖g‖∞, the reduction
-    that meets the target with a margin of ten; it stops on ‖r‖_P/‖b‖_P, so
-    that is the reduction it delivers.  Each Hessian product is one MINRES
-    iteration, and so is each preconditioner application but the one that
-    starts a solve (and the one of a steepest-descent fallback).
+    and Walker 1996).  ``minres`` gets the largest of the progress term
+    min(_FORCING_GAIN·‖g‖₂, _RTOL_MAX), which holds a large gradient's solve
+    to _RTOL_MAX, the safeguard min(_FORCING_TARGET·tol_inf/‖g‖∞,
+    _FORCING_TARGET), the reduction that meets the target with a margin of
+    two, and _RTOL_MIN; it stops on ‖r‖_P/‖b‖_P, so that is the reduction
+    it delivers.  The safeguard is bounded by _FORCING_TARGET < 1, not by
+    _RTOL_MAX, so the step that can finish the solve is not over-solved.
+    Each Hessian product is one MINRES iteration, and so is each
+    preconditioner application but the one that starts a solve (and the one
+    of a steepest-descent fallback).
 
     Policy for inner solves that miss rtol or break down (counted in
     ``minres_unconverged``): their steps are treated like any other, kept
@@ -529,8 +536,8 @@ def newton_polish(grad: Callable, hess_vec: Callable, x0: np.ndarray, *,
             return OptResult(x, np.nan, g, it - 1, True, merits,
                              "residual tolerance met", minres_unconverged=unconverged,
                              minres_iters=inner)
-        target = _FORCING_TARGET * tol_inf / ginf
-        rtol = float(np.clip(max(_FORCING_GAIN * merits[-1], target), _RTOL_MIN, _RTOL_MAX))
+        rtol = max(min(_FORCING_GAIN * merits[-1], _RTOL_MAX),
+                   min(_FORCING_TARGET * tol_inf / ginf, _FORCING_TARGET), _RTOL_MIN)
         delta, status = minres(lambda v: hess_vec(x, v), -g, rtol=rtol,
                                maxiter=_MINRES_MAXITER, M=precond, callback=count)
         if status != 0:
@@ -561,12 +568,14 @@ def finish_solve(what: str, lbfgs: OptResult, polish: OptResult, energy: float,
     last point, whose result is taken as it is.  A gradient max-norm grad_inf
     at the polished point above tol raises NonConvergenceError carrying state;
     otherwise returns the record keys both domains share, energy being the
-    energy at the polished point."""
+    energy at the polished point; ``iterations`` counts both stages and
+    ``newton_iterations`` the polish's own steps."""
     iterations = lbfgs.iterations + polish.iterations
     if not grad_inf <= tol:
         raise NonConvergenceError(
             f"{what} stalled at gradient max-norm {grad_inf:.3e} (target {tol:.3e}) "
             f"after {iterations} iterations", state=state, grad_norm=grad_inf)
     return {"energies": list(lbfgs.energies) + [energy], "grad_inf": grad_inf,
-            "iterations": iterations, "minres_unconverged": polish.minres_unconverged,
+            "iterations": iterations, "newton_iterations": polish.iterations,
+            "minres_unconverged": polish.minres_unconverged,
             "minres_iters": polish.minres_iters, "lbfgs_evals": lbfgs.evals}

@@ -512,7 +512,8 @@ class TestReportAgreement:
             for key in ("pde_residual.fourth_order", "admissible_margin_1",
                         "admissible_margin_2", "c1", "c2"):
                 assert key in verified, key
-        for key in ("iterations", "lbfgs_evals", "minres_iters", "clamp_hit", "wall_time_seconds",
+        for key in ("iterations", "lbfgs_evals", "newton_iterations", "minres_iters",
+                    "clamp_hit", "wall_time_seconds",
                     "coarse_iterations", "coarse_lbfgs_evals",
                     "constraint_residual_1", "energy_J", "decay.slope"):
             assert key not in verified, key
@@ -550,7 +551,8 @@ class TestPlanePipeline:
         text = (out / "report.txt").read_text()
         assert "quantized.total.rel_error" in text
         assert "mode = plane" in text
-        for key in ("lbfgs_evals", "minres_iters", "minres_unconverged", "clamp_hit = False",
+        for key in ("lbfgs_evals", "newton_iterations", "minres_iters", "minres_unconverged",
+                    "clamp_hit = False",
                     "coarse_iterations = 0", "coarse_lbfgs_evals = 0"):
             assert key in text
 
@@ -766,7 +768,8 @@ class TestTorusPipeline:
         assert "separation" in text
         assert "path_max_energy" in text
         assert "mode = torus-second" in text
-        for key in ("lbfgs_evals", "minres_iters", "minres_unconverged = 0", "clamp_hit"):
+        for key in ("lbfgs_evals", "newton_iterations", "minres_iters",
+                    "minres_unconverged = 0", "clamp_hit"):
             assert key in text
         iterations = [line for line in text.splitlines() if line.startswith("iterations = ")]
         assert len(iterations) == 1 and int(iterations[0].split(" = ")[1]) > 0

@@ -385,6 +385,47 @@ class TestNewtonPolish:
         assert np.max(np.abs(tight.g)) <= 1e-7 * g0
         assert loose.minres_iters < tight.minres_iters
 
+    def test_last_step_is_not_over_solved(self, rng, monkeypatch):
+        # a step that starts at 3·tol_inf only has to cut ‖g‖∞ by 3: its rtol
+        # is 0.5·tol_inf/‖g‖∞ = 1/6, not the old rule's ceiling of 1e-2
+        n = 200
+        d = rng.uniform(0.5, 50.0, size=n)
+        b = rng.standard_normal(n)
+
+        def grad(x):
+            return d * x - b + 0.1 * x**3
+
+        def hess_vec(x, v):
+            return (d + 0.3 * x**2) * v
+
+        root = newton_polish(grad, hess_vec, b / d, tol_inf=1e-13).x
+        x0 = root + 1e-4 * rng.standard_normal(n)
+        g0 = grad(x0)
+        tol_inf = float(np.max(np.abs(g0))) / 3.0
+        solves = []
+
+        def recording(A, rhs, *, rtol, callback, **kwargs):
+            # the same system also at the old rule's rtol: the larger of
+            # 1e-2·‖g‖₂ and 0.1·tol_inf/‖g‖∞, clipped to [1e-12, 1e-2]
+            ginf = float(np.max(np.abs(rhs)))
+            old = float(np.clip(max(1e-2 * np.linalg.norm(rhs), 0.1 * tol_inf / ginf),
+                                1e-12, 1e-2))
+            old_iters, iters = [], []
+            minres(A, rhs, rtol=old, callback=old_iters.append, **kwargs)
+            out = minres(A, rhs, rtol=rtol, callback=lambda xk: (iters.append(xk), callback(xk)),
+                         **kwargs)
+            solves.append((rtol, len(iters), len(old_iters), ginf))
+            return out
+
+        monkeypatch.setattr(minimize_mod, "minres", recording)
+        res = newton_polish(grad, hess_vec, x0, g0=g0, tol_inf=tol_inf)
+        assert res.converged and np.max(np.abs(res.g)) <= tol_inf
+        assert all(m1 < m0 for m0, m1 in zip(res.energies, res.energies[1:]))
+        rtol, iters, old_iters, ginf = solves[-1]
+        assert 2.0 <= ginf / tol_inf <= 5.0
+        assert rtol > 1e-2
+        assert iters < old_iters
+
     def test_every_product_is_a_krylov_iteration(self, rng):
         # each Hessian product is one MINRES iteration, and each preconditioner
         # application one too, plus the one per Newton step that starts a solve

@@ -357,6 +357,16 @@ class TestSolvePlane:
         assert info["grad_inf"] <= 1e-12 and info["coarse_iterations"] > 0
         assert len(calls) <= 1.5 * (info["coarse_iterations"] + info["iterations"]) + 2
 
+    def test_polish_work_on_the_bench_problem(self):
+        # the M=2, N=224 benchmark solve: its polish takes 27 MINRES
+        # iterations (25 and 2 over two Newton steps); with every inner rtol
+        # capped at 1e-2 its second step alone took 13, 42 in all
+        params = ModelParams(alpha=1.0, beta=1.0, species=2, lambda_bg=10.0)
+        vs = VortexSet((((0.0, 0.0, 1),), ((1.1, 0.0, 1), (-0.7, 0.9, 1))))
+        _, info = solve_plane(params, vs, GridDomain.box(20.0, 224), PlaneSolveOpts(tol=1e-9))
+        assert info["minres_iters"] <= 30
+        assert info["energy"] == pytest.approx(309.938494726939, rel=1e-9)
+
     def test_zero_vortex_residual_is_roundoff(self):
         dom = GridDomain.box(6.0, 32)
         params = ModelParams(alpha=1.0, beta=1.0, species=1)

@@ -15,8 +15,9 @@ from csvortex.fields import GridDomain
 from csvortex.model import ModelParams, SolveOpts
 
 # the keys cli._solve_report and cmd_solve_torus read from a solver's record
-RECORD_KEYS = ("iterations", "lbfgs_evals", "minres_iters", "minres_unconverged",
-               "clamp_hit", "wall_time", "operator", "bg", "energies", "grad_inf")
+RECORD_KEYS = ("iterations", "newton_iterations", "lbfgs_evals", "minres_iters",
+               "minres_unconverged", "clamp_hit", "wall_time", "operator", "bg",
+               "energies", "grad_inf")
 
 # one bad value per case; the other option keeps its default
 BAD_OPTS = [({"tol": math.nan}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": -1e-9}, "tol"),
