@@ -11,10 +11,10 @@ wherever the decrease is resolvable: once the predicted decrease of a step
 falls below ε_k, the line search accepts on the ε-approximate Wolfe
 conditions of Hager and Zhang (2005) instead, f(t) <= f(0) + ε_k and the
 slope test, so a search at the energy's round-off does not halve down to a
-collapsed interval.  A caller may install a feasibility predicate; trial points
-outside the feasible set are treated as infinitely costly, which makes the
-line search reject them and halve the step — the rejection semantics
-required at the admissible-set boundary of the constrained torus problem.
+collapsed interval.  A state outside the problem's domain costs +inf, with a
+non-finite gradient: the line search rejects such a trial and halves the
+step, and ``newton_polish`` rejects it by the same rule.  That is how the
+constrained torus problem keeps its iterates in the admissible set.
 
 ``newton_polish`` drives the gradient to a tight max-norm tolerance with a
 damped Newton iteration whose linear systems are solved by ``minres``, the
@@ -105,12 +105,11 @@ class _Wolfe:
     c1, c2 = 1e-4, 0.9   # sufficient-decrease and curvature constants
     max_evals = 60
 
-    def __init__(self, fun_grad, x, f0, g0, d, feasible):
+    def __init__(self, fun_grad, x, f0, g0, d):
         self.fun_grad = fun_grad
         self.x, self.f0, self.d = x, f0, d
         self.gd0 = _slope(g0, d)
         self.resolvable = 64.0 * float(np.spacing(abs(f0)))
-        self.feasible = feasible
         self.evals = 0
         self.saw_infeasible = False
         self.best = None  # (t, f, g, xt) with sufficient decrease
@@ -118,11 +117,9 @@ class _Wolfe:
     def phi(self, t):
         self.evals += 1
         xt = self.x + t * self.d
-        if self.feasible is not None and not self.feasible(xt):
-            self.saw_infeasible = True
-            return np.inf, None, np.nan, xt
         ft, gt = self.fun_grad(xt)
         if not np.isfinite(ft):
+            self.saw_infeasible = True
             return np.inf, None, np.nan, xt
         return ft, gt, _slope(gt, self.d), xt
 
@@ -300,7 +297,6 @@ def _curvature_pair(s: np.ndarray, y: np.ndarray):
 
 def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
                    precond: Optional[Callable] = None,
-                   feasible: Optional[Callable] = None,
                    tol_inf: float = 1e-8,
                    tol_rel: float = 0.0,
                    max_iter: int = 2000) -> OptResult:
@@ -311,8 +307,10 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
     ``tol_rel`` times its value at x0, whichever is larger.  ``precond``
     applies a fixed symmetric positive-definite initial inverse Hessian P; it
     is applied once per iteration, to the new gradient, and P y comes from
-    the difference of consecutive preconditioned gradients.  The result's
-    ``evals`` counts the calls of ``fun_grad``, the start's included.
+    the difference of consecutive preconditioned gradients.  A non-finite
+    energy rejects its trial, and a search that then fails sets
+    ``boundary_trapped``; ``evals`` counts the calls of ``fun_grad``, the
+    start's included.
     """
     apply_p = precond if precond is not None else (lambda v: v.copy())
     evals = 0
@@ -349,7 +347,7 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
             pairs.clear()
             d = -pg
         try:
-            t, f_new, g_new, x_new = _Wolfe(counted, x, f, g, d, feasible).run()
+            t, f_new, g_new, x_new = _Wolfe(counted, x, f, g, d).run()
         except LineSearchError as exc:
             boundary = boundary or exc.feasibility_blocked
             if pairs.k == 0:
@@ -357,8 +355,7 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
             # retry once along the preconditioned steepest descent
             pairs.clear()
             try:
-                t, f_new, g_new, x_new = _Wolfe(counted, x, f, g, -pg,
-                                                feasible).run()
+                t, f_new, g_new, x_new = _Wolfe(counted, x, f, g, -pg).run()
             except LineSearchError as exc2:
                 boundary = boundary or exc2.feasibility_blocked
                 return result(x, f, g, it, False, energies, str(exc2), boundary)

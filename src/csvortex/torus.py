@@ -625,9 +625,8 @@ class _BranchReduced:
         self.op = op
         self.saddle = saddle
         # (X', maps, CSolve) of the last mean-zero stack whose constants were
-        # solved: the line search asks feasible() and then fun_grad() at one
-        # trial point, and MINRES asks hess_vec() many times at one Newton
-        # iterate
+        # solved: fun_grad() asks feasible() and then lift() at one trial
+        # point, and MINRES asks hess_vec() many times at one Newton iterate
         self._memo: Optional[tuple] = None
         # (memo, pointwise Hessian coefficients, 2x2 Hessian in the constants)
         # at that state, shared by the products there
@@ -661,6 +660,9 @@ class _BranchReduced:
         return Xp + np.array([cs.c1, cs.c2])[:, None, None]
 
     def fun_grad(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
+        """Energy and projected gradient; +inf and all NaN if x is inadmissible."""
+        if not self.feasible(x):
+            return math.inf, np.full(x.size, np.nan)
         val, G = self.op._evaluate(self.lift(x))
         G -= _field_means(G)
         G *= self.op.domain.cell_area
@@ -749,12 +751,12 @@ def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: SolveOpts,
                   lbfgs_tol: float) -> Tuple[TorusState, dict]:
     """Minimize red's reduced energy from the mean-zero pair x0.
 
-    L-BFGS, with steps leaving the admissible set rejected, hands over at
-    gradient max-norm lbfgs_tol to a Newton/MINRES polish on the Schur Hessian
-    until the max-norm meets opts.tol; both use the operator's preconditioner
-    as it stands.  The constants sit on red's branch root at every iterate,
-    and the returned state's residuals (info["c_solve"]) are those of that
-    root.  A descent trapped at the admissible-set boundary raises
+    L-BFGS hands over at gradient max-norm lbfgs_tol to a Newton/MINRES polish
+    on the Schur Hessian until the max-norm meets opts.tol; both use the
+    operator's preconditioner as it stands, and both halve a step leaving the
+    admissible set, where red.fun_grad is +inf.  The constants sit on red's
+    branch root at every iterate, and the returned state's residuals
+    (info["c_solve"]) are those of that root.  A descent trapped at the admissible-set boundary raises
     BoundaryTrappingError naming the inequality that rejected its last step
     and describing the last accepted iterate; a polish that misses opts.tol
     on the full gradient raises NonConvergenceError carrying the state.
@@ -763,8 +765,7 @@ def _branch_solve(red: _BranchReduced, x0: np.ndarray, opts: SolveOpts,
     dom = op.domain
     what = "saddle descent" if red.saddle else "first-solution descent"
     res = minimize_lbfgs(red.fun_grad, x0, precond=op.precond_flat,
-                         feasible=red.feasible, tol_inf=lbfgs_tol * dom.cell_area,
-                         max_iter=opts.max_iter)
+                         tol_inf=lbfgs_tol * dom.cell_area, max_iter=opts.max_iter)
     if res.boundary_trapped and not res.converged:
         hint = "" if red.saddle else (
             "; alpha is likely below the existence threshold for this vortex number")

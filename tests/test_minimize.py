@@ -61,14 +61,14 @@ class TestLBFGS:
         assert all(e2 < e1 for e1, e2 in zip(res.energies, res.energies[1:]))
 
     def test_feasibility_rejection(self, rng):
-        # minimize |x|^2 from x0=2 with the region x > 1 feasible: the line
-        # search must halve its way to the boundary and stall there
+        # minimize |x|^2 from x0=2 where x <= 1 costs +inf: the line search
+        # must halve its way to the boundary and stall there
         def fun_grad(x):
+            if not x[0] > 1.0:
+                return math.inf, np.full(x.size, np.nan)
             return float(x @ x), 2 * x
 
-        res = minimize_lbfgs(fun_grad, np.array([2.0]),
-                             feasible=lambda x: bool(x[0] > 1.0),
-                             tol_inf=1e-12, max_iter=100)
+        res = minimize_lbfgs(fun_grad, np.array([2.0]), tol_inf=1e-12, max_iter=100)
         assert not res.converged
         assert res.boundary_trapped
         assert res.x[0] >= 1.0
@@ -191,9 +191,9 @@ class TestCompactForm:
         searches = []
 
         class Recorded(minimize_mod._Wolfe):
-            def __init__(self, fun_grad, x, f0, g0, d, feasible):
+            def __init__(self, fun_grad, x, f0, g0, d):
                 searches.append((x.copy(), g0.copy(), d.copy()))
-                super().__init__(fun_grad, x, f0, g0, d, feasible)
+                super().__init__(fun_grad, x, f0, g0, d)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(minimize_mod, "_Wolfe", Recorded)

@@ -15,6 +15,7 @@ from csvortex.errors import (
     BoundaryTrappingError,
     InfeasibleError,
     MountainPassCollapseError,
+    NonConvergenceError,
 )
 from csvortex.fields import (
     EXP_CLAMP,
@@ -58,6 +59,14 @@ def small():
     params = ModelParams(alpha=30.0, beta=45.0, sigma=2.0)
     first, info = minimize_torus(params, vs, dom, TorusSolveOpts(tol=1e-10))
     return dom, info["bg"], params, first
+
+
+@pytest.fixture(scope="module")
+def two_vortex_cell():
+    """The 16² torus at alpha=3, beta=4.5 with vortices at (1, 1) and (4, 4)."""
+    dom = GridDomain.torus(2 * np.pi, 2 * np.pi, 16, 16)
+    bg = torus_background(VortexSet.single([(1.0, 1.0), (4.0, 4.0)]), dom)
+    return dom, bg, ModelParams(alpha=3.0, beta=4.5, sigma=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +313,38 @@ class TestReducedFunctional:
             assert np.all(np.abs(g.reshape(2, -1).mean(axis=1)) <= 1e-14 * np.max(np.abs(g)))
             hv = red.hess_vec(x, w)
             assert close(shifted.hess_vec(shifted.op.pack(up + a, vp + b), w), hv)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), amp=st.floats(0.0, 30.0),
+           lift=st.floats(0.0, 1.0))
+    def test_inadmissible_state_costs_inf(self, two_vortex_cell, seed, amp, lift):
+        # random mean-zero states about the vacuum lift, at this coupling
+        # about one in five admissible: fun_grad is (+inf, all NaN) exactly
+        # where feasible is False, and the operator's projected, scaled
+        # energy and gradient elsewhere
+        dom, bg, params = two_vortex_cell
+        rng = np.random.default_rng(seed)
+        up = lift * (bg.u0.mean() - bg.u0) + smooth_random(dom, rng, amp)
+        vp = smooth_random(dom, rng, amp)
+        m1, m2 = admissibility_margins(up, vp, bg, params)
+        for saddle in (False, True):
+            op = TorusOperator(bg, params)
+            red = torus_mod._BranchReduced(op, saddle=saddle)
+            x = op.pack(up, vp)
+            f, g = red.fun_grad(x)
+            if not torus_mod._BranchReduced(op, saddle=saddle).feasible(x):
+                assert f == np.inf and g.shape == x.shape and np.all(np.isnan(g))
+                if min(m1, m2) < 0.0:
+                    assert red.rejected == ("first" if m1 < 0.0 else "second")
+                continue
+            assert min(m1, m2) >= 0.0 and red.rejected is None
+            U, V = red.lift(x)
+            assert f == op.energy(U, V)
+            want = np.stack(op.gradient(U, V))
+            want -= want.mean(axis=(1, 2), keepdims=True)
+            assert np.max(np.abs(g - want.ravel() * dom.cell_area)) <= (
+                1e-13 * dom.cell_area * np.max(np.abs(want)))
 
 
 class TestPreconditioner:
@@ -606,6 +647,38 @@ class TestMountainPass:
         assert main(["solve-torus", "--config", str(path), "--out",
                      str(tmp_path / "run"), "--second-solution"]) == 3
         assert "saddle descent" in capsys.readouterr().out
+
+    def test_polish_keeps_to_the_admissible_set(self, two_vortex_cell, tmp_path, capsys):
+        # three L-BFGS iterations leave the saddle polish a long way to go,
+        # and its first trial step leaves the admissible set: the polish must
+        # halve that step, not raise AdmissibilityError from its backtracking
+        dom, bg, params = two_vortex_cell
+        vs = VortexSet.single([(1.0, 1.0), (4.0, 4.0)])
+        first, _ = minimize_torus(params, vs, dom, TorusSolveOpts(tol=1e-9))
+        try:
+            _, info = mountain_pass(params, first, TorusSolveOpts(tol=1e-9, max_iter=3), bg=bg)
+        except NonConvergenceError as err:
+            assert err.state is not None
+            assert "saddle descent stalled" in str(err)
+        else:
+            assert info["grad_inf"] <= 1e-9
+            assert info["separation"] >= torus_mod._SEPARATION
+        cfg = {
+            "schema_version": 1,
+            "mode": "torus",
+            "params": {"alpha": 3.0, "beta": 4.5, "sigma": 2.0},
+            "domain": {"kind": "torus", "periods": [2 * np.pi, 2 * np.pi], "n": [16, 16]},
+            "vortices": [{"species": 0, "x": 1.0, "y": 1.0},
+                         {"species": 0, "x": 4.0, "y": 4.0}],
+            "opts": {"tol": 1e-9},
+        }
+        path = tmp_path / "polish.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve-torus", "--config", str(path), "--out", str(tmp_path / "run"),
+                     "--second-solution", "--max-iter", "3"]) == 3
+        out = capsys.readouterr().out
+        assert "saddle descent stalled" in out
+        assert "admissibility inequality" not in out
 
     def test_frozen_preconditioner_work(self, small):
         # the vacuum-preconditioned descent took 364 iterations here

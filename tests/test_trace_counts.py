@@ -94,8 +94,8 @@ def test_torus_kernels_go_through_traced_names():
     # trial step left the admissible set
     assert counts["torus.c_root.calls"] == counts["torus.state_integrals.calls"]
     assert counts["torus.feasible.rejected"] == 0
-    # every L-BFGS evaluation but each branch solve's start is feasibility-tested
-    assert counts["torus.feasible.calls"] == counts["minimize.lbfgs.evals"] - 2
+    # every reduced evaluation, L-BFGS's and the polish's, is admissibility-tested
+    assert counts["torus.feasible.calls"] == counts["torus.reduced.fun_grad.calls"]
     # the mountain pass takes the energies it reports (the first solution,
     # the sampled path and its endpoint) from one profile pass, which the
     # tracer does not patch, and calls energy nowhere
