@@ -192,12 +192,10 @@ def _consistent_profiles(load: np.ndarray, h: np.ndarray, u0_pad: np.ndarray,
     inside only by the discretization correction that keeps the 5-point
     identity exact at every node.
     """
-    from .fields import box_laplacian_ring, box_shifted_inverse, box_symbol
+    from .fields import box_laplacian_ring, box_ring_edges, box_shifted_inverse, box_symbol
 
     rhs = -h + 4.0 * np.pi * load
-    ring = u0_pad.copy()
-    ring[:, 1:-1, 1:-1] = 0.0
-    ring_term = box_laplacian_ring(np.zeros(h.shape), ring, domain)
+    ring_term = box_laplacian_ring(np.zeros(h.shape), box_ring_edges(u0_pad), domain)
     # Δ0 x = rhs - ring_term  <=>  (-Δ0) x = ring_term - rhs
     return box_shifted_inverse(ring_term - rhs, box_symbol(domain, 1.0, 0.0))
 

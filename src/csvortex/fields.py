@@ -190,23 +190,32 @@ def laplacian_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
     if domain.kind == "torus":
         return irfftn(-_k2(domain) * rfftn(values, axes=(-2, -1)), s=domain.shape,
                       axes=(-2, -1))
-    p = np.zeros(values.shape[:-2] + (domain.n1 + 2, domain.n2 + 2))
-    p[..., 1:-1, 1:-1] = values
-    return _box_laplacian_padded(p, domain)
+    return _box_laplacian(values, (0.0,) * 4, domain)
 
 
-def _box_laplacian_padded(p: np.ndarray, domain: GridDomain) -> np.ndarray:
-    """5-point Laplacian of the interior of p, whose outer ring holds the ghosts.
+def _box_laplacian(values: np.ndarray, ring, domain: GridDomain) -> np.ndarray:
+    """5-point Laplacian of a box stack whose ghosts are the four edges ``ring``
+    (ordered as box_ring_edges returns them; scalar zeros give zero ghosts).
 
-    Acts on the trailing two axes of a box, whose cells are square.  Six
-    array passes: three neighbour sums, two for the centre term and one for
-    the weight 1/h^2.
+    Acts on the trailing two axes, whose cells are square.  Each ghost edge
+    is added where the stencil reaches it, so no padded copy is made, and
+    every node sums up + down, left, right, then 4 times the centre off, as
+    on a padded array.  Taking the centre off at a quarter scale, with the
+    power of two put back in the weight 4/h^2, rounds the same: away from
+    underflow and overflow the result is the padded stencil's, bit for bit.
     """
-    out = np.add(p[..., :-2, 1:-1], p[..., 2:, 1:-1])
-    out += p[..., 1:-1, :-2]
-    out += p[..., 1:-1, 2:]
-    out -= 4.0 * p[..., 1:-1, 1:-1]
-    out *= 1.0 / domain.h1**2
+    top, bottom, left, right = ring
+    out = np.empty_like(values)
+    np.add(values[..., :-2, :], values[..., 2:, :], out=out[..., 1:-1, :])
+    np.add(top, values[..., 1, :], out=out[..., 0, :])
+    np.add(values[..., -2, :], bottom, out=out[..., -1, :])
+    out[..., :, 1:] += values[..., :, :-1]
+    out[..., :, 0] += left
+    out[..., :, :-1] += values[..., :, 1:]
+    out[..., :, -1] += right
+    out *= 0.25
+    out -= values
+    out *= 4.0 / domain.h1**2
     return out
 
 
@@ -294,31 +303,42 @@ def poisson_solve_torus(rhs: np.ndarray, domain: GridDomain) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def box_pad_with_ring(values: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    """Embed values into a padded array whose outer ring carries ``ring`` data.
+def box_ring_edges(padded: np.ndarray):
+    """The four ghost edges of a padded box array, as views of it.
 
-    Only the ring's edges are read; its interior is ignored.
+    They are the ghost rows before the first and after the last node row,
+    then the ghost columns before the first and after the last node column,
+    corners excluded: all the 5-point stencil reads of a ghost ring.  Leading
+    axes index a stack of fields.
     """
-    p = np.empty(ring.shape)
-    p[..., 0, :] = ring[..., 0, :]
-    p[..., -1, :] = ring[..., -1, :]
-    p[..., 1:-1, 0] = ring[..., 1:-1, 0]
-    p[..., 1:-1, -1] = ring[..., 1:-1, -1]
+    return (padded[..., 0, 1:-1], padded[..., -1, 1:-1],
+            padded[..., 1:-1, 0], padded[..., 1:-1, -1])
+
+
+def box_pad_with_ring(values: np.ndarray, ring) -> np.ndarray:
+    """Embed values into a padded array whose ghost edges carry ``ring``.
+
+    ``ring`` is four ghost edges, as box_ring_edges returns them; the
+    corners, which no stencil reads, are zero.
+    """
+    p = np.zeros(values.shape[:-2] + (values.shape[-2] + 2, values.shape[-1] + 2))
     p[..., 1:-1, 1:-1] = values
+    for edge, ghosts in zip(box_ring_edges(p), ring):
+        edge[...] = ghosts
     return p
 
 
-def box_laplacian_ring(values: np.ndarray, ring: np.ndarray, domain: GridDomain) -> np.ndarray:
+def box_laplacian_ring(values: np.ndarray, ring, domain: GridDomain) -> np.ndarray:
     """5-point Laplacian where the ghost ring carries prescribed boundary data.
 
-    Leading axes index a stack of fields, each with its own ring.
+    ``ring`` is four ghost edges, as box_ring_edges returns them.  Leading
+    axes index a stack of fields, each with its own ghost edges.
     """
-    return _box_laplacian_padded(box_pad_with_ring(values, ring), domain)
+    return _box_laplacian(values, ring, domain)
 
 
-def box_dirichlet_ring(f: np.ndarray, rf: np.ndarray, g: np.ndarray, rg: np.ndarray,
-                       domain: GridDomain) -> float:
-    """∫ ∇f·∇g with prescribed ghost-ring data on both arguments."""
+def box_dirichlet_ring(f: np.ndarray, rf, g: np.ndarray, rg, domain: GridDomain) -> float:
+    """∫ ∇f·∇g with prescribed ghost edges (box_ring_edges) on both arguments."""
     return _box_dirichlet_padded(box_pad_with_ring(f, rf), box_pad_with_ring(g, rg), domain)
 
 

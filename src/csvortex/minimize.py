@@ -100,7 +100,13 @@ def _slope(g: np.ndarray, d: np.ndarray) -> float:
 
 
 class _Wolfe:
-    """Strong-Wolfe search along a fixed direction; +inf encodes rejection."""
+    """Strong-Wolfe search along a fixed direction; +inf encodes rejection.
+
+    One trial state is held at a time: ``phi`` drops the last trial's x and
+    g before it builds the next x, and ``best`` keeps (t, f, g) only.  The
+    fallback rebuilds its x as x + t·d, the expression ``phi`` evaluated, so
+    it is the trial's x bit for bit.
+    """
 
     c1, c2 = 1e-4, 0.9   # sufficient-decrease and curvature constants
     max_evals = 60
@@ -112,16 +118,20 @@ class _Wolfe:
         self.resolvable = 64.0 * float(np.spacing(abs(f0)))
         self.evals = 0
         self.saw_infeasible = False
-        self.best = None  # (t, f, g, xt) with sufficient decrease
+        self.best = None    # (t, f, g) with sufficient decrease
+        self.xt = self.gt = None  # the last trial's state
 
     def phi(self, t):
+        """(f, gᵀd) at x + t·d; the trial's x and g are left in xt and gt."""
         self.evals += 1
-        xt = self.x + t * self.d
-        ft, gt = self.fun_grad(xt)
+        self.xt = self.gt = None
+        self.xt = self.x + t * self.d
+        ft, self.gt = self.fun_grad(self.xt)
         if not np.isfinite(ft):
             self.saw_infeasible = True
-            return np.inf, None, np.nan, xt
-        return ft, gt, _slope(gt, self.d), xt
+            self.gt = None
+            return np.inf, np.nan
+        return ft, _slope(self.gt, self.d)
 
     def _rejected(self, t, ft, gdt, f_ref):
         """Trial t fails sufficient decrease, or does not improve on f_ref.
@@ -145,12 +155,12 @@ class _Wolfe:
         f_lo = self.f0
         t = 1.0
         while self.evals < self.max_evals:
-            ft, gt, gdt, xt = self.phi(t)
+            ft, gdt = self.phi(t)
             if self._rejected(t, ft, gdt, f_prev if t_prev > 0.0 else np.inf):
                 return self.zoom(t_prev, f_lo if t_prev > 0.0 else self.f0, t)
-            self.best = (t, ft, gt, xt)
+            self.best = (t, ft, self.gt)
             if abs(gdt) <= -self.c2 * self.gd0:
-                return t, ft, gt, xt
+                return t, ft, self.gt, self.xt
             if gdt >= 0:
                 return self.zoom(t, ft, t_prev)
             t_prev, f_prev, f_lo = t, ft, ft
@@ -162,13 +172,13 @@ class _Wolfe:
             if abs(hi - lo) <= 1e-14 * max(1.0, abs(lo), abs(hi)):
                 break
             t = 0.5 * (lo + hi)
-            ft, gt, gdt, xt = self.phi(t)
+            ft, gdt = self.phi(t)
             if self._rejected(t, ft, gdt, f_lo):
                 hi = t
                 continue
-            self.best = (t, ft, gt, xt)
+            self.best = (t, ft, self.gt)
             if abs(gdt) <= -self.c2 * self.gd0:
-                return t, ft, gt, xt
+                return t, ft, self.gt, self.xt
             if gdt * (hi - lo) >= 0:
                 hi = lo
             lo, f_lo = t, ft
@@ -177,7 +187,8 @@ class _Wolfe:
     def _fallback(self, why):
         # accept the best strict-decrease point if one was found
         if self.best is not None and self.best[1] < self.f0:
-            return self.best
+            t, ft, gt = self.best
+            return t, ft, gt, self.x + t * self.d
         raise LineSearchError(why, feasibility_blocked=self.saw_infeasible)
 
 
@@ -324,6 +335,7 @@ def minimize_lbfgs(fun_grad: Callable, x0: np.ndarray, *,
         return OptResult(*args, evals=evals)
 
     x = np.asarray(x0, dtype=float).copy()
+    del x0  # a start the caller does not hold is freed here
     f, g = counted(x)
     tol_inf = max(tol_inf, tol_rel * float(np.max(np.abs(g))))
     energies = [f]

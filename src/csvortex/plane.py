@@ -11,12 +11,13 @@ gradient is the exact derivative of the discrete energy.
 
 The unknowns form one (M+1, n, n) stack, a view of the optimizer's flat
 vector.  ``PlaneOperator`` evaluates the energy and gradient in one fused
-pass: the exponential blocks of all species at once, one ring-padded
+pass: the exponential blocks of all species at once, one ghost-ring
 Laplacian of the stack (the energy's Dirichlet term follows from it by
-summation by parts), and one batched type-II sine-transform pair for the
-vacuum preconditioner.  That pair alone runs in float32: it only shapes
-search directions, while the energy, gradient, Hessian products and every
-convergence test stay in float64.
+summation by parts, and the gradient is built in its buffer), and one
+batched type-II sine-transform pair for the vacuum preconditioner.  That
+pair alone runs in float32: it only shapes search directions, while the
+energy, gradient, Hessian products and every convergence test stay in
+float64.
 
 Minimization: preconditioned L-BFGS (Wolfe steps; accepted energies are
 non-increasing up to 64 ulps of the energy, see ``minimize``), followed by a
@@ -49,7 +50,7 @@ from .fields import (  # noqa: F401
     GridDomain,
     box_dirichlet_ring,
     box_laplacian_ring,
-    box_pad_with_ring,
+    box_ring_edges,
     box_shifted_inverse,
     box_symbol,
     exp_clip,
@@ -98,9 +99,10 @@ class PlaneOperator:
 
     A state is one (M+1, n1, n2) stack X = (f, f_1..f_M), a view of the flat
     vector.  One body evaluates energy and gradient together: one pass over
-    the clamped exponentials, stacked over species, and one ring-padded
-    Laplacian of the whole stack.  The energy's Dirichlet term comes from that
-    Laplacian by summation by parts: over the padded array p,
+    the clamped exponentials, stacked over species, and one ghost-ring
+    Laplacian of the whole stack, which reads the four ghost edges ``ring``
+    in place.  The energy's Dirichlet term comes from that Laplacian by
+    summation by parts: over the stack p padded with its ghosts,
 
         Σ_edges (p_a - p_b)^2 = -Σ_interior p·(h^2 Δ_5 p) + Σ_ghosts g·(g - p_next),
 
@@ -136,12 +138,8 @@ class PlaneOperator:
         self.domain = dom = bg.domain
         self.shape = (m + 1,) + dom.shape
         a, b = params.alpha, params.beta
-        # ghost rings: -Σ_k u_k0 for f, -u_i0 for f_i, zero inside
-        ring = np.empty((m + 1, dom.n1 + 2, dom.n2 + 2))
-        ring[0] = -np.sum(bg.u0_pad, axis=0)
-        np.negative(bg.u0_pad, out=ring[1:])
-        ring[:, 1:-1, 1:-1] = 0.0
-        self.ring = ring
+        # the four ghost edges of the stack, the only ghosts the stencil reads
+        self.ring = ring = tuple(_ghost_values(e) for e in box_ring_edges(bg.u0_pad))
         # the energy holds (M/α)|∇f|^2 + (1/β)Σ|∇f_i|^2 and the linear terms
         # (2M/α) f Σ_i h_i + (2/β) Σ f_i h_i, whose weights are the sources
         c_dir = np.array([m / a] + [1.0 / b] * m)
@@ -154,10 +152,10 @@ class PlaneOperator:
         # ghost edges of the summation by parts, weighted by c_dir: g·g is a
         # constant, -g·p_next a dot product with the boundary nodes of X
         h1, h2 = dom.h1, dom.h2
-        ghosts = ((np.s_[:, 0, :], ring[:, 0, 1:-1], h2 / h1),
-                  (np.s_[:, -1, :], ring[:, -1, 1:-1], h2 / h1),
-                  (np.s_[:, :, 0], ring[:, 1:-1, 0], h1 / h2),
-                  (np.s_[:, :, -1], ring[:, 1:-1, -1], h1 / h2))
+        ghosts = ((np.s_[:, 0, :], ring[0], h2 / h1),
+                  (np.s_[:, -1, :], ring[1], h2 / h1),
+                  (np.s_[:, :, 0], ring[2], h1 / h2),
+                  (np.s_[:, :, -1], ring[3], h1 / h2))
         self._ghosts = tuple((side, g * (ratio * c_dir[:, None]))
                              for side, g, ratio in ghosts)
         self._ghost_energy = float(sum(np.vdot(g, w) for (_, g, _), (_, w)
@@ -194,37 +192,48 @@ class PlaneOperator:
         dm = np.subtract(ea, eb, out=ea)
         return dp, dm, np.sum(dp, axis=0)
 
-    def _reaction(self, dp: np.ndarray, dm: np.ndarray, sum_b: np.ndarray):
-        """Pointwise part of the L2 gradient stack, sources included.
+    def _reaction(self, dp: np.ndarray, dm: np.ndarray, sum_b: np.ndarray,
+                  out: np.ndarray):
+        """Pointwise part of the L2 gradient stack, sources included, added
+        into the stack ``out`` in place.
 
-        Also returns sum_a = Σ_i (A_i + B_i) - 2M and Σ_i (A_i - B_i)^2,
-        which the energy integrates.
+        Each field's part is summed with its source before it is added, so
+        the sum rounds as out + (source + part).  Also returns sum_a =
+        Σ_i (A_i + B_i) - 2M and Σ_i (A_i - B_i)^2, which the energy
+        integrates.
         """
         p = self.params
         m = p.species
         sum_a = sum_b - 2.0 * m
         dm2 = np.einsum("kij,kij->ij", dm, dm)
-        r = self.source.copy()
-        r[0] += (2.0 * p.alpha / m) * sum_a * sum_b + (2.0 * p.beta) * dm2
+        t0 = (2.0 * p.alpha / m) * sum_a * sum_b + (2.0 * p.beta) * dm2
+        t0 += self.source[0]
+        out[0] += t0
         t = (2.0 * p.beta) * dp
         t += (2.0 * p.alpha / m) * sum_a
         t *= dm
-        r[1:] += t
-        return r, sum_a, dm2
+        t += self.source[1:]
+        out[1:] += t
+        return out, sum_a, dm2
 
     # an overflow is named at the end, at its first non-finite node
     @np.errstate(over="ignore", invalid="ignore")
     def _evaluate(self, X: np.ndarray, energy: bool = True):
-        """(energy or None, L2 gradient stack) at the state stack X."""
+        """(energy or None, L2 gradient stack) at the state stack X.
+
+        The gradient is built in the Laplacian's buffer, after the energy's
+        Dirichlet term has read the Laplacian.
+        """
         p = self.params
-        lap = box_laplacian_ring(X, self.ring, self.domain)
-        lap *= -self._stiff
-        G, sum_a, dm2 = self._reaction(*self._blocks(X))
+        G = box_laplacian_ring(X, self.ring, self.domain)
+        G *= -self._stiff
+        dirichlet = 0.5 * np.vdot(X, G) if energy else None
+        G, sum_a, dm2 = self._reaction(*self._blocks(X), out=G)
         val = None
         if energy:
             val = self._ghost_energy - sum(np.vdot(w, X[side]) for side, w in self._ghosts)
             val += self.domain.cell_area * (
-                0.5 * np.vdot(X, lap) + np.vdot(X, self.source)
+                dirichlet + np.vdot(X, self.source)
                 + (p.alpha / p.species) * np.vdot(sum_a, sum_a) + p.beta * np.sum(dm2))
             if not np.isfinite(val):
                 pot = (p.alpha / p.species) * sum_a**2 + p.beta * dm2
@@ -232,7 +241,6 @@ class PlaneOperator:
                 node = tuple(int(k) for k in np.argwhere(bad)[0]) if bad.any() else None
                 raise NonFiniteFieldError("non-finite energy integrand", node=node)
             val = float(val)
-        G += lap
         if not np.all(np.isfinite(G)):
             node = tuple(int(k) for k in np.argwhere(~np.isfinite(G))[0][1:])
             raise NonFiniteFieldError("non-finite gradient value", node=node)
@@ -350,26 +358,35 @@ def _prolong(padded: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ghost_values(u0_pad: np.ndarray) -> np.ndarray:
+    """The remainders' ghost data where the backgrounds u0_pad are given:
+    -Σ_k u_k0 for f, then -u_i0 for each f_i, stacked on a new leading axis."""
+    return np.concatenate((-np.sum(u0_pad, axis=0, keepdims=True), -u0_pad))
+
+
 def _coarse_start(params: ModelParams, vortices: VortexSet, domain: GridDomain,
                   max_iter: int) -> Tuple[np.ndarray, int, int]:
-    """(x0, coarse iterations, coarse evaluations) for the fine solve on ``domain``.
+    """(padded coarse state, coarse iterations, coarse evaluations) for the
+    fine solve on ``domain``; the fine start is ``_prolong`` of that state.
 
     L-BFGS from zero on the n/2 grid, with its own consistent background,
-    until the gradient max-norm falls to _COARSE_STOP times its start; then
-    the remainders (f, f_i), padded with that grid's ghost ring, are
-    prolonged to ``domain``.  The remainders, not u, are prolonged: each
-    grid's background differs at the discretization level.  A coarse run
-    that stops short is only a start.  Only x0 and the counts outlive the
-    call, so the coarse operator and history are released before the fine
-    background is built.
+    until the gradient max-norm falls to _COARSE_STOP times its start.  The
+    remainders (f, f_i) are returned padded with that grid's ghost ring,
+    corners included, which the prolongation reads.  The remainders, not u,
+    are prolonged: each grid's background differs at the discretization
+    level.  A coarse run that stops short is only a start.  Only the padded
+    state, a quarter of the fine stack, and the counts outlive the call, so
+    the coarse operator and history are released before the fine background
+    is built.
     """
     coarse = GridDomain.box(domain.extent1, domain.n1 // 2)
     op = PlaneOperator(plane_background(vortices, params.lambda_bg, coarse), params)
     res = minimize_lbfgs(op.fun_grad_flat, np.zeros(op.shape).ravel(),
                          precond=op.precond_flat, tol_inf=0.0, tol_rel=_COARSE_STOP,
                          max_iter=max_iter)
-    x0 = _prolong(box_pad_with_ring(res.x.reshape(op.shape), op.ring)).ravel()
-    return x0, res.iterations, res.evals
+    padded = _ghost_values(op.bg.u0_pad)
+    padded[:, 1:-1, 1:-1] = res.x.reshape(op.shape)
+    return padded, res.iterations, res.evals
 
 
 def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
@@ -402,16 +419,19 @@ def solve_plane(params: ModelParams, vortices: VortexSet, domain: GridDomain,
                     "every vortex must sit at distance >= L/4 from the box boundary"
                 )
     t0 = time.perf_counter()
+    coarse = None
+    coarse_iterations = coarse_evals = 0
     if domain.n1 >= _COARSE_FLOOR and domain.n1 % 4 == 0:
-        x0, coarse_iterations, coarse_evals = _coarse_start(params, vortices, domain,
-                                                            opts.max_iter)
-    else:
-        x0 = np.zeros((params.species + 1) * domain.n1 * domain.n2)
-        coarse_iterations = coarse_evals = 0
+        coarse, coarse_iterations, coarse_evals = _coarse_start(params, vortices, domain,
+                                                                opts.max_iter)
     bg = plane_background(vortices, params.lambda_bg, domain)
     op = PlaneOperator(bg, params)
     tol_flat = opts.tol * domain.cell_area
-    res = minimize_lbfgs(op.fun_grad_flat, x0, precond=op.precond_flat,
+    # the fine start is named by nothing here: it is freed once
+    # minimize_lbfgs has copied it
+    res = minimize_lbfgs(op.fun_grad_flat,
+                         (np.zeros(op.shape) if coarse is None else _prolong(coarse)).ravel(),
+                         precond=op.precond_flat,
                          tol_inf=tol_flat * _LBFGS_HANDOVER,
                          max_iter=opts.max_iter - coarse_iterations)
     pol = newton_polish(op.grad_flat, op.hess_vec_flat, res.x, g0=res.g,

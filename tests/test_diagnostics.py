@@ -240,7 +240,7 @@ class TestSolveReport:
 
 def reference_fourth_plane(X, op, exclude):
     """max_k |Δ_4 f_k - p_k / (2c_k)| over interior nodes outside exclude."""
-    rhs = op._reaction(*op._blocks(X))[0]
+    rhs = op._reaction(*op._blocks(X), out=np.zeros(op.shape))[0]
     rhs /= op.residual_scale
     res = np.zeros(op.domain.shape)
     for field, r in zip(X, rhs):

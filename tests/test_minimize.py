@@ -137,6 +137,44 @@ class TestLBFGS:
             assert res.converged, (seed, res.message)
             assert res.evals <= 2 * res.iterations, seed
 
+    def test_fallback_returns_the_trial_state_bit_for_bit(self):
+        # with the offset that cancels the quadratic's minimum, the energy's
+        # round-off exceeds the last decreases at tol_inf 1e-12, and searches
+        # collapse onto their best trial.  The search keeps only (t, f, g) of
+        # that trial and rebuilds x + t·d: the x it returns must be the very
+        # state fun_grad was given at t
+        fallbacks = []
+
+        class Recorded(minimize_mod._Wolfe):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.trials = {}
+
+            def phi(self, t):
+                out = super().phi(t)
+                self.trials[t] = self.xt.copy()
+                return out
+
+            def _fallback(self, why):
+                t, f, g, x = super()._fallback(why)
+                fallbacks.append((x, self.trials[t]))
+                return t, f, g, x
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(minimize_mod, "_Wolfe", Recorded)
+            for seed in range(40):
+                fun_grad, x_star, _ = quad_problem(200, np.random.default_rng(seed))
+                f_min = fun_grad(x_star)[0]
+
+                def cancelled(x):
+                    f, g = fun_grad(x)
+                    return f - f_min, g
+
+                minimize_lbfgs(cancelled, np.zeros(200), tol_inf=1e-12, max_iter=2000)
+        assert len(fallbacks) >= 20
+        for x, trial in fallbacks:
+            assert x.tobytes() == trial.tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 200), k=st.integers(0, 8))
     def test_offset_energy_converges(self, seed, n, k):
